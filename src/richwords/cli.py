@@ -407,7 +407,14 @@ def _cmd_verify_composition_bound(ns):
     return result, 0 if ok else 2, None
 
 
+def _check_trials(ns) -> None:
+    # zero trials would report a vacuous "ok"
+    if ns.trials < 1:
+        raise InputError(f"--trials must be >= 1, got {ns.trials}")
+
+
 def _cmd_verify_jensen(ns):
+    _check_trials(ns)
     fn = functions.parse_function_spec(ns.fn)
     rng = random.Random(ns.seed)
     lo = max(ns.x_lo, fn.domain_floor)
@@ -425,6 +432,7 @@ def _cmd_verify_jensen(ns):
 
 
 def _cmd_verify_product_bound(ns):
+    _check_trials(ns)
     params = _omega_params(ns)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):

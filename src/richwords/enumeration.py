@@ -5,19 +5,32 @@ walked with a single journaled eertree: a push that creates no new
 palindromic factor kills the whole subtree.  Counts are exact Python
 integers throughout.
 
-Two reductions are available:
+One recursive walker, _walk, serves every mode.  It carries `used`, the
+number of distinct letters in the current word, and extends the word by
+letters 0..used (all q letters once used == q):
 
-* count_rich walks all words.  With workers > 1 it first collects the
-  rich prefixes of a fixed shard depth serially, then hands each prefix
-  subtree to a process pool; counts merge by addition, so the result is
-  identical for any worker count.
-* count_rich_symmetric walks only canonical words (each letter first
-  appears in increasing order) and multiplies the count for words using
-  exactly k distinct letters by q(q-1)...(q-k+1).  Valid because richness
-  is invariant under permuting the alphabet.
+* the plain walk (count_rich) starts with used = q, so every letter is
+  tried at every node;
+* the canonical walk (count_rich_symmetric) starts with used = 0, so only
+  words whose letters first appear in increasing order are visited.
 
-Both walks optionally track the maximum number of parts in the
-longest-palindromic-suffix peel among rich words of each length.
+Rich words are counted per (length n, used k).  A canonical word with k
+distinct letters stands for q(q-1)...(q-k+1) words (richness is invariant
+under permuting the alphabet), so the table is weighted by math.perm(q, k)
+in canonical mode and by [k == q] in plain mode; the loop itself never
+branches on the mode.
+
+With workers > 1 the walk stops at a shard cut: a rich word of length
+`cut` is appended to an out-list instead of being descended into, and each
+such prefix subtree runs in a process pool through the same walker.
+Counts merge by addition, so the result is identical for any worker count
+and in either mode.
+
+Optionally the walk tracks the maximum number of parts in the
+longest-palindromic-suffix peel among rich words of each length.  Peeling
+a word of length k removes its longest palindromic suffix of length
+lps(k) and leaves the prefix of length k - lps(k), so a stack with
+luf[k] = luf[k - lps(k)] + 1 gives each node's peel length in O(1).
 """
 
 from __future__ import annotations
@@ -66,83 +79,67 @@ class RichCountTable:
     provenance: dict = field(default_factory=dict)
 
 
-def _peel_length(lps: list[int], n: int) -> int:
-    # lps[k] = longest palindromic suffix length of the k-letter prefix
-    parts = 0
-    m = n
-    while m > 0:
-        m -= lps[m]
-        parts += 1
-    return parts
-
-
-def _walk(tree, lps, depth, q, n_max, counts, maxluf, budget_state) -> None:
+def _walk(tree, depth, used, luf, q, n_max, cut, counts, maxluf, budget,
+          out) -> None:
+    # counts[n][k]: rich words of length n with k distinct letters;
+    # luf is the peel-length stack (None when max-luf tracking is off);
+    # budget = [visited, limit]; words of length cut go to out
     nxt = depth + 1
-    for a in range(q):
-        budget_state[0] += 1
-        if budget_state[0] > budget_state[1]:
-            raise BudgetExceededError(budget_state[0], budget_state[1])
+    row = counts[nxt]
+    for a in range(used + 1 if used < q else q):
+        budget[0] += 1
+        if budget[0] > budget[1]:
+            raise BudgetExceededError(budget[0], budget[1])
         if tree.push(a):
-            counts[nxt] += 1
-            if maxluf is not None:
-                lps.append(tree.longest_pal_suffix_length())
-                parts = _peel_length(lps, nxt)
+            k = used + 1 if a == used else used
+            row[k] += 1
+            if luf is not None:
+                parts = luf[nxt - tree.longest_pal_suffix_length()] + 1
+                luf.append(parts)
                 if parts > maxluf[nxt]:
                     maxluf[nxt] = parts
-            if nxt < n_max:
-                _walk(tree, lps, nxt, q, n_max, counts, maxluf, budget_state)
-            if maxluf is not None:
-                lps.pop()
+            if nxt == cut:
+                out.append((tree.processed(), k))
+            elif nxt < n_max:
+                _walk(tree, nxt, k, luf, q, n_max, cut, counts, maxluf,
+                      budget, out)
+            if luf is not None:
+                luf.pop()
         tree.pop()
 
 
-def _collect_prefixes(tree, lps, depth, q, shard_depth, counts, maxluf,
-                      budget_state, prefixes) -> None:
-    nxt = depth + 1
-    for a in range(q):
-        budget_state[0] += 1
-        if budget_state[0] > budget_state[1]:
-            raise BudgetExceededError(budget_state[0], budget_state[1])
-        if tree.push(a):
-            counts[nxt] += 1
-            if maxluf is not None:
-                lps.append(tree.longest_pal_suffix_length())
-                parts = _peel_length(lps, nxt)
-                if parts > maxluf[nxt]:
-                    maxluf[nxt] = parts
-            if nxt == shard_depth:
-                prefixes.append(tree.processed())
-            else:
-                _collect_prefixes(tree, lps, nxt, q, shard_depth, counts,
-                                  maxluf, budget_state, prefixes)
-            if maxluf is not None:
-                lps.pop()
-        tree.pop()
+def _weighted(counts, weights) -> list[int]:
+    return [sum(c * w for c, w in zip(row, weights)) for row in counts]
 
 
 def _subtree_task(args):
-    q, prefix, n_max, with_max_luf, budget = args
+    q, prefix, used, n_max, weights, with_max_luf, budget = args
     tree = Eertree(q)
-    lps = [0]
+    luf = [0] if with_max_luf else None
     for a in prefix:
-        created = tree.push(a)
-        if not created:  # shard prefixes are rich by construction
+        if not tree.push(a):  # shard prefixes are rich by construction
             raise InputError("shard prefix is not rich")
-        lps.append(tree.longest_pal_suffix_length())
-    depth = len(prefix)
-    counts = [0] * (n_max + 1)
+        if luf is not None:
+            luf.append(luf[len(luf) - tree.longest_pal_suffix_length()] + 1)
+    counts = [[0] * (q + 1) for _ in range(n_max + 1)]
     maxluf = [0] * (n_max + 1) if with_max_luf else None
     budget_state = [0, budget]
-    _walk(tree, lps if with_max_luf else None, depth, q, n_max, counts,
-          maxluf, budget_state)
-    return counts, maxluf, budget_state[0]
+    _walk(tree, len(prefix), used, luf, q, n_max, 0, counts, maxluf,
+          budget_state, None)
+    return _weighted(counts, weights), maxluf, budget_state[0]
 
 
-def _validate_args(q, n_max):
+def _validate_args(q, n_max, config):
     if not isinstance(q, int) or q < 2:
         raise InputError(f"alphabet size must be an integer >= 2, got {q!r}")
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
+    if config.node_budget < 1:
+        raise InputError("node budget must be positive")
+    if config.workers < 1:
+        raise InputError(f"workers must be >= 1, got {config.workers}")
+    if config.shard_depth < 1:
+        raise InputError(f"shard depth must be >= 1, got {config.shard_depth}")
 
 
 def _provenance(config: EnumerationConfig, symmetric: bool) -> dict:
@@ -156,75 +153,53 @@ def _provenance(config: EnumerationConfig, symmetric: bool) -> dict:
     return prov
 
 
-def count_rich(q: int, n_max: int,
-               config: EnumerationConfig | None = None) -> RichCountTable:
-    """Count rich words of every length 1..n_max over q letters."""
-    _validate_args(q, n_max)
+def _count(q: int, n_max: int, config: EnumerationConfig | None,
+           symmetric: bool) -> RichCountTable:
     config = config or EnumerationConfig()
-    if config.node_budget < 1:
-        raise InputError("node budget must be positive")
+    _validate_args(q, n_max, config)
+    weights = [math.perm(q, k) if symmetric else int(k == q)
+               for k in range(q + 1)]
+    # cut 0 never matches a word length, so a serial run descends fully;
+    # n_max - 1 is the deepest cut that still leaves subtrees to hand out
+    cut = min(config.shard_depth, n_max - 1) if config.workers > 1 else 0
 
-    counts = [0] * (n_max + 1)
+    counts_nk = [[0] * (q + 1) for _ in range(n_max + 1)]
     maxluf = [0] * (n_max + 1) if config.with_max_luf else None
-    tree = Eertree(q)
-    lps = [0]
-    budget_state = [0, config.node_budget]
+    luf = [0] if config.with_max_luf else None
+    budget = [0, config.node_budget]
+    prefixes: list[tuple[tuple[int, ...], int]] = []
+    _walk(Eertree(q), 0, 0 if symmetric else q, luf, q, n_max, cut,
+          counts_nk, maxluf, budget, prefixes)
+    counts = _weighted(counts_nk, weights)
 
-    shard_depth = min(config.shard_depth, n_max - 1)
-    if config.workers <= 1 or shard_depth < 1:
-        _walk(tree, lps, 0, q, n_max, counts, maxluf, budget_state)
-    else:
-        prefixes: list[tuple[int, ...]] = []
-        _collect_prefixes(tree, lps, 0, q, shard_depth, counts, maxluf,
-                          budget_state, prefixes)
-        remaining = config.node_budget - budget_state[0]
-        tasks = [(q, p, n_max, config.with_max_luf, remaining)
-                 for p in prefixes]
+    if prefixes:
+        remaining = config.node_budget - budget[0]
+        tasks = [(q, prefix, used, n_max, weights, config.with_max_luf,
+                  remaining) for prefix, used in prefixes]
         total_child_nodes = 0
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             for task_counts, task_maxluf, visited in pool.map(
                     _subtree_task, tasks, chunksize=16):
                 total_child_nodes += visited
-                for n in range(shard_depth + 1, n_max + 1):
+                for n in range(cut + 1, n_max + 1):
                     counts[n] += task_counts[n]
                     if maxluf is not None and task_maxluf[n] > maxluf[n]:
                         maxluf[n] = task_maxluf[n]
-        if budget_state[0] + total_child_nodes > config.node_budget:
+        if budget[0] + total_child_nodes > config.node_budget:
             raise BudgetExceededError(
-                budget_state[0] + total_child_nodes, config.node_budget)
+                budget[0] + total_child_nodes, config.node_budget)
 
     entries = {
         n: RichEntry(counts[n], maxluf[n] if maxluf is not None else None)
         for n in range(1, n_max + 1)
     }
-    return RichCountTable(q, entries, _provenance(config, symmetric=False))
+    return RichCountTable(q, entries, _provenance(config, symmetric))
 
 
-def _walk_canonical(tree, lps, depth, used, q, n_max, counts_nk, maxluf,
-                    budget_state) -> None:
-    nxt = depth + 1
-    # canonical words introduce letters in increasing order, so the next
-    # letter is one of 0..used
-    for a in range(min(used + 1, q)):
-        budget_state[0] += 1
-        if budget_state[0] > budget_state[1]:
-            raise BudgetExceededError(budget_state[0], budget_state[1])
-        if tree.push(a):
-            now_used = used + (1 if a == used else 0)
-            counts_nk[nxt][now_used] += 1
-            if maxluf is not None:
-                lps.append(tree.longest_pal_suffix_length())
-                parts = _peel_length(lps, nxt)
-                if parts > maxluf[nxt]:
-                    maxluf[nxt] = parts
-                if nxt < n_max:
-                    _walk_canonical(tree, lps, nxt, now_used, q, n_max,
-                                    counts_nk, maxluf, budget_state)
-                lps.pop()
-            elif nxt < n_max:
-                _walk_canonical(tree, lps, nxt, now_used, q, n_max,
-                                counts_nk, maxluf, budget_state)
-        tree.pop()
+def count_rich(q: int, n_max: int,
+               config: EnumerationConfig | None = None) -> RichCountTable:
+    """Count rich words of every length 1..n_max over q letters."""
+    return _count(q, n_max, config, symmetric=False)
 
 
 def count_rich_symmetric(q: int, n_max: int,
@@ -233,28 +208,10 @@ def count_rich_symmetric(q: int, n_max: int,
     """Count rich words using the letter-permutation symmetry.
 
     Only canonical representatives are walked; the count for length n is
-    recovered as sum over k of N_k(n) * q! / (q-k)!.  The walk is serial;
-    it visits a small fraction of what count_rich visits.
+    recovered as sum over k of N_k(n) * q! / (q-k)!.  It visits a small
+    fraction of what count_rich visits.
     """
-    _validate_args(q, n_max)
-    config = config or EnumerationConfig()
-    if config.node_budget < 1:
-        raise InputError("node budget must be positive")
-
-    counts_nk = [[0] * (q + 1) for _ in range(n_max + 1)]
-    maxluf = [0] * (n_max + 1) if config.with_max_luf else None
-    tree = Eertree(q)
-    lps = [0]
-    budget_state = [0, config.node_budget]
-    _walk_canonical(tree, lps, 0, 0, q, n_max, counts_nk, maxluf,
-                    budget_state)
-
-    entries = {}
-    for n in range(1, n_max + 1):
-        total = sum(counts_nk[n][k] * math.perm(q, k) for k in range(1, q + 1))
-        entries[n] = RichEntry(
-            total, maxluf[n] if maxluf is not None else None)
-    return RichCountTable(q, entries, _provenance(config, symmetric=True))
+    return _count(q, n_max, config, symmetric=True)
 
 
 # -- cache I/O ------------------------------------------------------------
@@ -302,7 +259,7 @@ def load_cache(path: str | os.PathLike,
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.read().splitlines()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CacheFormatError(f"cannot read cache {path}: {exc}") from exc
     raw_lines = [ln for ln in raw_lines if ln.strip()]
     if not raw_lines:
@@ -339,13 +296,19 @@ def load_cache(path: str | os.PathLike,
         if not isinstance(n, int) or n < 1 or n in entries:
             raise CacheFormatError(f"line {lineno}: bad or duplicate n={n!r}")
         count_text = rec["count"]
-        if not isinstance(count_text, str) or not count_text.isdigit():
+        # isdigit() alone accepts non-ASCII digits such as "²"
+        if not (isinstance(count_text, str) and count_text.isascii()
+                and count_text.isdigit()):
             raise CacheFormatError(
                 f"line {lineno}: count must be a decimal string")
+        try:
+            count = int(count_text)
+        except ValueError as exc:  # past the interpreter's digit limit
+            raise CacheFormatError(f"line {lineno}: {exc}") from exc
         max_luf = rec["max_luf"]
         if max_luf is not None and (not isinstance(max_luf, int) or max_luf < 0):
             raise CacheFormatError(f"line {lineno}: bad max_luf={max_luf!r}")
-        entries[n] = RichEntry(int(count_text), max_luf)
+        entries[n] = RichEntry(count, max_luf)
 
     provenance = header.get("provenance", {})
     if not isinstance(provenance, dict):

@@ -59,6 +59,48 @@ def test_count_deterministic_across_workers():
     assert r1["result"] == r2["result"]
 
 
+def test_count_symmetric_sharded_same_bytes():
+    args = ("count", "--q", "3", "--n", "7", "--symmetric", "--format", "csv")
+    _, serial, _ = _invoke(*args)
+    code, sharded, _ = _invoke(*args, "--workers", "2", "--shard-depth", "2")
+    assert code == 0
+    assert sharded == serial
+
+
+def test_count_symmetric_sharded_budget_is_exit_one():
+    code, out, err = _invoke("count", "--q", "2", "--n", "14", "--symmetric",
+                             "--workers", "2", "--shard-depth", "3",
+                             "--budget", "200")
+    assert code == 1
+    assert out == ""
+    assert "budget" in err
+
+
+@pytest.mark.parametrize("flags", [
+    ("--workers", "-3"),
+    ("--workers", "0"),
+    ("--workers", "2", "--shard-depth", "-4"),
+    ("--workers", "2", "--shard-depth", "0"),
+])
+def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
+    code, out, err = _invoke("count", "--q", "2", "--n", "6", *flags)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
+@pytest.mark.parametrize("argv", [
+    ("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10"),
+    ("product-bound", "--phi", "sqrt", "--psi", "sqrt"),
+])
+@pytest.mark.parametrize("trials", ["-1", "0"])
+def test_verify_nonpositive_trials_is_exit_one(argv, trials):
+    code, out, err = _invoke("verify", *argv, "--trials", trials)
+    assert code == 1
+    assert out == ""
+    assert "--trials" in err
+
+
 def test_count_byte_identical_reruns():
     _, out1, _ = _invoke("count", "--q", "3", "--n", "5", "--symmetric")
     _, out2, _ = _invoke("count", "--q", "3", "--n", "5", "--symmetric")

@@ -1,3 +1,4 @@
+import functools
 import io
 import json
 import math
@@ -8,10 +9,23 @@ from hypothesis import strategies as st
 
 from richwords import (BudgetExceededError, CacheFormatError,
                        CacheQMismatchError, CacheVersionError,
-                       EnumerationConfig, InputError, count_rich,
+                       EnumerationConfig, InputError, RichEntry, count_rich,
                        count_rich_symmetric, load_cache, save_cache)
 
 from . import oracles
+
+# longest length the brute-force oracle checks, per alphabet size
+ORACLE_N = {2: 10, 3: 7, 4: 6}
+
+
+@functools.lru_cache(maxsize=None)
+def _brute_entries(q):
+    entries = {}
+    for n in range(1, ORACLE_N[q] + 1):
+        rich = [w for w in oracles.all_words(q, n) if oracles.is_rich(w)]
+        entries[n] = RichEntry(len(rich),
+                               max(len(oracles.peel(w)) for w in rich))
+    return entries
 
 
 def test_counts_against_bruteforce_binary():
@@ -57,18 +71,29 @@ def test_max_luf_disabled():
 
 def test_symmetric_agrees_with_plain():
     for q in (2, 3, 4):
-        plain = count_rich(q, 6, EnumerationConfig(with_max_luf=False))
-        sym = count_rich_symmetric(q, 6)
-        for n in range(1, 7):
-            assert sym.entries[n].count == plain.entries[n].count, (q, n)
+        for with_max_luf in (True, False):
+            for workers in (1, 2):
+                config = EnumerationConfig(workers=workers, shard_depth=3,
+                                           with_max_luf=with_max_luf)
+                plain = count_rich(q, 6, config)
+                sym = count_rich_symmetric(q, 6, config)
+                assert sym.entries == plain.entries, (q, with_max_luf,
+                                                      workers)
 
 
 def test_parallel_matches_serial():
-    serial = count_rich(2, 11, EnumerationConfig(workers=1))
-    for workers, depth in ((2, 3), (3, 5), (4, 8)):
-        par = count_rich(2, 11, EnumerationConfig(workers=workers,
-                                                  shard_depth=depth))
-        assert par.entries == serial.entries, (workers, depth)
+    # every walker mode against brute force: plain and canonical, serial
+    # and sharded, with the shard cut at the root, mid-tree and clamped
+    # from n_max to n_max - 1
+    for q, n_max in ORACLE_N.items():
+        brute = _brute_entries(q)
+        for count in (count_rich, count_rich_symmetric):
+            for workers in (1, 2, 3):
+                for depth in (1, 3, n_max):
+                    table = count(q, n_max, EnumerationConfig(
+                        workers=workers, shard_depth=depth))
+                    assert table.entries == brute, (
+                        count.__name__, q, workers, depth)
 
 
 def test_parallel_caches_byte_identical(tmp_path):
@@ -87,9 +112,10 @@ def test_budget_enforced():
 
 
 def test_budget_error_in_parallel_mode():
-    with pytest.raises(BudgetExceededError):
-        count_rich(2, 14, EnumerationConfig(workers=2, shard_depth=3,
-                                            node_budget=200))
+    config = EnumerationConfig(workers=2, shard_depth=3, node_budget=200)
+    for count in (count_rich, count_rich_symmetric):
+        with pytest.raises(BudgetExceededError):
+            count(2, 14, config)
 
 
 def test_invalid_args():
@@ -99,6 +125,14 @@ def test_invalid_args():
         count_rich(2, 0)
     with pytest.raises(InputError):
         count_rich(2, 5, EnumerationConfig(node_budget=0))
+    for config in (EnumerationConfig(workers=0),
+                   EnumerationConfig(workers=-3),
+                   EnumerationConfig(workers=2, shard_depth=0),
+                   EnumerationConfig(workers=2, shard_depth=-4),
+                   EnumerationConfig(shard_depth=-4)):
+        for count in (count_rich, count_rich_symmetric):
+            with pytest.raises(InputError):
+                count(2, 5, config)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -158,11 +192,18 @@ def test_cache_version_rejected(tmp_path):
     lambda text: text.replace('"n": 1', '"n": 1.5'),  # non-int n
     lambda text: text + text.split("\n")[1] + "\n",   # duplicate n
     lambda text: "[1,2]\n" + "\n".join(text.split("\n")[1:]),  # non-object
+    # "\u00b2" is a superscript two and "\u0664" an Arabic-Indic four:
+    # str.isdigit() accepts both, and int() accepts the second
+    lambda text: text.replace('"count": "4"', '"count": "\\u00b2"'),
+    lambda text: text.replace('"count": "4"', '"count": "\\u0664"'),
+    lambda text: text + "\xff\n",                      # non-ASCII byte
+    # past the interpreter's limit on int() of a decimal string
+    lambda text: text.replace('"count": "4"', '"count": "' + "4" * 5000 + '"'),
 ])
 def test_cache_malformed_rejected(tmp_path, mangle):
     path = tmp_path / "counts.jsonl"
     save_cache(count_rich(2, 4), path)
-    path.write_text(mangle(path.read_text()))
+    path.write_bytes(mangle(path.read_text()).encode("latin-1"))
     with pytest.raises(CacheFormatError):
         load_cache(path)
 
