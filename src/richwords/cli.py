@@ -73,7 +73,8 @@ def build_parser() -> _Parser:
     p.add_argument("--q", type=int, required=True)
     p.add_argument("--n", type=int, required=True, metavar="N_MAX")
     p.add_argument("--symmetric", action="store_true",
-                   help="walk canonical words only and rescale")
+                   help="label the table's provenance as symmetric; every "
+                        "count walks canonical words only and rescales")
     p.add_argument("--workers", type=int, default=1)
     p.add_argument("--shard-depth", type=int, default=8)
     p.add_argument("--budget", type=int,
@@ -357,7 +358,11 @@ def _parse_tau(ns):
     if text == "n":
         return (lambda n: n), "n"
     if text.startswith("const:"):
-        k = int(text[len("const:"):])
+        try:
+            k = int(text[len("const:"):])
+        except ValueError as exc:
+            raise InputError(f"tau constant must be an integer, got "
+                             f"{text!r}") from exc
         if k < 1:
             raise InputError(f"tau constant must be positive, got {k}")
         return (lambda n: k), f"const:{k}"

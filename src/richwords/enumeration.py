@@ -5,26 +5,20 @@ walked with a single journaled eertree: a push that creates no new
 palindromic factor kills the whole subtree.  Counts are exact Python
 integers throughout.
 
-One recursive walker, _walk, serves every mode.  It carries `used`, the
-number of distinct letters in the current word, and extends the word by
-letters 0..used (all q letters once used == q):
-
-* the plain walk (count_rich) starts with used = q, so every letter is
-  tried at every node;
-* the canonical walk (count_rich_symmetric) starts with used = 0, so only
-  words whose letters first appear in increasing order are visited.
-
-Rich words are counted per (length n, used k).  A canonical word with k
-distinct letters stands for q(q-1)...(q-k+1) words (richness is invariant
-under permuting the alphabet), so the table is weighted by math.perm(q, k)
-in canonical mode and by [k == q] in plain mode; the loop itself never
-branches on the mode.
+Only canonical words are walked, those whose letters first appear in the
+order 0, 1, 2, ...: _walk carries `used`, the number of distinct letters
+so far, and tries letters 0..used (all q once used == q).  Renaming the
+letters by a permutation of the alphabet maps palindromic factors, and
+the longest palindromic suffix of every prefix, one to one, so richness
+and the peel length below are invariant (Glen, Justin, Widmer & Zamboni,
+"Palindromic richness", 2009).  An orbit of words with k distinct letters
+holds q(q-1)...(q-k+1) words and one canonical word, so rich words are
+counted per (length n, used k) and weighted by math.perm(q, k).
 
 With workers > 1 the walk stops at a shard cut: a rich word of length
 `cut` is appended to an out-list instead of being descended into, and each
 such prefix subtree runs in a process pool through the same walker.
-Counts merge by addition, so the result is identical for any worker count
-and in either mode.
+Counts merge by addition, so the result is identical for any worker count.
 
 Optionally the walk tracks the maximum number of parts in the
 longest-palindromic-suffix peel among rich words of each length.  Peeling
@@ -63,7 +57,6 @@ class EnumerationConfig:
     with_max_luf: bool = True
     node_budget: int = DEFAULT_NODE_BUDGET
     shard_depth: int = 8
-    date_stamp: str | None = None
 
 
 @dataclass(frozen=True)
@@ -142,23 +135,11 @@ def _validate_args(q, n_max, config):
         raise InputError(f"shard depth must be >= 1, got {config.shard_depth}")
 
 
-def _provenance(config: EnumerationConfig, symmetric: bool) -> dict:
-    prov = {
-        "symmetric": symmetric,
-        "tool_version": TOOL_VERSION,
-    }
-    # the stamp is opt-in so that identical configs give identical tables
-    if config.date_stamp is not None:
-        prov["date"] = config.date_stamp
-    return prov
-
-
 def _count(q: int, n_max: int, config: EnumerationConfig | None,
            symmetric: bool) -> RichCountTable:
     config = config or EnumerationConfig()
     _validate_args(q, n_max, config)
-    weights = [math.perm(q, k) if symmetric else int(k == q)
-               for k in range(q + 1)]
+    weights = [math.perm(q, k) for k in range(q + 1)]
     # cut 0 never matches a word length, so a serial run descends fully;
     # n_max - 1 is the deepest cut that still leaves subtrees to hand out
     cut = min(config.shard_depth, n_max - 1) if config.workers > 1 else 0
@@ -168,7 +149,7 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
     luf = [0] if config.with_max_luf else None
     budget = [0, config.node_budget]
     prefixes: list[tuple[tuple[int, ...], int]] = []
-    _walk(Eertree(q), 0, 0 if symmetric else q, luf, q, n_max, cut,
+    _walk(Eertree(q), 0, 0, luf, q, n_max, cut,
           counts_nk, maxluf, budget, prefixes)
     counts = _weighted(counts_nk, weights)
 
@@ -193,23 +174,28 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
         n: RichEntry(counts[n], maxluf[n] if maxluf is not None else None)
         for n in range(1, n_max + 1)
     }
-    return RichCountTable(q, entries, _provenance(config, symmetric))
+    # symmetric only labels the table: both public names run the same walk
+    provenance = {"symmetric": symmetric, "tool_version": TOOL_VERSION}
+    return RichCountTable(q, entries, provenance)
 
 
 def count_rich(q: int, n_max: int,
                config: EnumerationConfig | None = None) -> RichCountTable:
-    """Count rich words of every length 1..n_max over q letters."""
+    """Count rich words of every length 1..n_max over q letters.
+
+    Walks canonical words only and rescales (see the module docstring);
+    the node budget counts canonical push attempts.
+    """
     return _count(q, n_max, config, symmetric=False)
 
 
 def count_rich_symmetric(q: int, n_max: int,
                          config: EnumerationConfig | None = None
                          ) -> RichCountTable:
-    """Count rich words using the letter-permutation symmetry.
+    """count_rich, with the table's provenance marked "symmetric": true.
 
-    Only canonical representatives are walked; the count for length n is
-    recovered as sum over k of N_k(n) * q! / (q-k)!.  It visits a small
-    fraction of what count_rich visits.
+    Both names run the same canonical walk and give the same entries;
+    only the provenance label, and so the cache header, differs.
     """
     return _count(q, n_max, config, symmetric=True)
 
@@ -244,10 +230,27 @@ def save_cache(table: RichCountTable, path: str | os.PathLike) -> None:
         fh.write("\n".join(lines) + "\n")
 
 
+def _is_int(value) -> bool:
+    # JSON true/false load as bool, a subclass of int
+    return type(value) is int
+
+
+def _check_schema(value, where: str) -> None:
+    if not _is_int(value):
+        raise CacheFormatError(f"{where}: schema_version {value!r} is not "
+                               f"an integer")
+    if value != CACHE_SCHEMA_VERSION:
+        raise CacheVersionError(
+            f"{where}: schema {value!r} is not supported "
+            f"(expected {CACHE_SCHEMA_VERSION})")
+
+
 def _cache_line(raw: str, lineno: int) -> dict:
+    # ValueError covers JSONDecodeError and integers past the digit limit;
+    # deeply nested arrays or objects raise RecursionError
     try:
         obj = json.loads(raw)
-    except json.JSONDecodeError as exc:
+    except (ValueError, RecursionError) as exc:
         raise CacheFormatError(f"line {lineno}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
         raise CacheFormatError(f"line {lineno}: expected an object")
@@ -269,12 +272,9 @@ def load_cache(path: str | os.PathLike,
     for key in ("schema_version", "tool_version", "q"):
         if key not in header:
             raise CacheFormatError(f"header is missing {key!r}")
-    if header["schema_version"] != CACHE_SCHEMA_VERSION:
-        raise CacheVersionError(
-            f"cache schema {header['schema_version']!r} is not supported "
-            f"(expected {CACHE_SCHEMA_VERSION})")
+    _check_schema(header["schema_version"], "header")
     q = header["q"]
-    if not isinstance(q, int) or q < 2:
+    if not _is_int(q) or q < 2:
         raise CacheFormatError(f"header q={q!r} is not a valid alphabet size")
     if expected_q is not None and q != expected_q:
         raise CacheQMismatchError(
@@ -286,14 +286,12 @@ def load_cache(path: str | os.PathLike,
         for key in ("schema_version", "q", "n", "count", "max_luf"):
             if key not in rec:
                 raise CacheFormatError(f"line {lineno}: missing {key!r}")
-        if rec["schema_version"] != CACHE_SCHEMA_VERSION:
-            raise CacheVersionError(
-                f"line {lineno}: record schema {rec['schema_version']!r}")
-        if rec["q"] != q:
+        _check_schema(rec["schema_version"], f"line {lineno}")
+        if not _is_int(rec["q"]) or rec["q"] != q:
             raise CacheFormatError(
                 f"line {lineno}: record q={rec['q']!r} disagrees with header")
         n = rec["n"]
-        if not isinstance(n, int) or n < 1 or n in entries:
+        if not _is_int(n) or n < 1 or n in entries:
             raise CacheFormatError(f"line {lineno}: bad or duplicate n={n!r}")
         count_text = rec["count"]
         # isdigit() alone accepts non-ASCII digits such as "²"
@@ -306,7 +304,7 @@ def load_cache(path: str | os.PathLike,
         except ValueError as exc:  # past the interpreter's digit limit
             raise CacheFormatError(f"line {lineno}: {exc}") from exc
         max_luf = rec["max_luf"]
-        if max_luf is not None and (not isinstance(max_luf, int) or max_luf < 0):
+        if max_luf is not None and (not _is_int(max_luf) or max_luf < 0):
             raise CacheFormatError(f"line {lineno}: bad max_luf={max_luf!r}")
         entries[n] = RichEntry(count, max_luf)
 

@@ -3,7 +3,8 @@
 Everything here is written the dumb-but-obvious way on purpose: set
 comprehensions over all substrings, O(n^2) scans, exact integer
 arithmetic. None of it imports the algorithms under test beyond plain
-data containers.
+data containers, except that rich_entries_plain_dfs prunes with the
+public Eertree, which the tests check against palindromic_factors.
 """
 
 from __future__ import annotations
@@ -83,6 +84,35 @@ def rich_counts_brute(q, n_max):
     """R(1..n_max) by testing every word. Only viable for tiny n."""
     return {n: sum(1 for w in all_words(q, n) if is_rich(w))
             for n in range(1, n_max + 1)}
+
+
+def rich_entries_plain_dfs(q, n_max):
+    """{n: (R(n), max peel length)} by a plain depth-first walk.
+
+    Every one of the q letters is tried at every node, with no symmetry
+    reduction; Eertree push/pop prunes non-rich prefixes, and each rich
+    word's peel length comes from peel().
+    """
+    from richwords import Eertree
+
+    counts = [0] * (n_max + 1)
+    max_luf = [0] * (n_max + 1)
+    tree, word = Eertree(q), []
+
+    def walk():
+        n = len(word) + 1
+        for a in range(q):
+            if tree.push(a):
+                word.append(a)
+                counts[n] += 1
+                max_luf[n] = max(max_luf[n], len(peel(word)))
+                if n < n_max:
+                    walk()
+                word.pop()
+            tree.pop()
+
+    walk()
+    return {n: (counts[n], max_luf[n]) for n in range(1, n_max + 1)}
 
 
 def recurrence_table_exact(seed_counts, tau, n_max):

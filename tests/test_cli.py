@@ -173,6 +173,15 @@ def test_bound_recurrence_seed_flags_exclusive(tmp_path):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("tau", ["const:x", "const:"])
+def test_bound_recurrence_non_integer_tau_is_exit_one(tau):
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "8",
+                             "--seed-n", "4", "--tau", tau)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_bound_recurrence_tau_phi():
     code, out, _ = _invoke("bound-recurrence", "--q", "2", "--n-max", "12",
                            "--seed-n", "6", "--tau", "phi",

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (BudgetExceededError, CacheFormatError,
+from richwords import (BudgetExceededError, CacheError, CacheFormatError,
                        CacheQMismatchError, CacheVersionError,
                        EnumerationConfig, InputError, RichEntry, count_rich,
                        count_rich_symmetric, load_cache, save_cache)
@@ -70,21 +70,28 @@ def test_max_luf_disabled():
 
 
 def test_symmetric_agrees_with_plain():
-    for q in (2, 3, 4):
+    # both public names run the canonical walk; a plain walk that tries
+    # every letter at every node is the reference
+    for q, n_max in ((2, 14), (3, 10), (4, 8)):
+        plain = oracles.rich_entries_plain_dfs(q, n_max)
         for with_max_luf in (True, False):
             for workers in (1, 2):
                 config = EnumerationConfig(workers=workers, shard_depth=3,
                                            with_max_luf=with_max_luf)
-                plain = count_rich(q, 6, config)
-                sym = count_rich_symmetric(q, 6, config)
-                assert sym.entries == plain.entries, (q, with_max_luf,
-                                                      workers)
+                for count in (count_rich, count_rich_symmetric):
+                    table = count(q, n_max, config)
+                    assert sorted(table.entries) == sorted(plain)
+                    for n, (expected, luf) in plain.items():
+                        entry = table.entries[n]
+                        where = (count.__name__, q, n, with_max_luf, workers)
+                        assert entry.count == expected, where
+                        assert entry.max_luf == (
+                            luf if with_max_luf else None), where
 
 
 def test_parallel_matches_serial():
-    # every walker mode against brute force: plain and canonical, serial
-    # and sharded, with the shard cut at the root, mid-tree and clamped
-    # from n_max to n_max - 1
+    # both public names against brute force, serial and sharded, with the
+    # shard cut at the root, mid-tree and clamped from n_max to n_max - 1
     for q, n_max in ORACLE_N.items():
         brute = _brute_entries(q)
         for count in (count_rich, count_rich_symmetric):
@@ -199,6 +206,19 @@ def test_cache_version_rejected(tmp_path):
     lambda text: text + "\xff\n",                      # non-ASCII byte
     # past the interpreter's limit on int() of a decimal string
     lambda text: text.replace('"count": "4"', '"count": "' + "4" * 5000 + '"'),
+    # JSON true and 1.0 where an int is required
+    lambda text: text.replace('"n": 1,', '"n": true,'),
+    lambda text: text.replace('"max_luf": 1,', '"max_luf": true,'),
+    lambda text: text.replace('"schema_version": 1, "tool_version"',
+                              '"schema_version": true, "tool_version"'),
+    lambda text: text.replace('"schema_version": 1}',
+                              '"schema_version": 1.0}'),
+    lambda text: text.replace('"q": 2, "schema_version": 1}',
+                              '"q": 2.0, "schema_version": 1}'),
+    # a JSON number past the digit limit, and nesting past the recursion
+    # limit
+    lambda text: text.replace('"n": 1,', '"n": ' + "1" * 5000 + ','),
+    lambda text: text + "[" * 100_000 + "]" * 100_000 + "\n",
 ])
 def test_cache_malformed_rejected(tmp_path, mangle):
     path = tmp_path / "counts.jsonl"
@@ -217,17 +237,62 @@ def test_cache_nondecimal_count_rejected(tmp_path):
         load_cache(path)
 
 
+def _load_or_cache_error(path, data):
+    path.write_bytes(data)
+    try:
+        table = load_cache(path)
+    except CacheError:
+        return
+    for n, entry in table.entries.items():
+        assert type(n) is int and n >= 1
+        assert type(entry.count) is int and entry.count >= 0
+        assert entry.max_luf is None or (type(entry.max_luf) is int
+                                          and entry.max_luf >= 0)
+
+
+# bools and integral floats pass for ints by accident, so they get a third
+# of the draws each
+_JUNK = st.one_of(
+    st.booleans(), st.integers(-3, 30).map(float),
+    st.one_of(st.integers(), st.floats(), st.text(max_size=8), st.none(),
+              st.recursive(st.integers(-3, 3) | st.none(),
+                           lambda inner: st.lists(inner, max_size=3),
+                           max_leaves=6)))
+
+
+@st.composite
+def _records(draw):
+    # a valid record with at most one field swapped for a junk value
+    rec = {"schema_version": 1, "q": 2, "n": draw(st.integers(-1, 20)),
+           "count": str(draw(st.integers(0, 10**30))),
+           "max_luf": draw(st.none() | st.integers(-1, 20))}
+    key = draw(st.sampled_from([None, *rec]))
+    if key is not None:
+        rec[key] = draw(_JUNK)
+    return rec
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.binary(max_size=300))
+def test_cache_loader_fuzz_bytes(tmp_path_factory, data):
+    _load_or_cache_error(tmp_path_factory.mktemp("fuzz") / "c.jsonl", data)
+
+
+@settings(max_examples=150, deadline=None)
+@given(records=st.lists(_records(), min_size=1, max_size=4))
+def test_cache_loader_fuzz_records(tmp_path_factory, records):
+    header = {"schema_version": 1, "tool_version": "x", "q": 2}
+    lines = [json.dumps(header)] + [json.dumps(r) for r in records]
+    _load_or_cache_error(tmp_path_factory.mktemp("fuzz") / "c.jsonl",
+                         ("\n".join(lines) + "\n").encode("ascii"))
+
+
 def test_provenance_records_route():
     plain = count_rich(2, 3)
     sym = count_rich_symmetric(2, 3)
     assert plain.provenance["symmetric"] is False
     assert sym.provenance["symmetric"] is True
     assert "date" not in plain.provenance
-
-
-def test_provenance_date_opt_in():
-    table = count_rich(2, 3, EnumerationConfig(date_stamp="2026-08-16"))
-    assert table.provenance["date"] == "2026-08-16"
 
 
 @settings(max_examples=20, deadline=None)
