@@ -45,12 +45,10 @@ class BootstrapState:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise InputError(f"q must be an integer >= 2, got {self.q!r}")
-        if not self.d > 1.0:
-            raise InputError(f"d must exceed 1, got {self.d!r}")
-        if not self.c1 > 0 or not self.c2 > 0:
-            raise InputError("c1 and c2 must be positive")
-        if not self.c3 > 0:
-            raise InputError(f"c3 must be positive, got {self.c3!r}")
+        if not 1.0 < self.d < math.inf:
+            raise InputError(f"d must exceed 1 and be finite, got {self.d!r}")
+        if not all(0 < c < math.inf for c in (self.c1, self.c2, self.c3)):
+            raise InputError("c1, c2 and c3 must be positive and finite")
 
 
 def bootstrap_step(state: BootstrapState) -> tuple[float, float]:

@@ -48,6 +48,7 @@ __all__ = [
     "BoundTable",
     "seed_table_from_counts",
     "recurrence_bound",
+    "exponent_text",
     "export_bound_csv",
     "check_product_bound",
     "check_p_monotonicity",
@@ -135,8 +136,8 @@ class OmegaParams:
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise InputError(f"q must be an integer >= 2, got {self.q!r}")
-        if not self.c1 > 0 or not self.c2 > 0:
-            raise InputError("c1 and c2 must be positive")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise InputError("c1 and c2 must be positive and finite")
 
     def exponent_function(self) -> ExponentFunction:
         return ExponentFunction(self.phi, self.psi, self.c1, self.c2)
@@ -278,15 +279,30 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
     return BoundTable(q, out_entries, tau_label)
 
 
+def exponent_text(x: mpmath.mpf) -> str:
+    """x at 15 significant digits rounded toward +infinity, so a printed
+    upper bound stays one; laid out as mpmath.nstr lays out exponents."""
+    import decimal  # here, so that commands printing no bound skip its ~0.3 MB
+
+    context = decimal.Context(prec=15, rounding=decimal.ROUND_CEILING)
+    man, exp = x.man_exp  # |x| == man * 2**exp exactly
+    man = -man if x < 0 else man
+    # Decimal division is correctly rounded in the context's direction
+    shown = context.divide(decimal.Decimal(man << max(exp, 0)),
+                           decimal.Decimal(1 << max(-exp, 0)))
+    text = f"{shown.normalize(context):f}"
+    return text if "." in text else text + ".0"
+
+
 def export_bound_csv(table: BoundTable, fh) -> None:
     """Write the table as CSV with columns n,exponent_log_q,provenance.
 
-    Exponents are rendered with 15 significant digits.
+    Exponents are rendered by exponent_text (15 digits, rounded up).
     """
     fh.write("n,exponent_log_q,provenance\n")
     for n in sorted(table.entries):
         entry = table.entries[n]
-        fh.write(f"{n},{mpmath.nstr(entry.value.log_q, 15)},"
+        fh.write(f"{n},{exponent_text(entry.value.log_q)},"
                  f"{entry.provenance}\n")
 
 

@@ -23,8 +23,6 @@ import random
 import sys
 import time
 
-import mpmath
-
 from . import bootstrap as bootstrap_mod
 from . import bounds, enumeration, functions, ups, words
 from .eertree import Eertree
@@ -391,8 +389,8 @@ def _cmd_bound_recurrence(ns):
     tau, tau_label = _parse_tau(ns)
     result_table = bounds.recurrence_bound(seeds, tau, ns.n_max, tau_label)
     rows = [{"n": n,
-             "exponent_log_q": mpmath.nstr(
-                 result_table.entries[n].value.log_q, 15),
+             "exponent_log_q": bounds.exponent_text(
+                 result_table.entries[n].value.log_q),
              "provenance": result_table.entries[n].provenance}
             for n in sorted(result_table.entries)]
     result = {"q": ns.q, "tau": tau_label, "rows": rows}

@@ -15,10 +15,11 @@ and the peel length below are invariant (Glen, Justin, Widmer & Zamboni,
 holds q(q-1)...(q-k+1) words and one canonical word, so rich words are
 counted per (length n, used k) and weighted by math.perm(q, k).
 
-With workers > 1 the walk stops at a shard cut: a rich word of length
-`cut` is appended to an out-list instead of being descended into, and each
-such prefix subtree runs in a process pool through the same walker.
-Counts merge by addition, so the result is identical for any worker count.
+With workers > 1 each of `workers` pool tasks walks from the root but
+descends only into every workers-th rich word of length `cut`.  Rows up
+to the cut are alike in every shard and rows below add up; the node
+count follows from the merged table, so neither the counts nor the
+budget verdict depend on the worker count.
 
 Optionally the walk tracks the maximum number of parts in the
 longest-palindromic-suffix peel among rich words of each length.  Peeling
@@ -29,6 +30,7 @@ luf[k] = luf[k - lps(k)] + 1 gives each node's peel length in O(1).
 
 from __future__ import annotations
 
+import functools
 import json
 import math
 import os
@@ -73,10 +75,11 @@ class RichCountTable:
 
 
 def _walk(tree, depth, used, luf, q, n_max, cut, counts, maxluf, budget,
-          out) -> None:
+          turn) -> None:
     # counts[n][k]: rich words of length n with k distinct letters;
     # luf is the peel-length stack (None when max-luf tracking is off);
-    # budget = [visited, limit]; words of length cut go to out
+    # budget = [visited, limit]; turn = [words of length cut to pass over
+    # before the next descent, stride]
     nxt = depth + 1
     row = counts[nxt]
     for a in range(used + 1 if used < q else q):
@@ -92,34 +95,28 @@ def _walk(tree, depth, used, luf, q, n_max, cut, counts, maxluf, budget,
                 if parts > maxluf[nxt]:
                     maxluf[nxt] = parts
             if nxt == cut:
-                out.append((tree.processed(), k))
+                if turn[0]:  # another shard descends into this word
+                    turn[0] -= 1
+                else:
+                    turn[0] = turn[1] - 1
+                    _walk(tree, nxt, k, luf, q, n_max, cut, counts, maxluf,
+                          budget, turn)
             elif nxt < n_max:
                 _walk(tree, nxt, k, luf, q, n_max, cut, counts, maxluf,
-                      budget, out)
+                      budget, turn)
             if luf is not None:
                 luf.pop()
         tree.pop()
 
 
-def _weighted(counts, weights) -> list[int]:
-    return [sum(c * w for c, w in zip(row, weights)) for row in counts]
-
-
-def _subtree_task(args):
-    q, prefix, used, n_max, weights, with_max_luf, budget = args
-    tree = Eertree(q)
-    luf = [0] if with_max_luf else None
-    for a in prefix:
-        if not tree.push(a):  # shard prefixes are rich by construction
-            raise InputError("shard prefix is not rich")
-        if luf is not None:
-            luf.append(luf[len(luf) - tree.longest_pal_suffix_length()] + 1)
+def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
+    """Unweighted counts[n][k] and max_luf row (or None) of the walk that
+    descends into the words of length cut numbered offset mod stride."""
     counts = [[0] * (q + 1) for _ in range(n_max + 1)]
     maxluf = [0] * (n_max + 1) if with_max_luf else None
-    budget_state = [0, budget]
-    _walk(tree, len(prefix), used, luf, q, n_max, 0, counts, maxluf,
-          budget_state, None)
-    return _weighted(counts, weights), maxluf, budget_state[0]
+    _walk(Eertree(q), 0, 0, [0] if with_max_luf else None, q, n_max, cut,
+          counts, maxluf, [0, limit], [offset, stride])
+    return counts, maxluf
 
 
 def _validate_args(q, n_max, config):
@@ -139,39 +136,35 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
            symmetric: bool) -> RichCountTable:
     config = config or EnumerationConfig()
     _validate_args(q, n_max, config)
-    weights = [math.perm(q, k) for k in range(q + 1)]
     # cut 0 never matches a word length, so a serial run descends fully;
     # n_max - 1 is the deepest cut that still leaves subtrees to hand out
     cut = min(config.shard_depth, n_max - 1) if config.workers > 1 else 0
-
-    counts_nk = [[0] * (q + 1) for _ in range(n_max + 1)]
-    maxluf = [0] * (n_max + 1) if config.with_max_luf else None
-    luf = [0] if config.with_max_luf else None
-    budget = [0, config.node_budget]
-    prefixes: list[tuple[tuple[int, ...], int]] = []
-    _walk(Eertree(q), 0, 0, luf, q, n_max, cut,
-          counts_nk, maxluf, budget, prefixes)
-    counts = _weighted(counts_nk, weights)
-
-    if prefixes:
-        remaining = config.node_budget - budget[0]
-        tasks = [(q, prefix, used, n_max, weights, config.with_max_luf,
-                  remaining) for prefix, used in prefixes]
-        total_child_nodes = 0
+    shard = functools.partial(_walk_shard, q, n_max, cut, config.workers,
+                              with_max_luf=config.with_max_luf,
+                              limit=config.node_budget)
+    if cut:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            for task_counts, task_maxluf, visited in pool.map(
-                    _subtree_task, tasks, chunksize=16):
-                total_child_nodes += visited
-                for n in range(cut + 1, n_max + 1):
-                    counts[n] += task_counts[n]
-                    if maxluf is not None and task_maxluf[n] > maxluf[n]:
-                        maxluf[n] = task_maxluf[n]
-        if budget[0] + total_child_nodes > config.node_budget:
-            raise BudgetExceededError(
-                budget[0] + total_child_nodes, config.node_budget)
+            shards = list(pool.map(shard, range(config.workers)))
+    else:
+        shards = [shard(0)]
 
+    # every shard walks the rows up to the cut alike; below it they split
+    counts, maxluf = shards[0]
+    for more_counts, more_maxluf in shards[1:]:
+        for n in range(cut + 1, n_max + 1):
+            counts[n] = [a + b for a, b in zip(counts[n], more_counts[n])]
+            if maxluf is not None:
+                maxluf[n] = max(maxluf[n], more_maxluf[n])
+    # the root tries one letter, a rich word with k letters k + 1 (or q)
+    nodes = 1 + sum(c * (k + 1 if k < q else q)
+                    for row in counts[:n_max] for k, c in enumerate(row))
+    if nodes > config.node_budget:
+        raise BudgetExceededError(nodes, config.node_budget)
+
+    weights = [math.perm(q, k) for k in range(q + 1)]
     entries = {
-        n: RichEntry(counts[n], maxluf[n] if maxluf is not None else None)
+        n: RichEntry(sum(c * w for c, w in zip(counts[n], weights)),
+                     maxluf[n] if maxluf is not None else None)
         for n in range(1, n_max + 1)
     }
     # symmetric only labels the table: both public names run the same walk

@@ -71,10 +71,14 @@ class FunctionSpec:
     domain_min: float | None = None
 
     def __post_init__(self):
+        if not all(map(math.isfinite, (self.a, self.b, self.c, self.u,
+                                       self.v))):
+            raise InputError(f"parameters must be finite, got {self}")
         if not self.a > 0:
             raise InputError(f"leading coefficient must be positive, got {self.a!r}")
-        if self.domain_min is not None and self.domain_min <= 0:
-            raise InputError(f"domain_min must be positive, got {self.domain_min!r}")
+        if self.domain_min is not None and not 0 < self.domain_min < math.inf:
+            raise InputError(f"domain_min must be positive and finite, got "
+                             f"{self.domain_min!r}")
 
     @property
     def uses_log(self) -> bool:
@@ -102,6 +106,11 @@ class FunctionSpec:
         if self.uses_log and x <= 1.0:
             raise InputError(f"{self.label} needs x > 1, got x={x!r}")
 
+    def _check_finite(self, x: float, *values: float) -> None:
+        # an overflow to inf times an underflow to 0 gives nan
+        if not all(map(math.isfinite, values)):
+            raise InputError(f"{self.label} is not finite at x={x!r}")
+
     def value(self, x: float) -> float:
         self._check_domain(x)
         out = self.a * x ** self.b
@@ -111,6 +120,7 @@ class FunctionSpec:
                 out *= big_l ** self.c
             if self.u:
                 out *= math.exp(self.u * big_l ** self.v)
+        self._check_finite(x, out)
         return out
 
     def d012(self, x: float) -> tuple[float, float, float]:
@@ -134,13 +144,8 @@ class FunctionSpec:
                     h += w * big_l ** (self.v - 2.0)
         d1 = val * g / x
         d2 = val * (g * g + h - g) / (x * x)
+        self._check_finite(x, val, d1, d2)
         return val, d1, d2
-
-    def d1(self, x: float) -> float:
-        return self.d012(x)[1]
-
-    def d2(self, x: float) -> float:
-        return self.d012(x)[2]
 
 
 def identity_spec() -> FunctionSpec:
@@ -240,8 +245,8 @@ class ExponentFunction:
     c2: float = 1.0
 
     def __post_init__(self):
-        if not self.c1 > 0 or not self.c2 > 0:
-            raise InputError("c1 and c2 must be positive")
+        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
+            raise InputError("c1 and c2 must be positive and finite")
 
     @property
     def domain_floor(self) -> float:
@@ -282,19 +287,14 @@ class ExponentFunction:
     def value(self, x: float) -> float:
         return self.d012(x)[0]
 
-    def d1(self, x: float) -> float:
-        return self.d012(x)[1]
-
-    def d2(self, x: float) -> float:
-        return self.d012(x)[2]
-
 
 def log_grid(x_lo: float, x_hi: float, n: int) -> list[float]:
     """n log-spaced samples covering [x_lo, x_hi], endpoints exact."""
     if n < 1:
         raise InputError(f"grid size must be at least 1, got {n!r}")
-    if not x_lo > 0 or x_hi < x_lo:
-        raise InputError(f"need 0 < x_lo <= x_hi, got [{x_lo!r}, {x_hi!r}]")
+    if not 0 < x_lo <= x_hi < math.inf:
+        raise InputError(f"need 0 < x_lo <= x_hi < inf, got "
+                         f"[{x_lo!r}, {x_hi!r}]")
     if n == 1 or x_hi == x_lo:
         return [x_lo]
     llo = math.log(x_lo)
@@ -397,8 +397,8 @@ class DConditionReport:
 def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
                       n_lo: float, n_hi: float,
                       grid_n: int = 1024) -> DConditionReport:
-    if not d > 1.0:
-        raise InputError(f"d must exceed 1, got {d!r}")
+    if not 1.0 < d < math.inf:
+        raise InputError(f"d must exceed 1 and be finite, got {d!r}")
     grid = log_grid(n_lo, n_hi, grid_n)
     last_fail = None
     failures = 0

@@ -101,16 +101,6 @@ class LogValue:
         return cls(nudge(exponent, direction), q, rounding)
 
     @classmethod
-    def from_real(cls, value, q: int, rounding: str = ROUND_NEAREST
-                  ) -> "LogValue":
-        if not value > 0:
-            raise InputError(f"need a positive value, got {value!r}")
-        direction = _check_rounding(rounding)
-        with mp.workprec(PRECISION_BITS):
-            exponent = mpmath.ln(mpmath.mpf(value)) / _ln_base(q)
-        return cls(nudge(exponent, direction), q, rounding)
-
-    @classmethod
     def from_exponent(cls, log_q, q: int, rounding: str = ROUND_NEAREST
                       ) -> "LogValue":
         return cls(mpmath.mpf(log_q), q, rounding)

@@ -1,10 +1,18 @@
 import io
 import json
+import math
 import os
 
+import mpmath
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
+from richwords import (count_rich, export_bound_csv, recurrence_bound,
+                       seed_table_from_counts)
 from richwords.cli import run
+
+from . import oracles
 
 
 def _invoke(*argv):
@@ -182,6 +190,47 @@ def test_bound_recurrence_non_integer_tau_is_exit_one(tau):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("tau, n_max", [("n", 60), ("const:4", 100)])
+def test_bound_recurrence_rows_are_certified(tau, n_max):
+    # every printed exponent is at or above the exact log2 B(n) of the
+    # integer recurrence, and close to it
+    counts = {n: e.count for n, e in count_rich(2, 10).entries.items()}
+    cap = (lambda n: n) if tau == "n" else (lambda n: 4)
+    exact = oracles.recurrence_table_exact(counts, cap, n_max)
+    code, out, _ = _invoke("bound-recurrence", "--q", "2", "--seed-n", "10",
+                           "--n-max", str(n_max), "--tau", tau)
+    assert code == 0
+    rows = _result(out)["rows"]
+    assert [r["n"] for r in rows] == list(range(1, n_max + 1))
+    for r in rows:
+        shown, value = r["exponent_log_q"], exact[r["n"]]
+        with mpmath.workprec(256 + value.bit_length()):
+            diff = mpmath.mpf(shown) - mpmath.log(value, 2)
+            assert diff >= 0, r
+            assert diff <= 1e-13 * max(1.0, float(shown)), r
+
+
+def test_bound_exponents_same_in_every_format():
+    # one helper renders exponents for json, text, csv and export_bound_csv
+    args = ("bound-recurrence", "--q", "2", "--seed-n", "5", "--n-max", "12",
+            "--tau", "const:3")
+    rows = _result(_invoke(*args)[1])["rows"]
+    lines = [f"{r['n']},{r['exponent_log_q']},{r['provenance']}"
+             for r in rows]
+    _, csv_out, _ = _invoke(*args, "--format", "csv")
+    assert csv_out.splitlines() == ["n,exponent_log_q,provenance", *lines]
+    _, text_out, _ = _invoke(*args, "--format", "text")
+    assert [line for line in text_out.splitlines()
+            if line.startswith("exponent_log_q=")] == [
+        f"exponent_log_q={r['exponent_log_q']} n={r['n']} "
+        f"provenance={r['provenance']}" for r in rows]
+    counts = {n: e.count for n, e in count_rich(2, 5).entries.items()}
+    buf = io.StringIO()
+    export_bound_csv(recurrence_bound(seed_table_from_counts(counts, 2),
+                                      lambda n: 3, 12), buf)
+    assert buf.getvalue() == csv_out
+
+
 def test_bound_recurrence_tau_phi():
     code, out, _ = _invoke("bound-recurrence", "--q", "2", "--n-max", "12",
                            "--seed-n", "6", "--tau", "phi",
@@ -266,6 +315,35 @@ def test_verify_phi_composition_failure_is_exit_two():
     assert _result(out)["witness"]
 
 
+@pytest.mark.parametrize("argv", [
+    # 1e308 * x overflows to inf and exp(-1e308 * ln x) underflows to 0:
+    # math.ceil(nan) raised ValueError
+    ("verify", "p-monotonicity", "--phi", "1e308,1,0,-1e308,1", "--psi",
+     "identity", "--n-lo", "10", "--n-hi", "20", "--grid", "3"),
+    ("verify", "phi-composition", "--phi", "1e308,1,0,-1e308,1", "--n-lo",
+     "10", "--n-hi", "20", "--grid", "3"),
+    # a nan floor disabled the domain check: ZeroDivisionError at x = 5e-324
+    ("verify", "jensen", "--fn", "sqrt@nan", "--x-lo", "5e-324",
+     "--x-hi", "5e-324", "--trials", "1"),
+    # these gave a vacuous ok or a nan counterexample (exit 2)
+    ("verify", "delta", "--fn", "1,1,nan,0,1", "--x-lo", "10",
+     "--x-hi", "20"),
+    ("verify", "product-bound", "--phi", "sqrt", "--psi", "sqrt",
+     "--c1", "inf", "--trials", "3", "--n-max", "5"),
+    ("verify", "crossover", "--x-hi", "nan"),
+    ("verify", "crossover", "--x-hi", "inf"),
+    ("verify", "d-condition", "--phi", "sqrt", "--psi", "sqrt", "--d", "inf",
+     "--grid", "3"),
+    ("bootstrap", "--q", "2", "--d", "2", "--c1", "inf", "--c2", "1",
+     "--c3", "1"),
+])
+def test_non_finite_input_is_exit_one(argv):
+    code, out, err = _invoke(*argv)
+    assert code == 1
+    assert out == ""
+    assert "error:" in err and "Traceback" not in err
+
+
 def test_verify_psi_family():
     code, out, _ = _invoke("verify", "psi-family", "--phi", "identity",
                            "--psi", "identity", "--x-lo", "8",
@@ -327,3 +405,132 @@ def test_csv_unsupported_for_check():
     # check has no csv rendering and argparse rejects the choice
     code, _, err = _invoke("check", "aba", "--format", "csv")
     assert code == 1
+
+
+# -- fuzzing the argument surface ---------------------------------------------
+#
+# Each flag has a plausible and a junk value strategy.  Half the calls use
+# only plausible values and every usual flag, so that they get past
+# argument checking; the other half draw each value from either and may
+# leave a flag out.
+
+_Q = (st.integers(2, 4).map(str), st.integers(-1, 1).map(str))
+_INT = (st.integers(1, 10).map(str), st.integers(-2, 0).map(str))
+_SIZE = (st.integers(1, 6).map(str), st.integers(-2, 0).map(str))  # cheap
+_FLOAT = (
+    st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1e4, 1e6]).map(repr),
+    st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
+                               1e308, -1e308, 5e-324]),
+              st.floats(-1e3, 1e12)).map(repr))
+_SPEC = (
+    st.sampled_from(["identity", "sqrt", "ln", "x-over-lnx", "exp-sqrt-ln",
+                     "const:2", "power:0.5", "power:0.8", "ln@2",
+                     "x-over-lnx@2", "1,1,0,0,1", "1,0.5,1,0,1,2"]),
+    st.one_of(
+        st.sampled_from(["exp-sqrt-ln:-1", "const:0", "const:nan",
+                         "power:-1", "power:inf", "ln@0", "ln@-1", "sqrt@nan",
+                         "identity@inf", "1e308,1,0,-1e308,1",
+                         "1e-300,1,0,0,1", "1,1e308,0,0,1", "1,1,nan,0,1",
+                         "1,1,0,1,inf", "1,2", "@", ",,,,"]),
+        st.lists(st.sampled_from(["0", "1", "-1", "0.5", "1e308", "-1e308",
+                                  "1e-300", "nan", "inf"]),
+                 min_size=5, max_size=6).map(",".join),
+        st.text(max_size=10)))
+_WORD = (st.text(alphabet="abc", max_size=8),
+         st.text(alphabet="az9 .", max_size=4))
+_TAU = (st.sampled_from(["n", "phi", "const:2"]),
+        st.sampled_from(["const:0", "const:-1", "const:x", "x"]))
+_BUDGET = (st.integers(1, 10**4).map(str), st.integers(-1, 0).map(str))
+_MISSING = (None, st.just("no-such-dir/c.jsonl"))  # junk only
+
+# per subcommand: flags always given (they bound the work), usual flags
+# (a required one left out is a usage error) and flags given one time in
+# four
+_SURFACE = {
+    ("check",): ({}, {}, {"--q": _Q}),
+    ("ups",): ({}, {}, {"--q": _Q}),
+    ("count",): (
+        {"--workers": (st.just("1"), st.sampled_from(["-1", "0"]))},
+        {"--q": _Q, "--n": _INT},
+        {"--shard-depth": _INT, "--load-cache": _MISSING,
+         "--budget": _BUDGET}),
+    ("maxluf",): ({}, {"--q": _Q, "--n": _INT}, {"--phi": _SPEC}),
+    ("bound-recurrence",): (
+        {}, {"--q": _Q, "--n-max": _INT, "--seed-n": _INT},
+        {"--seeds-cache": _MISSING, "--phi": _SPEC, "--tau": _TAU}),
+    ("verify", "composition-bound"): ({"--n-max": _INT}, {}, {}),
+    ("verify", "jensen"): (
+        {"--trials": _SIZE, "--points": _SIZE},
+        {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
+        {"--seed": _INT}),
+    ("verify", "product-bound"): (
+        {"--trials": _SIZE, "--n-max": _SIZE},
+        {"--phi": _SPEC, "--psi": _SPEC},
+        {"--q": _Q, "--c1": _FLOAT, "--c2": _FLOAT, "--seed": _INT}),
+    ("verify", "p-monotonicity"): (
+        {"--grid": _SIZE, "--p-max": _SIZE, "--n-hi": _INT},
+        {"--phi": _SPEC, "--psi": _SPEC},
+        {"--q": _Q, "--c1": _FLOAT, "--c2": _FLOAT, "--n-lo": _INT}),
+    ("verify", "delta"): (
+        {"--grid": _SIZE},
+        {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT}, {}),
+    ("verify", "psi-family"): (
+        {"--grid": _SIZE},
+        {"--phi": _SPEC, "--psi": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
+        {}),
+    ("verify", "d-condition"): (
+        {"--grid": _SIZE},
+        {"--phi": _SPEC, "--psi": _SPEC, "--d": _FLOAT},
+        {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
+    ("verify", "phi-composition"): (
+        {"--grid": _SIZE}, {"--phi": _SPEC},
+        {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
+    ("verify", "crossover"): ({"--grid": _SIZE}, {}, {"--x-hi": _FLOAT}),
+    ("bootstrap",): (
+        {"--iters": _SIZE},
+        {"--q": _Q, "--d": _FLOAT, "--c1": _FLOAT, "--c2": _FLOAT,
+         "--c3": _FLOAT}, {}),
+    ("compare-exponents",): (
+        {},
+        {"--q": _Q, "--d": _FLOAT, "--c1": _FLOAT, "--c2": _FLOAT,
+         "--c3": _FLOAT, "--phi": _SPEC, "--psi": _SPEC, "--n": _FLOAT},
+        {}),
+}
+_SWITCHES = {"count": ["--symmetric", "--no-max-luf"]}
+_CSV = ("count", "maxluf", "bound-recurrence")
+
+
+@st.composite
+def _argv(draw):
+    command = draw(st.sampled_from(sorted(_SURFACE)))
+    always, usual, rare = _SURFACE[command]
+    clean = draw(st.booleans())
+    left_out = None if clean else draw(st.sampled_from([None, *usual]))
+    flags = {**always, **{f: v for f, v in usual.items() if f != left_out},
+             **{f: v for f, v in rare.items()
+                if draw(st.integers(0, 3)) == 0
+                and (v[0] is not None or not clean)}}
+
+    def value(good, junk):
+        if good is None:
+            return draw(junk)
+        return draw(good if clean else st.one_of(good, junk))
+
+    argv = list(command)
+    if command[0] in ("check", "ups"):
+        argv.append(value(*_WORD))
+    # "--flag=value" keeps values such as "-inf" from reading as flags
+    argv += [f"{flag}={value(*v)}" for flag, v in flags.items()]
+    argv += [s for s in _SWITCHES.get(command[0], []) if draw(st.booleans())]
+    formats = ["json", "text"] + ["csv"] * (command[0] in _CSV)
+    argv += ["--format", draw(st.sampled_from(formats))]
+    return argv
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_fuzz_exit_codes(argv):
+    code, _, err = _invoke(*argv)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err

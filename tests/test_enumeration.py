@@ -118,6 +118,29 @@ def test_budget_enforced():
     assert exc.value.visited >= 50
 
 
+# exact canonical push attempts of the whole walk (the root's one try plus
+# k + 1 tries, or q once k == q, below every rich word shorter than n_max)
+EXACT_NODES = {(2, 12): 3683, (3, 9): 2570, (4, 7): 660}
+
+
+@pytest.mark.parametrize("q, n_max", sorted(EXACT_NODES))
+def test_budget_verdict_exact_for_every_worker_count(q, n_max):
+    # the budget is an exact cap on the whole walk, however it is sharded
+    nodes = EXACT_NODES[q, n_max]
+    plain = oracles.rich_entries_plain_dfs(q, n_max)
+    for workers in (1, 2, 3):
+        for depth in (1, 3, n_max):
+            def config(budget):
+                return EnumerationConfig(workers=workers, shard_depth=depth,
+                                         node_budget=budget)
+            table = count_rich(q, n_max, config(nodes))
+            assert {n: (e.count, e.max_luf)
+                    for n, e in table.entries.items()} == plain
+            with pytest.raises(BudgetExceededError) as exc:
+                count_rich(q, n_max, config(nodes - 1))
+            assert exc.value.budget == nodes - 1, (workers, depth)
+
+
 def test_budget_error_in_parallel_mode():
     config = EnumerationConfig(workers=2, shard_depth=3, node_budget=200)
     for count in (count_rich, count_rich_symmetric):
