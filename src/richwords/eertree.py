@@ -3,8 +3,8 @@
 The tree keeps one node per distinct non-empty palindromic factor of the
 processed word, plus two roots: node 0 of length -1 and node 1 of length 0.
 Each node stores its length, a suffix link to the longest proper
-palindromic suffix, and a fixed-size transition row indexed by letter
-(transition on letter a goes from palindrome P to the palindrome a+P+a).
+palindromic suffix, and a transition row {letter a: node of a+P+a} kept as
+a dict, so memory is O(nodes) whatever the alphabet size.
 
 push() appends a letter and returns how many new palindromic factors that
 letter contributed, which is always 0 or 1 because only the longest
@@ -16,11 +16,29 @@ as the shared state of a depth-first enumeration.
 
 Occurrence counts are deliberately not maintained; richness only needs
 "was a node created", and rollback stays O(1) without them.
+
+extension_parent() is the suffix-link walk on plain lists; the flat
+enumeration walker in enumeration.py runs the same function on its own
+preallocated node arrays.
 """
 
 from __future__ import annotations
 
 from .errors import InputError, StateError
+
+
+def extension_parent(word, pos: int, length, link, u: int, a: int) -> int:
+    """First node on the suffix-link chain from u whose palindrome P is
+    preceded by letter a, so that a+P+a ends at word[pos] == a.
+
+    The length -1 root always matches, because extending it yields the
+    single letter a.
+    """
+    while True:
+        i = pos - length[u] - 1
+        if i >= 0 and word[i] == a:
+            return u
+        u = link[u]
 
 
 class Eertree:
@@ -35,7 +53,7 @@ class Eertree:
         # node 0: length -1 root, node 1: length 0 root
         self._len = [-1, 0]
         self._link = [0, 0]
-        self._next = [[-1] * q, [-1] * q]
+        self._next = [{}, {}]
         self._last = 1
         self._word = []
         self._journal = []
@@ -69,51 +87,38 @@ class Eertree:
         return (
             tuple(self._len),
             tuple(self._link),
-            tuple(tuple(row) for row in self._next),
+            tuple(tuple(sorted(row.items())) for row in self._next),
             self._last,
             tuple(self._word),
         )
 
     # -- updates ---------------------------------------------------------
 
-    def _extension_parent(self, start: int, a: int) -> int:
-        # Walk suffix links from `start` until the palindrome can be
-        # extended by `a` on both sides.  The length -1 root always
-        # matches, because extending it yields the single letter a.
-        word = self._word
-        pos = len(word) - 1
-        node_len = self._len
-        link = self._link
-        u = start
-        while True:
-            i = pos - node_len[u] - 1
-            if i >= 0 and word[i] == a:
-                return u
-            u = link[u]
-
     def push(self, a: int) -> int:
         """Append letter a; return 1 if a new palindromic factor appeared."""
         if not 0 <= a < self.q:
             raise InputError(f"letter {a!r} outside alphabet of size {self.q}")
         prev_last = self._last
-        self._word.append(a)
-        u = self._extension_parent(prev_last, a)
-        existing = self._next[u][a]
-        if existing >= 0:
+        word, node_len, link = self._word, self._len, self._link
+        word.append(a)
+        pos = len(word) - 1
+        u = extension_parent(word, pos, node_len, link, prev_last, a)
+        existing = self._next[u].get(a)
+        if existing is not None:
             self._last = existing
             self._journal.append((prev_last, -1))
             return 0
-        length = self._len[u] + 2
+        length = node_len[u] + 2
         if length == 1:
-            link = 1
+            suffix = 1
         else:
             # longest proper palindromic suffix of the new palindrome
-            v = self._extension_parent(self._link[u], a)
-            link = self._next[v][a]
-        node = len(self._len)
-        self._len.append(length)
-        self._link.append(link)
-        self._next.append([-1] * self.q)
+            v = extension_parent(word, pos, node_len, link, link[u], a)
+            suffix = self._next[v][a]
+        node = len(node_len)
+        node_len.append(length)
+        link.append(suffix)
+        self._next.append({})
         self._next[u][a] = node
         self._last = node
         self._journal.append((prev_last, u))
@@ -129,7 +134,7 @@ class Eertree:
             self._len.pop()
             self._link.pop()
             self._next.pop()
-            self._next[parent][a] = -1
+            del self._next[parent][a]
         self._last = prev_last
 
     @classmethod

@@ -1,19 +1,30 @@
 """Exact enumeration of rich words by pruned depth-first search.
 
-Every prefix of a rich word is rich, so the q-ary tree of words can be
-walked with a single journaled eertree: a push that creates no new
-palindromic factor kills the whole subtree.  Counts are exact Python
-integers throughout.
+Every prefix of a rich word is rich (Droubay, Justin & Pirillo: a word is
+rich iff each prefix adds a new palindrome), so the tree of words is
+walked with one eertree and a push that creates no new palindromic factor
+kills the whole subtree.  Counts are exact Python integers throughout.
+
+The eertree lives in flat lists preallocated for n_max letters.  On a rich
+path of depth d the tree has exactly d + 2 nodes, the two roots and one
+per letter, so the node the letter at depth d creates is always d + 2 and
+needs no allocation.  A push is non-rich exactly when its transition is
+already set; it is counted and skipped with nothing to undo.  Backtracking
+resets the one transition the push set, so there is no journal.  At the
+last level a rich child is only counted: its longest palindromic suffix
+has length length[u] + 2, and no suffix link or node is built.
 
 Only canonical words are walked, those whose letters first appear in the
-order 0, 1, 2, ...: _walk carries `used`, the number of distinct letters
-so far, and tries letters 0..used (all q once used == q).  Renaming the
-letters by a permutation of the alphabet maps palindromic factors, and
-the longest palindromic suffix of every prefix, one to one, so richness
-and the peel length below are invariant (Glen, Justin, Widmer & Zamboni,
-"Palindromic richness", 2009).  An orbit of words with k distinct letters
-holds q(q-1)...(q-k+1) words and one canonical word, so rich words are
-counted per (length n, used k) and weighted by math.perm(q, k).
+order 0, 1, 2, ...: the walk carries `used`, the number of distinct
+letters so far, and tries letters 0..used (all q once used == q), so no
+letter reaches min(q, n_max) and the tables are sized by that, not by q.
+Renaming the letters by a permutation of the alphabet maps palindromic
+factors, and the longest palindromic suffix of every prefix, one to one,
+so richness and the peel length below are invariant (Glen, Justin, Widmer
+& Zamboni, "Palindromic richness", 2009).  An orbit of words with k
+distinct letters holds q(q-1)...(q-k+1) words and one canonical word, so
+rich words are counted per (length n, used k) and weighted by
+math.perm(q, k).
 
 With workers > 1 each of `workers` pool tasks walks from the root but
 descends only into every workers-th rich word of length `cut`.  Rows up
@@ -37,7 +48,7 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .eertree import Eertree
+from .eertree import extension_parent
 from .errors import (
     BudgetExceededError,
     CacheFormatError,
@@ -74,48 +85,60 @@ class RichCountTable:
     provenance: dict = field(default_factory=dict)
 
 
-def _walk(tree, depth, used, luf, q, n_max, cut, counts, maxluf, budget,
-          turn) -> None:
-    # counts[n][k]: rich words of length n with k distinct letters;
-    # luf is the peel-length stack (None when max-luf tracking is off);
-    # budget = [visited, limit]; turn = [words of length cut to pass over
-    # before the next descent, stride]
-    nxt = depth + 1
-    row = counts[nxt]
-    for a in range(used + 1 if used < q else q):
-        budget[0] += 1
-        if budget[0] > budget[1]:
-            raise BudgetExceededError(budget[0], budget[1])
-        if tree.push(a):
-            k = used + 1 if a == used else used
-            row[k] += 1
-            if luf is not None:
-                parts = luf[nxt - tree.longest_pal_suffix_length()] + 1
-                luf.append(parts)
-                if parts > maxluf[nxt]:
-                    maxluf[nxt] = parts
-            if nxt == cut:
-                if turn[0]:  # another shard descends into this word
-                    turn[0] -= 1
-                else:
-                    turn[0] = turn[1] - 1
-                    _walk(tree, nxt, k, luf, q, n_max, cut, counts, maxluf,
-                          budget, turn)
-            elif nxt < n_max:
-                _walk(tree, nxt, k, luf, q, n_max, cut, counts, maxluf,
-                      budget, turn)
-            if luf is not None:
-                luf.pop()
-        tree.pop()
-
-
 def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
     """Unweighted counts[n][k] and max_luf row (or None) of the walk that
     descends into the words of length cut numbered offset mod stride."""
-    counts = [[0] * (q + 1) for _ in range(n_max + 1)]
+    # a canonical word shorter than n_max uses fewer than n_max letters
+    width = min(q, n_max)
+    counts = [[0] * (width + 1) for _ in range(n_max + 1)]
     maxluf = [0] * (n_max + 1) if with_max_luf else None
-    _walk(Eertree(q), 0, 0, [0] if with_max_luf else None, q, n_max, cut,
-          counts, maxluf, [0, limit], [offset, stride])
+    # the eertree of the current word: node d + 2 is the palindrome that
+    # the letter at depth d created, and nxt[u * width + a] is a+P+a
+    length = [-1, 0] + [0] * n_max
+    link = [0] * (n_max + 2)
+    nxt = [-1] * ((n_max + 2) * width)
+    word = [0] * n_max
+    luf = [0] * (n_max + 1)  # peel length of each prefix of the word
+    visited = 0
+    skip = offset  # words of length cut to pass over before the next descent
+
+    def walk(depth, last, used):
+        nonlocal visited, skip
+        letters = used + 1 if used < q else q
+        visited += letters
+        if visited > limit:
+            raise BudgetExceededError(visited, limit)
+        n = depth + 1
+        row = counts[n]
+        for a in range(letters):
+            word[depth] = a
+            u = extension_parent(word, depth, length, link, last, a)
+            t = u * width + a
+            if nxt[t] >= 0:  # a+P+a is not new: the word is not rich
+                continue
+            k = used + 1 if a == used else used
+            row[k] += 1
+            pal = length[u] + 2
+            if maxluf is not None:
+                parts = luf[n] = luf[n - pal] + 1
+                if parts > maxluf[n]:
+                    maxluf[n] = parts
+            if n == n_max:  # last level: count only, build no node
+                continue
+            if n == cut:
+                if skip:  # another shard descends into this word
+                    skip -= 1
+                    continue
+                skip = stride - 1
+            node = n + 1
+            length[node] = pal
+            link[node] = 1 if pal == 1 else nxt[extension_parent(
+                word, depth, length, link, link[u], a) * width + a]
+            nxt[t] = node
+            walk(n, node, k)
+            nxt[t] = -1
+
+    walk(0, 1, 0)
     return counts, maxluf
 
 
@@ -161,7 +184,7 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
     if nodes > config.node_budget:
         raise BudgetExceededError(nodes, config.node_budget)
 
-    weights = [math.perm(q, k) for k in range(q + 1)]
+    weights = [math.perm(q, k) for k in range(min(q, n_max) + 1)]
     entries = {
         n: RichEntry(sum(c * w for c, w in zip(counts[n], weights)),
                      maxluf[n] if maxluf is not None else None)

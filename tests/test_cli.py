@@ -98,6 +98,23 @@ def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
 
 
 @pytest.mark.parametrize("argv", [
+    ("check", "abc"),
+    ("ups", "abc"),
+    ("count", "--n", "3"),
+    ("maxluf", "--n", "3"),
+    ("bound-recurrence", "--seed-n", "3", "--n-max", "6"),
+])
+def test_huge_alphabet_runs(argv):
+    # nothing may be sized by q: a table of 10**11 entries cannot be built
+    q = 10**11
+    code, out, err = _invoke(*argv, "--q", str(q))
+    assert code == 0, err
+    if argv[0] == "count":
+        assert [int(r["count"]) for r in _result(out)["rows"]] == [
+            q**n for n in (1, 2, 3)]
+
+
+@pytest.mark.parametrize("argv", [
     ("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10"),
     ("product-bound", "--phi", "sqrt", "--psi", "sqrt"),
 ])

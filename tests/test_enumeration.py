@@ -15,7 +15,7 @@ from richwords import (BudgetExceededError, CacheError, CacheFormatError,
 from . import oracles
 
 # longest length the brute-force oracle checks, per alphabet size
-ORACLE_N = {2: 10, 3: 7, 4: 6}
+ORACLE_N = {2: 10, 3: 7, 4: 6, 5: 7}
 
 
 @functools.lru_cache(maxsize=None)
@@ -72,7 +72,7 @@ def test_max_luf_disabled():
 def test_symmetric_agrees_with_plain():
     # both public names run the canonical walk; a plain walk that tries
     # every letter at every node is the reference
-    for q, n_max in ((2, 14), (3, 10), (4, 8)):
+    for q, n_max in ((2, 14), (3, 10), (4, 8), (5, 7)):
         plain = oracles.rich_entries_plain_dfs(q, n_max)
         for with_max_luf in (True, False):
             for workers in (1, 2):
@@ -87,6 +87,24 @@ def test_symmetric_agrees_with_plain():
                         assert entry.count == expected, where
                         assert entry.max_luf == (
                             luf if with_max_luf else None), where
+
+
+def test_short_walks_against_plain_dfs():
+    # the root as the last level, and q > n_max, where the walk's tables
+    # are narrower than the alphabet
+    for q in range(2, 7):
+        for n_max in (1, 2, 3):
+            plain = oracles.rich_entries_plain_dfs(q, n_max)
+            for with_max_luf in (True, False):
+                expected = {n: (count, luf if with_max_luf else None)
+                            for n, (count, luf) in plain.items()}
+                for workers in (1, 2):
+                    table = count_rich(q, n_max, EnumerationConfig(
+                        workers=workers, shard_depth=1,
+                        with_max_luf=with_max_luf))
+                    assert {n: (e.count, e.max_luf)
+                            for n, e in table.entries.items()} == expected, (
+                        q, n_max, with_max_luf, workers)
 
 
 def test_parallel_matches_serial():
