@@ -73,8 +73,10 @@ def build_parser() -> _Parser:
     p.add_argument("--symmetric", action="store_true",
                    help="label the table's provenance as symmetric; every "
                         "count walks canonical words only and rescales")
-    p.add_argument("--workers", type=int, default=1)
-    p.add_argument("--shard-depth", type=int, default=8)
+    p.add_argument("--workers", type=int,
+                   default=enumeration.EnumerationConfig.workers)
+    p.add_argument("--shard-depth", type=int,
+                   default=enumeration.EnumerationConfig.shard_depth)
     p.add_argument("--budget", type=int,
                    default=enumeration.DEFAULT_NODE_BUDGET,
                    help="abort after visiting this many search nodes")
@@ -287,13 +289,34 @@ def _cmd_check(ns):
     return result, 0, None
 
 
-def _cmd_count(ns):
-    if ns.load_cache and (ns.save_cache or ns.symmetric):
+def _load_count_table(ns) -> enumeration.RichCountTable:
+    # a flag left at its default cannot be told from one not given
+    config = enumeration.EnumerationConfig()
+    given = {"--symmetric": ns.symmetric,
+             "--save-cache": ns.save_cache is not None,
+             "--workers": ns.workers != config.workers,
+             "--shard-depth": ns.shard_depth != config.shard_depth,
+             "--budget": ns.budget != config.node_budget,
+             "--no-max-luf": ns.no_max_luf}
+    flags = [flag for flag, on in given.items() if on]
+    if flags:
         raise InputError("--load-cache cannot be combined with enumeration "
-                         "flags")
+                         f"flags: {', '.join(flags)}")
+    if ns.n < 1:
+        raise InputError(f"n_max must be a positive integer, got {ns.n}")
+    table = enumeration.load_cache(_cache_path(ns.load_cache),
+                                   expected_q=ns.q)
+    for n in range(1, ns.n + 1):
+        if n not in table.entries:
+            raise InputError(f"cache {ns.load_cache} has no row n={n} "
+                             f"(rows 1..{ns.n} requested)")
+    table.entries = {n: table.entries[n] for n in range(1, ns.n + 1)}
+    return table
+
+
+def _cmd_count(ns):
     if ns.load_cache:
-        table = enumeration.load_cache(_cache_path(ns.load_cache),
-                                       expected_q=ns.q)
+        table = _load_count_table(ns)
     else:
         config = enumeration.EnumerationConfig(
             workers=ns.workers,

@@ -11,15 +11,17 @@ letter contributed, which is always 0 or 1 because only the longest
 palindromic suffix of the extended word can be new.  Every push writes one
 journal record, so pop() can undo the most recent push exactly: nodes are
 only ever appended, at most one transition is written per push, and the
-previous `last` pointer is saved.  The journal makes the structure usable
-as the shared state of a depth-first enumeration.
+previous `last` pointer is saved.  The journal lets one tree serve a
+depth-first walk: the plain-DFS oracle in the tests and the push/pop
+probes of perfbench/ use it that way.
 
 Occurrence counts are deliberately not maintained; richness only needs
 "was a node created", and rollback stays O(1) without them.
 
-extension_parent() is the suffix-link walk on plain lists; the flat
-enumeration walker in enumeration.py runs the same function on its own
-preallocated node arrays.
+Extensions follow suffix links (_extension_parent), not the direct links
+of the enumeration walker in enumeration.py.  That is on purpose: the
+plain-DFS oracle in the tests drives this class, so the tests compare the
+walker against a second, independent extension rule.
 """
 
 from __future__ import annotations
@@ -27,7 +29,7 @@ from __future__ import annotations
 from .errors import InputError, StateError
 
 
-def extension_parent(word, pos: int, length, link, u: int, a: int) -> int:
+def _extension_parent(word, pos: int, length, link, u: int, a: int) -> int:
     """First node on the suffix-link chain from u whose palindrome P is
     preceded by letter a, so that a+P+a ends at word[pos] == a.
 
@@ -102,7 +104,7 @@ class Eertree:
         word, node_len, link = self._word, self._len, self._link
         word.append(a)
         pos = len(word) - 1
-        u = extension_parent(word, pos, node_len, link, prev_last, a)
+        u = _extension_parent(word, pos, node_len, link, prev_last, a)
         existing = self._next[u].get(a)
         if existing is not None:
             self._last = existing
@@ -113,7 +115,7 @@ class Eertree:
             suffix = 1
         else:
             # longest proper palindromic suffix of the new palindrome
-            v = extension_parent(word, pos, node_len, link, link[u], a)
+            v = _extension_parent(word, pos, node_len, link, link[u], a)
             suffix = self._next[v][a]
         node = len(node_len)
         node_len.append(length)

@@ -7,12 +7,17 @@ kills the whole subtree.  Counts are exact Python integers throughout.
 
 The eertree lives in flat lists preallocated for n_max letters.  On a rich
 path of depth d the tree has exactly d + 2 nodes, the two roots and one
-per letter, so the node the letter at depth d creates is always d + 2 and
-needs no allocation.  A push is non-rich exactly when its transition is
-already set; it is counted and skipped with nothing to undo.  Backtracking
-resets the one transition the push set, so there is no journal.  At the
-last level a rich child is only counted: its longest palindromic suffix
-has length length[u] + 2, and no suffix link or node is built.
+per letter, so the node the letter at depth d creates is always d + 2.
+Suffix links are not stored.  Each node keeps direct links (Rubinchik &
+Shur, "EERTREE", 2015): dl[v][b] is the longest proper palindromic suffix
+of v preceded by b inside v, or the length -1 root.  Letter a extends
+the word's longest palindromic suffix `last` if a precedes it, and
+dl[last][a] otherwise, so one lookup finds where it goes; a new node's
+row is its suffix link's row with one entry set.  A push is non-rich
+exactly when its transition is already set; it is skipped with nothing
+to undo, and backtracking resets the one transition a push set.  A node
+whose children end the walk counts them in its own loop: no node is
+built for them, and their peel lengths come from the direct links.
 
 Only canonical words are walked, those whose letters first appear in the
 order 0, 1, 2, ...: the walk carries `used`, the number of distinct
@@ -48,7 +53,6 @@ import os
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
-from .eertree import extension_parent
 from .errors import (
     BudgetExceededError,
     CacheFormatError,
@@ -91,12 +95,14 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
     # a canonical word shorter than n_max uses fewer than n_max letters
     width = min(q, n_max)
     counts = [[0] * (width + 1) for _ in range(n_max + 1)]
+    last_row = counts[n_max]
     maxluf = [0] * (n_max + 1) if with_max_luf else None
     # the eertree of the current word: node d + 2 is the palindrome that
-    # the letter at depth d created, and nxt[u * width + a] is a+P+a
+    # the letter at depth d created, nxt[v * width + a] is a+P+a and
+    # dl[v * width + b] the direct link of P by b
     length = [-1, 0] + [0] * n_max
-    link = [0] * (n_max + 2)
     nxt = [-1] * ((n_max + 2) * width)
+    dl = [0] * ((n_max + 2) * width)
     word = [0] * n_max
     luf = [0] * (n_max + 1)  # peel length of each prefix of the word
     visited = 0
@@ -110,9 +116,11 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
             raise BudgetExceededError(visited, limit)
         n = depth + 1
         row = counts[n]
+        i = depth - length[last] - 1
+        before = word[i] if i >= 0 else -1
+        links = last * width
         for a in range(letters):
-            word[depth] = a
-            u = extension_parent(word, depth, length, link, last, a)
+            u = last if a == before else dl[links + a]
             t = u * width + a
             if nxt[t] >= 0:  # a+P+a is not new: the word is not rich
                 continue
@@ -123,20 +131,50 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
                 parts = luf[n] = luf[n - pal] + 1
                 if parts > maxluf[n]:
                     maxluf[n] = parts
-            if n == n_max:  # last level: count only, build no node
+            if n == n_max:  # the root of a one-letter walk
                 continue
             if n == cut:
                 if skip:  # another shard descends into this word
                     skip -= 1
                     continue
                 skip = stride - 1
+            word[depth] = a
             node = n + 1
             length[node] = pal
-            link[node] = 1 if pal == 1 else nxt[extension_parent(
-                word, depth, length, link, link[u], a) * width + a]
-            nxt[t] = node
-            walk(n, node, k)
-            nxt[t] = -1
+            # node's suffix link w; node's direct links are w's, with w
+            # itself for the letter b before it
+            w = 1 if pal == 1 else nxt[dl[u * width + a] * width + a]
+            row_w = w * width
+            b = word[depth - length[w]]
+            if n + 1 < n_max:
+                links_node = node * width
+                dl[links_node:links_node + width] = dl[row_w:row_w + width]
+                dl[links_node + b] = w
+                nxt[t] = node
+                walk(n, node, k)
+                nxt[t] = -1
+                continue
+            # node's children end the walk: count them here, with node's
+            # direct links read off w's row, and build nothing.  No child
+            # is node's palindrome again (it would end at two adjacent
+            # places, so be a power of a, and a longer power would be the
+            # child), so nxt[t] need not be set either
+            letters_node = k + 1 if k < q else q
+            visited += letters_node
+            if visited > limit:
+                raise BudgetExceededError(visited, limit)
+            j = n - pal - 1
+            before_node = word[j] if j >= 0 else -1
+            for c in range(letters_node):
+                v = (node if c == before_node else w if c == b
+                     else dl[row_w + c])
+                if nxt[v * width + c] >= 0:
+                    continue
+                last_row[k + 1 if c == k else k] += 1
+                if maxluf is not None:
+                    parts = luf[n_max - length[v] - 2] + 1
+                    if parts > maxluf[n_max]:
+                        maxluf[n_max] = parts
 
     walk(0, 1, 0)
     return counts, maxluf

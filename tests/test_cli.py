@@ -143,6 +143,38 @@ def test_count_cache_roundtrip(tmp_path):
     assert _result(out)["rows"][-1]["count"] == "64"
 
 
+def test_count_load_cache_prints_rows_up_to_n(tmp_path):
+    path = str(tmp_path / "c6.jsonl")
+    assert _invoke("count", "--q", "2", "--n", "6",
+                   "--save-cache", path)[0] == 0
+    code, out, _ = _invoke("count", "--q", "2", "--n", "3",
+                           "--load-cache", path)
+    assert code == 0
+    assert [r["n"] for r in _result(out)["rows"]] == [1, 2, 3]
+    code, out, _ = _invoke("count", "--q", "2", "--n", "3",
+                           "--load-cache", path, "--format", "csv")
+    assert out == "n,count,max_luf\n1,2,1\n2,4,2\n3,8,2\n"
+    for n, message in (("7", "has no row n=7"), ("0", "positive")):
+        code, out, err = _invoke("count", "--q", "2", "--n", n,
+                                 "--load-cache", path)
+        assert (code, out) == (1, ""), n
+        assert message in err, n
+
+
+@pytest.mark.parametrize("flags", [
+    ["--workers", "0"], ["--workers", "2"], ["--shard-depth", "3"],
+    ["--budget", "5"], ["--no-max-luf"], ["--symmetric"],
+    ["--save-cache", "other.jsonl"]])
+def test_count_load_cache_with_enumeration_flag_is_exit_one(tmp_path, flags):
+    path = str(tmp_path / "c4.jsonl")
+    assert _invoke("count", "--q", "2", "--n", "4",
+                   "--save-cache", path)[0] == 0
+    code, out, err = _invoke("count", "--q", "2", "--n", "4",
+                             "--load-cache", path, *flags)
+    assert (code, out) == (1, "")
+    assert f"enumeration flags: {flags[0]}" in err
+
+
 def test_cache_dir_env_var(tmp_path, monkeypatch):
     monkeypatch.setenv("RICHWORDS_CACHE_DIR", str(tmp_path))
     code, _, _ = _invoke("count", "--q", "2", "--n", "4",

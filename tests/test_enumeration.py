@@ -71,19 +71,23 @@ def test_max_luf_disabled():
 
 def test_symmetric_agrees_with_plain():
     # both public names run the canonical walk; a plain walk that tries
-    # every letter at every node is the reference
+    # every letter at every node is the reference.  Sharded, the cut is
+    # mid-tree, two levels above the last, or at the level whose children
+    # the walk counts in their parent's frame
     for q, n_max in ((2, 14), (3, 10), (4, 8), (5, 7)):
         plain = oracles.rich_entries_plain_dfs(q, n_max)
         for with_max_luf in (True, False):
-            for workers in (1, 2):
-                config = EnumerationConfig(workers=workers, shard_depth=3,
+            for workers, depth in ((1, 3), (2, 3), (2, n_max - 2),
+                                   (2, n_max - 1)):
+                config = EnumerationConfig(workers=workers, shard_depth=depth,
                                            with_max_luf=with_max_luf)
                 for count in (count_rich, count_rich_symmetric):
                     table = count(q, n_max, config)
                     assert sorted(table.entries) == sorted(plain)
                     for n, (expected, luf) in plain.items():
                         entry = table.entries[n]
-                        where = (count.__name__, q, n, with_max_luf, workers)
+                        where = (count.__name__, q, n, with_max_luf, workers,
+                                 depth)
                         assert entry.count == expected, where
                         assert entry.max_luf == (
                             luf if with_max_luf else None), where
