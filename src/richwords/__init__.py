@@ -10,9 +10,8 @@ from .bootstrap import (BootstrapState, BootstrapTrajectory, bootstrap_iterate,
 from .bounds import (BoundEntry, BoundTable, OmegaParams,
                      check_composition_bound, check_jensen,
                      check_p_monotonicity, check_product_bound,
-                     composition_bound_sweep, compositions_count,
-                     export_bound_csv, omega, recurrence_bound,
-                     seed_table_from_counts)
+                     composition_bound_sweep, compositions_count, omega,
+                     recurrence_bound, seed_table_from_counts)
 from .eertree import Eertree
 from .enumeration import (EnumerationConfig, RichCountTable, RichEntry,
                           count_rich, count_rich_symmetric, load_cache,
@@ -88,7 +87,6 @@ __all__ = [
     "errors",
     "exp_sqrt_ln_spec",
     "exponent_compare",
-    "export_bound_csv",
     "fixed_point_c1",
     "identity_spec",
     "is_palindrome",

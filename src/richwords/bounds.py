@@ -35,8 +35,7 @@ from mpmath import mp
 
 from .errors import HypothesisNotVerifiedError, InputError, SeedGapError
 from .functions import ExponentFunction, FunctionSpec, check_delta
-from .logvalue import (GUARD_BITS, PRECISION_BITS, ROUND_DOWN, ROUND_UP,
-                       LogValue, nudge)
+from .logvalue import PRECISION_BITS, ROUND_DOWN, ROUND_UP, LogValue, nudge
 
 __all__ = [
     "compositions_count",
@@ -49,7 +48,6 @@ __all__ = [
     "seed_table_from_counts",
     "recurrence_bound",
     "exponent_text",
-    "export_bound_csv",
     "check_product_bound",
     "check_p_monotonicity",
     "check_jensen",
@@ -58,6 +56,10 @@ __all__ = [
 
 # relative slack used when comparing exponents of Omega-style quantities
 EXPONENT_SLACK = 1e-9
+
+# log-grid sizes of the concave-increasing precondition checks
+_HYPOTHESIS_GRID_N = 256
+_JENSEN_GRID_N = 128
 
 
 def compositions_count(n: int, p: int) -> int:
@@ -83,9 +85,8 @@ def check_composition_bound(n: int, L: int) -> bool:
     lhs = sum(math.comb(n - 1, p - 1) for p in range(1, L + 1))
     prec = max(PRECISION_BITS, n + 24)
     with mp.workprec(prec):
-        rhs = mpmath.exp(L * (1 + mpmath.ln(n) - mpmath.ln(L)))
-        rhs = nudge(rhs, -1, prec)
-        return mpmath.mpf(lhs) <= rhs
+        return _under_composition_bound(lhs, L, mpmath.ln(n), mpmath.ln(L),
+                                        prec)
 
 
 def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
@@ -108,21 +109,29 @@ def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
             ln_n = ln_table[n]
             for L in range(1, n + 1):
                 lhs += math.comb(n - 1, L - 1)
-                rhs = mpmath.exp(L * (1 + ln_n - ln_table[L]))
-                rhs = nudge(rhs, -1, prec)
-                if not mpmath.mpf(lhs) <= rhs:
+                if not _under_composition_bound(lhs, L, ln_n, ln_table[L],
+                                                prec):
                     failures.append((n, L))
     return failures
+
+
+def _under_composition_bound(lhs: int, L: int, ln_n, ln_L,
+                             prec: int) -> bool:
+    # lhs <= (e*n/L)**L with the right side rounded down; runs inside
+    # mp.workprec(prec)
+    rhs = nudge(mpmath.exp(L * (1 + ln_n - ln_L)), -1, prec)
+    return mpmath.mpf(lhs) <= rhs
 
 
 @dataclass
 class OmegaParams:
     """Parameters of the growth function Omega and its exponent.
 
-    ensure_hypothesis() verifies (on a sampled log grid) that psi stays
-    below the identity and that the exponent function is increasing and
-    concave over a range, and caches the verified hull so sweeps do not
-    re-verify per call.
+    exponent is the ExponentFunction of c1, c2, phi and psi, built (and
+    its constants checked) once.  ensure_hypothesis() verifies (on a
+    sampled log grid) that psi stays below the identity and that the
+    exponent function is increasing and concave over a range, and caches
+    the verified hull so sweeps do not re-verify per call.
     """
 
     q: int
@@ -130,17 +139,13 @@ class OmegaParams:
     c2: float
     phi: FunctionSpec
     psi: FunctionSpec
-    hypothesis_grid_n: int = 256
     _verified: tuple[float, float] | None = field(default=None, repr=False)
+    exponent: ExponentFunction = field(init=False, repr=False)
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise InputError(f"q must be an integer >= 2, got {self.q!r}")
-        if not (0 < self.c1 < math.inf and 0 < self.c2 < math.inf):
-            raise InputError("c1 and c2 must be positive and finite")
-
-    def exponent_function(self) -> ExponentFunction:
-        return ExponentFunction(self.phi, self.psi, self.c1, self.c2)
+        self.exponent = ExponentFunction(self.phi, self.psi, self.c1, self.c2)
 
     def ensure_hypothesis(self, x_lo: float, x_hi: float) -> None:
         if self._verified is not None:
@@ -148,12 +153,11 @@ class OmegaParams:
             if lo <= x_lo and x_hi <= hi:
                 return
             x_lo, x_hi = min(lo, x_lo), max(hi, x_hi)
-        f = self.exponent_function()
         for x in (x_lo, x_hi):
             if self.psi.value(x) > x:
                 raise HypothesisNotVerifiedError(
                     f"psi(x) <= x fails at x={x:g} for {self.psi.label}")
-        report = check_delta(f, x_lo, x_hi, self.hypothesis_grid_n)
+        report = check_delta(self.exponent, x_lo, x_hi, _HYPOTHESIS_GRID_N)
         if not report.ok:
             raise HypothesisNotVerifiedError(
                 f"exponent function is not concave-increasing near "
@@ -173,7 +177,7 @@ def omega(x: float, params: OmegaParams,
     """Omega(x) as a LogValue in base q."""
     if not x >= 1:
         raise InputError(f"x must be at least 1, got {x!r}")
-    exponent = mpmath.mpf(params.exponent_function().value(float(x)))
+    exponent = mpmath.mpf(params.exponent.value(float(x)))
     if rounding == ROUND_UP:
         exponent = nudge(exponent, 1, prec=_FLOAT_GUARD_PREC)
     elif rounding == ROUND_DOWN:
@@ -184,7 +188,7 @@ def omega(x: float, params: OmegaParams,
 @dataclass(frozen=True)
 class BoundEntry:
     value: LogValue
-    provenance: str  # "exact-seed", "upper-bound-seed", or "recurrence"
+    provenance: str  # "exact-seed" or "recurrence"
 
 
 @dataclass
@@ -194,17 +198,15 @@ class BoundTable:
     tau_label: str = "unset"
 
 
-def seed_table_from_counts(counts: dict[int, int], q: int,
-                           exact: bool = True) -> BoundTable:
-    """Build a seed table from integer counts, rounding exponents up so
-    the seeds themselves are valid upper bounds."""
-    provenance = "exact-seed" if exact else "upper-bound-seed"
+def seed_table_from_counts(counts: dict[int, int], q: int) -> BoundTable:
+    """Build a seed table from exact integer counts, rounding exponents
+    up so the seeds themselves are valid upper bounds."""
     entries = {}
     for n, count in counts.items():
         if not isinstance(n, int) or n < 1:
             raise InputError(f"seed index must be a positive integer, got {n!r}")
         entries[n] = BoundEntry(LogValue.from_int(count, q, ROUND_UP),
-                                provenance)
+                                "exact-seed")
     return BoundTable(q, entries, tau_label="unset")
 
 
@@ -294,24 +296,11 @@ def exponent_text(x: mpmath.mpf) -> str:
     return text if "." in text else text + ".0"
 
 
-def export_bound_csv(table: BoundTable, fh) -> None:
-    """Write the table as CSV with columns n,exponent_log_q,provenance.
-
-    Exponents are rendered by exponent_text (15 digits, rounded up).
-    """
-    fh.write("n,exponent_log_q,provenance\n")
-    for n in sorted(table.entries):
-        entry = table.entries[n]
-        fh.write(f"{n},{exponent_text(entry.value.log_q)},"
-                 f"{entry.provenance}\n")
+def _exponent_leq(lhs: float, rhs: float) -> bool:
+    return lhs <= rhs + EXPONENT_SLACK * max(abs(lhs), abs(rhs), 1.0)
 
 
-def _exponent_leq(lhs: float, rhs: float, slack: float) -> bool:
-    return lhs <= rhs + slack * max(abs(lhs), abs(rhs), 1.0)
-
-
-def check_product_bound(n: int, p: int, parts, params: OmegaParams,
-                        slack: float = EXPONENT_SLACK) -> bool:
+def check_product_bound(n: int, p: int, parts, params: OmegaParams) -> bool:
     """Check prod_i Omega(ceil(n_i/2)) <= Omega(n/(2p) + 1)**p in exponent
     space for one composition of n into p parts."""
     parts = tuple(parts)
@@ -326,14 +315,13 @@ def check_product_bound(n: int, p: int, parts, params: OmegaParams,
     lo = min(min(args), rhs_arg)
     hi = max(max(args), rhs_arg)
     params.ensure_hypothesis(lo, hi)
-    f = params.exponent_function()
+    f = params.exponent
     lhs = sum(f.value(float(x)) for x in args)
     rhs = p * f.value(rhs_arg)
-    return _exponent_leq(lhs, rhs, slack)
+    return _exponent_leq(lhs, rhs)
 
 
-def check_p_monotonicity(n: float, p: int, params: OmegaParams,
-                         slack: float = EXPONENT_SLACK) -> bool:
+def check_p_monotonicity(n: float, p: int, params: OmegaParams) -> bool:
     """Check Omega(n/(2p)+1)**p <= Omega(n/(2(p+1))+1)**(p+1) in exponent
     space."""
     if not isinstance(p, int) or p < 1:
@@ -343,14 +331,13 @@ def check_p_monotonicity(n: float, p: int, params: OmegaParams,
     a_p = n / (2.0 * p) + 1.0
     a_next = n / (2.0 * (p + 1)) + 1.0
     params.ensure_hypothesis(min(a_p, a_next), max(a_p, a_next))
-    f = params.exponent_function()
+    f = params.exponent
     lhs = p * f.value(a_p)
     rhs = (p + 1) * f.value(a_next)
-    return _exponent_leq(lhs, rhs, slack)
+    return _exponent_leq(lhs, rhs)
 
 
-def check_jensen(f, xs, slack: float = EXPONENT_SLACK,
-                 grid_n: int = 128) -> bool:
+def check_jensen(f, xs) -> bool:
     """Check sum f(x_i) <= k * f(mean(xs)) after verifying that f is
     concave-increasing on [min(xs), max(xs)].
 
@@ -362,11 +349,11 @@ def check_jensen(f, xs, slack: float = EXPONENT_SLACK,
     if not xs:
         raise InputError("need at least one sample point")
     lo, hi = min(xs), max(xs)
-    report = check_delta(f, lo, hi, grid_n)
+    report = check_delta(f, lo, hi, _JENSEN_GRID_N)
     if not report.ok:
         raise HypothesisNotVerifiedError(
             f"{f.label} is not concave-increasing near "
             f"x={report.violation_x:g} ({report.violation_kind})", report)
     lhs = sum(f.value(x) for x in xs)
     rhs = len(xs) * f.value(math.fsum(xs) / len(xs))
-    return _exponent_leq(lhs, rhs, slack)
+    return _exponent_leq(lhs, rhs)

@@ -275,7 +275,8 @@ def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
 
 
 # -- handlers ----------------------------------------------------------------
-# each returns (result dict, exit code, csv rows or None)
+# each returns (result dict, exit code, csv column names or None); a table
+# handler's result holds its rows under "rows"
 
 
 def _cmd_check(ns):
@@ -329,13 +330,8 @@ def _cmd_count(ns):
             table = enumeration.count_rich(ns.q, ns.n, config)
         if ns.save_cache:
             enumeration.save_cache(table, _cache_path(ns.save_cache))
-    rows = _table_rows(table)
-    result = {"q": table.q, "rows": rows}
-    csv_rows = (["n", "count", "max_luf"],
-                [[r["n"], r["count"],
-                  "" if r["max_luf"] is None else r["max_luf"]]
-                 for r in rows])
-    return result, 0, csv_rows
+    result = {"q": table.q, "rows": _table_rows(table)}
+    return result, 0, ["n", "count", "max_luf"]
 
 
 def _cmd_ups(ns):
@@ -362,16 +358,9 @@ def _cmd_maxluf(ns):
         result = {"q": ns.q, "phi": phi.label, "rows": rows,
                   "all_hold": report.all_hold,
                   "first_failure_n": report.first_failure_n}
-        csv_rows = (["n", "max_luf", "bound", "holds"],
-                    [[r["n"], r["max_luf"],
-                      "" if r["bound"] is None else repr(r["bound"]),
-                      "" if r["holds"] is None else r["holds"]]
-                     for r in rows])
-    else:
-        rows = [{"n": n, "max_luf": m} for n, m in sorted(table.items())]
-        result = {"q": ns.q, "rows": rows}
-        csv_rows = (["n", "max_luf"], [[r["n"], r["max_luf"]] for r in rows])
-    return result, 0, csv_rows
+        return result, 0, ["n", "max_luf", "bound", "holds"]
+    rows = [{"n": n, "max_luf": m} for n, m in sorted(table.items())]
+    return {"q": ns.q, "rows": rows}, 0, ["n", "max_luf"]
 
 
 def _parse_tau(ns):
@@ -417,10 +406,7 @@ def _cmd_bound_recurrence(ns):
              "provenance": result_table.entries[n].provenance}
             for n in sorted(result_table.entries)]
     result = {"q": ns.q, "tau": tau_label, "rows": rows}
-    csv_rows = (["n", "exponent_log_q", "provenance"],
-                [[r["n"], r["exponent_log_q"], r["provenance"]]
-                 for r in rows])
-    return result, 0, csv_rows
+    return result, 0, ["n", "exponent_log_q", "provenance"]
 
 
 def _cmd_verify_composition_bound(ns):
@@ -433,21 +419,22 @@ def _cmd_verify_composition_bound(ns):
     return result, 0 if ok else 2, None
 
 
-def _check_trials(ns) -> None:
-    # zero trials would report a vacuous "ok"
-    if ns.trials < 1:
-        raise InputError(f"--trials must be >= 1, got {ns.trials}")
+def _check_at_least(flag: str, value: int, least: int) -> None:
+    # a smaller value would give a vacuous or silently clamped verdict
+    if value < least:
+        raise InputError(f"{flag} must be >= {least}, got {value}")
 
 
 def _cmd_verify_jensen(ns):
-    _check_trials(ns)
+    _check_at_least("--trials", ns.trials, 1)
+    _check_at_least("--points", ns.points, 2)
     fn = functions.parse_function_spec(ns.fn)
     rng = random.Random(ns.seed)
     lo = max(ns.x_lo, fn.domain_floor)
     if lo > ns.x_hi:
         raise InputError("empty range after clamping to the domain floor")
     for trial in range(ns.trials):
-        k = rng.randint(2, max(2, ns.points))
+        k = rng.randint(2, ns.points)
         xs = [rng.uniform(lo, ns.x_hi) for _ in range(k)]
         if not bounds.check_jensen(fn, xs):
             result = {"fn": fn.label, "ok": False, "trials_run": trial + 1,
@@ -458,11 +445,12 @@ def _cmd_verify_jensen(ns):
 
 
 def _cmd_verify_product_bound(ns):
-    _check_trials(ns)
+    _check_at_least("--trials", ns.trials, 1)
+    _check_at_least("--n-max", ns.n_max, 2)
     params = _omega_params(ns)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
-        n = rng.randint(2, max(2, ns.n_max))
+        n = rng.randint(2, ns.n_max)
         p = rng.randint(1, n)
         parts = _random_composition(rng, n, p)
         if not bounds.check_product_bound(n, p, parts, params):
@@ -474,6 +462,7 @@ def _cmd_verify_product_bound(ns):
 
 
 def _cmd_verify_p_monotonicity(ns):
+    _check_at_least("--p-max", ns.p_max, 1)
     params = _omega_params(ns)
     phi = params.phi
     sampled = sorted({int(round(x)) for x in functions.log_grid(
@@ -615,7 +604,7 @@ _HANDLERS = {
 }
 
 
-def _emit(ns, result, csv_rows, stdout) -> None:
+def _emit(ns, result, columns, stdout) -> None:
     fmt = getattr(ns, "format", "json")
     if fmt == "json":
         envelope = {
@@ -624,13 +613,11 @@ def _emit(ns, result, csv_rows, stdout) -> None:
             "result": result,
         }
         stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
-    elif fmt == "csv":
-        if csv_rows is None:
-            raise InputError("this subcommand has no csv rendering")
-        header, rows = csv_rows
-        stdout.write(",".join(header) + "\n")
-        for row in rows:
-            stdout.write(",".join(str(cell) for cell in row) + "\n")
+    elif fmt == "csv":  # argparse offers csv to table handlers only
+        stdout.write(",".join(columns) + "\n")
+        for row in result["rows"]:
+            stdout.write(",".join("" if row[c] is None else str(row[c])
+                                  for c in columns) + "\n")
     else:
         for key in sorted(result):
             value = result[key]
@@ -656,8 +643,8 @@ def run(argv, stdout=None, stderr=None) -> int:
             handler = _VERIFY_HANDLERS[ns.verify_what]
         else:
             handler = _HANDLERS[ns.command]
-        result, code, csv_rows = handler(ns)
-        _emit(ns, result, csv_rows, stdout)
+        result, code, columns = handler(ns)
+        _emit(ns, result, columns, stdout)
         return code
     except _UsageError as exc:
         stderr.write(f"usage error: {exc}\n")

@@ -121,22 +121,22 @@ class FunctionSpec:
             if self.u:
                 out *= math.exp(self.u * big_l ** self.v)
         self._check_finite(x, out)
+        # every member is positive when a > 0, so 0.0 is an underflow
+        if out == 0.0:
+            raise InputError(f"{self.label} underflows to 0 at x={x!r}")
         return out
 
     def d012(self, x: float) -> tuple[float, float, float]:
         """Value plus first and second derivative at x."""
-        self._check_domain(x)
-        val = self.a * x ** self.b
+        val = self.value(x)
         g = self.b
         h = 0.0
         if self.c or self.u:
             big_l = math.log(x)
             if self.c:
-                val *= big_l ** self.c
                 g += self.c / big_l
                 h -= self.c / (big_l * big_l)
             if self.u:
-                val *= math.exp(self.u * big_l ** self.v)
                 uv = self.u * self.v
                 g += uv * big_l ** (self.v - 1.0)
                 w = uv * (self.v - 1.0)
@@ -144,7 +144,7 @@ class FunctionSpec:
                     h += w * big_l ** (self.v - 2.0)
         d1 = val * g / x
         d2 = val * (g * g + h - g) / (x * x)
-        self._check_finite(x, val, d1, d2)
+        self._check_finite(x, d1, d2)
         return val, d1, d2
 
 
@@ -260,8 +260,6 @@ class ExponentFunction:
     def d012(self, x: float) -> tuple[float, float, float]:
         pv, p1, p2 = self.phi.d012(x)
         sv, s1, s2 = self.psi.d012(x)
-        if pv <= 0 or sv <= 0:
-            raise InputError(f"phi and psi must be positive at x={x!r}")
 
         # t1 = x / psi
         t1 = x / sv
@@ -374,6 +372,16 @@ def check_psi_family(phi: FunctionSpec, psi: FunctionSpec, x_lo: float,
                            psi_ok, psi_violation, delta)
 
 
+def _threshold(grid: list[float], last_fail: int | None
+               ) -> tuple[float | None, bool]:
+    # (n0, holds_at_top) from the index of the last failing sample
+    if last_fail is None:
+        return grid[0], True
+    if last_fail == len(grid) - 1:
+        return None, False
+    return grid[last_fail], True
+
+
 @dataclass(frozen=True)
 class DConditionReport:
     """Grid scan of 2*psi(phi(n)/2) >= d*psi(n).
@@ -413,14 +421,8 @@ def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
         if not lhs >= rhs:
             last_fail = idx
             failures += 1
-    if last_fail is None:
-        return DConditionReport(phi.label, psi.label, d, n_lo, n_hi,
-                                grid_n, grid[0], True, 0)
-    if last_fail == len(grid) - 1:
-        return DConditionReport(phi.label, psi.label, d, n_lo, n_hi,
-                                grid_n, None, False, failures)
     return DConditionReport(phi.label, psi.label, d, n_lo, n_hi, grid_n,
-                            grid[last_fail], True, failures)
+                            *_threshold(grid, last_fail), failures)
 
 
 @dataclass(frozen=True)
@@ -447,7 +449,7 @@ class PhiCompositionReport:
 def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
                           grid_n: int = 1024) -> PhiCompositionReport:
     grid = log_grid(n_lo, n_hi, grid_n)
-    last_fail = {"real": None, "ceil": None}
+    real_fail = ceil_fail = None
     disagree = False
     # tiny relative slack so exact-equality cases are not lost to float noise
     slack = 1e-12
@@ -458,8 +460,6 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
                 f"phi is not evaluable at phi({x:g}) = {inner:g} "
                 f"(domain floor {phi.domain_floor})")
         outer = phi.value(inner)
-        if outer <= 0:
-            raise InputError(f"phi(phi({x:g})) = {outer:g} is not positive")
         rhs = math.log(inner)
         tol = slack * max(1.0, abs(rhs))
         ln_outer = math.log(outer)
@@ -468,22 +468,12 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
         if real_ok != ceil_ok:
             disagree = True
         if not real_ok:
-            last_fail["real"] = idx
+            real_fail = idx
         if not ceil_ok:
-            last_fail["ceil"] = idx
-
-    def resolve(which: str) -> tuple[float | None, bool]:
-        idx = last_fail[which]
-        if idx is None:
-            return grid[0], True
-        if idx == len(grid) - 1:
-            return None, False
-        return grid[idx], True
-
-    real_n0, real_top = resolve("real")
-    ceil_n0, ceil_top = resolve("ceil")
-    return PhiCompositionReport(phi.label, n_lo, n_hi, grid_n, real_n0,
-                                real_top, ceil_n0, ceil_top, disagree)
+            ceil_fail = idx
+    return PhiCompositionReport(phi.label, n_lo, n_hi, grid_n,
+                                *_threshold(grid, real_fail),
+                                *_threshold(grid, ceil_fail), disagree)
 
 
 @dataclass(frozen=True)

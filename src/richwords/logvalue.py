@@ -137,14 +137,6 @@ class LogValue:
             exponent = hi + tail
         return LogValue(nudge(exponent, direction), self.q, self.rounding)
 
-    def power(self, k: int) -> "LogValue":
-        if not isinstance(k, int) or k < 0:
-            raise InputError(f"exponent must be a non-negative integer, got {k!r}")
-        direction = _DIRECTION[self.rounding]
-        with mp.workprec(PRECISION_BITS):
-            exponent = self.log_q * k
-        return LogValue(nudge(exponent, direction), self.q, self.rounding)
-
     def with_rounding(self, rounding: str) -> "LogValue":
         """Re-tag the rounding policy; moving to a directed mode nudges the
         exponent outward so certification is preserved."""
@@ -153,46 +145,6 @@ class LogValue:
         if rounding != self.rounding and direction != 0:
             exponent = nudge(exponent, direction)
         return LogValue(exponent, self.q, rounding)
-
-    # -- conversions and order ----------------------------------------------
-
-    def value(self) -> mpmath.mpf:
-        with mp.workprec(PRECISION_BITS):
-            return mpmath.power(self.q, self.log_q)
-
-    def to_float(self) -> float:
-        return float(self.value())
-
-    def _ordering_key(self, other: "LogValue"):
-        if not isinstance(other, LogValue):
-            raise InputError(f"cannot compare LogValue with {other!r}")
-        if other.q != self.q:
-            raise InputError(f"mixed bases {self.q} and {other.q}")
-        return self.log_q, other.log_q
-
-    def __lt__(self, other):
-        a, b = self._ordering_key(other)
-        return a < b
-
-    def __le__(self, other):
-        a, b = self._ordering_key(other)
-        return a <= b
-
-    def __gt__(self, other):
-        a, b = self._ordering_key(other)
-        return a > b
-
-    def __ge__(self, other):
-        a, b = self._ordering_key(other)
-        return a >= b
-
-    def __eq__(self, other):
-        if not isinstance(other, LogValue):
-            return NotImplemented
-        return self.q == other.q and self.log_q == other.log_q
-
-    def __hash__(self):
-        return hash((self.q, self.log_q))
 
     def __repr__(self):
         return f"LogValue({self.q}**{mpmath.nstr(self.log_q, 12)}, {self.rounding})"

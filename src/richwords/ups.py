@@ -114,17 +114,12 @@ def verify_unioccurrence(factorization: UpsFactorization) -> bool:
     return True
 
 
-def max_luf_table(q: int, n_max: int, config=None) -> dict[int, int]:
+def max_luf_table(q: int, n_max: int) -> dict[int, int]:
     """Maximum peel length over all rich words of each length 1..n_max."""
     from .enumeration import count_rich
 
-    table = count_rich(q, n_max, config)
-    out = {}
-    for n, entry in sorted(table.entries.items()):
-        if entry.max_luf is None:
-            raise InputError("enumeration ran without peel tracking")
-        out[n] = entry.max_luf
-    return out
+    table = count_rich(q, n_max)
+    return {n: entry.max_luf for n, entry in sorted(table.entries.items())}
 
 
 @dataclass(frozen=True)

@@ -23,6 +23,7 @@ from richwords import (BootstrapState, Eertree, EnumerationConfig,
                        log_over_x_crossover, power_spec, recurrence_bound,
                        save_cache, seed_table_from_counts, sqrt_spec,
                        ups_factorize, verify_unioccurrence, x_over_ln_spec)
+from richwords.bounds import EXPONENT_SLACK
 from richwords.words import Alphabet, Word
 
 from . import oracles
@@ -185,7 +186,7 @@ def test_criterion_07_product_bound_and_p_monotonicity():
     params = OmegaParams(q=2, c1=1.0, c2=1.0, phi=identity_spec(),
                          psi=identity_spec())
     rng = random.Random(20260816)
-    ok = True
+    ok = EXPONENT_SLACK == 1e-9  # the slack the criterion states
 
     for _ in range(1000):
         n = rng.randint(2, 10_000)
@@ -196,7 +197,7 @@ def test_criterion_07_product_bound_and_p_monotonicity():
             cuts = sorted(rng.sample(range(1, n), p - 1))
             edges = [0] + cuts + [n]
             parts = [edges[i + 1] - edges[i] for i in range(p)]
-        if not check_product_bound(n, p, parts, params, slack=1e-9):
+        if not check_product_bound(n, p, parts, params):
             ok = False
             break
 
@@ -205,8 +206,7 @@ def test_criterion_07_product_bound_and_p_monotonicity():
         for n in range(10, 10_001):
             tau_n = math.ceil(n / phi.value(float(n)))  # = 1 for identity
             for p in range(1, tau_n + 1):
-                if not check_p_monotonicity(float(n), p, params,
-                                            slack=1e-9):
+                if not check_p_monotonicity(float(n), p, params):
                     ok = False
                     break
             if not ok:
@@ -214,8 +214,7 @@ def test_criterion_07_product_bound_and_p_monotonicity():
         # explicit ladder beyond the degenerate cap
         for n in (10, 100, 1000, 10_000):
             for p in range(1, 11):
-                if not check_p_monotonicity(float(n), p, params,
-                                            slack=1e-9):
+                if not check_p_monotonicity(float(n), p, params):
                     ok = False
     _report(7, "composition-wise product bound on 1000 seeded draws and "
                "part-count monotonicity across n in [10,1e4] "

@@ -12,7 +12,7 @@ from richwords import (EnumerationConfig, FunctionSpec,
                        check_composition_bound, check_jensen,
                        check_p_monotonicity, check_product_bound,
                        composition_bound_sweep, compositions_count,
-                       count_rich, export_bound_csv, identity_spec, omega,
+                       count_rich, identity_spec, omega,
                        power_spec, recurrence_bound, seed_table_from_counts,
                        sqrt_spec, x_over_ln_spec)
 
@@ -198,19 +198,6 @@ def test_recurrence_rejects_bad_tau():
         recurrence_bound(seeds, lambda n: 0, 5)
     with pytest.raises(InputError):
         recurrence_bound(seeds, lambda n: 1.5, 5)
-
-
-def test_export_csv(tmp_path):
-    import io
-    seeds = seed_table_from_counts(_counts(2, 3), 2)
-    table = recurrence_bound(seeds, lambda n: n, 6)
-    buf = io.StringIO()
-    export_bound_csv(table, buf)
-    lines = buf.getvalue().strip().split("\n")
-    assert lines[0] == "n,exponent_log_q,provenance"
-    assert len(lines) == 7
-    assert lines[1].startswith("1,")
-    assert lines[-1].endswith("recurrence")
 
 
 # -- product bound / p-monotonicity / jensen --------------------------------

@@ -8,8 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from richwords import (count_rich, export_bound_csv, recurrence_bound,
-                       seed_table_from_counts)
+from richwords import count_rich
 from richwords.cli import run
 
 from . import oracles
@@ -126,6 +125,30 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
     assert "--trials" in err
 
 
+@pytest.mark.parametrize("argv, flag", [
+    # "ok: true, checked: 0"
+    (("p-monotonicity", "--phi", "identity", "--psi", "identity",
+      "--p-max", "0"), "--p-max"),
+    (("p-monotonicity", "--phi", "identity", "--psi", "identity",
+      "--p-max", "-1"), "--p-max"),
+    # tested n = 2 only
+    (("product-bound", "--phi", "identity", "--psi", "identity",
+      "--n-max", "1"), "--n-max"),
+    (("product-bound", "--phi", "identity", "--psi", "identity",
+      "--n-max", "0"), "--n-max"),
+    # drew 2 points per trial
+    (("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
+      "--points", "0"), "--points"),
+    (("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
+      "--points", "1"), "--points"),
+])
+def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
+    code, out, err = _invoke("verify", *argv)
+    assert code == 1
+    assert out == ""
+    assert flag in err and "Traceback" not in err
+
+
 def test_count_byte_identical_reruns():
     _, out1, _ = _invoke("count", "--q", "3", "--n", "5", "--symmetric")
     _, out2, _ = _invoke("count", "--q", "3", "--n", "5", "--symmetric")
@@ -213,6 +236,31 @@ def test_maxluf_with_bound():
     assert len(r["rows"]) == 5
 
 
+def test_maxluf_underflowing_phi_rows_are_null():
+    # phi(n) = n**-1100 underflows to 0.0 from n = 2 on, so n/phi(n)
+    # cannot be evaluated there
+    code, out, err = _invoke("maxluf", "--q", "2", "--n", "5",
+                             "--phi", "power:-1100")
+    assert code == 0, err
+    rows = _result(out)["rows"]
+    assert [(r["bound"], r["holds"]) for r in rows] == [
+        (1.0, True)] + [(None, None)] * 4
+
+
+@pytest.mark.parametrize("argv, expected", [
+    (("count", "--q", "2", "--n", "3", "--no-max-luf"),
+     ["n,count,max_luf", "1,2,", "2,4,", "3,8,"]),
+    (("maxluf", "--q", "2", "--n", "9", "--phi", "ln"),
+     ["n,max_luf,bound,holds", "1,1,,", "2,2,,", "3,2,,", "4,3,,", "5,3,,",
+      "6,4,,", "7,4,,", "8,4,3.8471867757039027,False",
+      "9,5,4.096076519820768,False"]),
+])
+def test_csv_none_cells_are_empty(argv, expected):
+    code, out, _ = _invoke(*argv, "--format", "csv")
+    assert code == 0
+    assert out == "".join(line + "\n" for line in expected)
+
+
 def test_bound_recurrence_runs():
     code, out, _ = _invoke("bound-recurrence", "--q", "2", "--n-max", "10",
                            "--seed-n", "5", "--tau", "n")
@@ -260,7 +308,7 @@ def test_bound_recurrence_rows_are_certified(tau, n_max):
 
 
 def test_bound_exponents_same_in_every_format():
-    # one helper renders exponents for json, text, csv and export_bound_csv
+    # one helper renders exponents for json, text and csv
     args = ("bound-recurrence", "--q", "2", "--seed-n", "5", "--n-max", "12",
             "--tau", "const:3")
     rows = _result(_invoke(*args)[1])["rows"]
@@ -273,11 +321,6 @@ def test_bound_exponents_same_in_every_format():
             if line.startswith("exponent_log_q=")] == [
         f"exponent_log_q={r['exponent_log_q']} n={r['n']} "
         f"provenance={r['provenance']}" for r in rows]
-    counts = {n: e.count for n, e in count_rich(2, 5).entries.items()}
-    buf = io.StringIO()
-    export_bound_csv(recurrence_bound(seed_table_from_counts(counts, 2),
-                                      lambda n: 3, 12), buf)
-    assert buf.getvalue() == csv_out
 
 
 def test_bound_recurrence_tau_phi():
@@ -385,6 +428,12 @@ def test_verify_phi_composition_failure_is_exit_two():
      "--grid", "3"),
     ("bootstrap", "--q", "2", "--d", "2", "--c1", "inf", "--c2", "1",
      "--c3", "1"),
+    # x**-1100 underflows to 0.0: ZeroDivisionError, or a witness from 0.0
+    ("bound-recurrence", "--q", "2", "--seed-n", "3", "--n-max", "6",
+     "--tau", "phi", "--phi", "power:-1100"),
+    ("verify", "p-monotonicity", "--phi", "power:-1100", "--psi", "identity",
+     "--n-lo", "2", "--n-hi", "10", "--grid", "5"),
+    ("verify", "delta", "--fn", "power:-1100", "--x-lo", "2", "--x-hi", "10"),
 ])
 def test_non_finite_input_is_exit_one(argv):
     code, out, err = _invoke(*argv)
