@@ -2,112 +2,110 @@
 
 Exact enumeration of rich words, palindromic-suffix factorizations, and
 certified upper-bound arithmetic for counting functions.
+
+Importing the package loads no submodule but `version`.  Each public name
+is resolved on first access (PEP 562) from the submodule `_HOMES` names,
+so `from richwords import count_rich` loads `enumeration` but not the
+mpmath-backed `bounds` arithmetic, and a CLI run loads only what its
+subcommand uses.
 """
 
-from . import errors
-from .bootstrap import (BootstrapState, BootstrapTrajectory, bootstrap_iterate,
-                        bootstrap_step, exponent_compare, fixed_point_c1)
-from .bounds import (BoundEntry, BoundTable, OmegaParams,
-                     check_composition_bound, check_jensen,
-                     check_p_monotonicity, check_product_bound,
-                     composition_bound_sweep, compositions_count, omega,
-                     recurrence_bound, seed_table_from_counts)
-from .eertree import Eertree
-from .enumeration import (EnumerationConfig, RichCountTable, RichEntry,
-                          count_rich, count_rich_symmetric, load_cache,
-                          save_cache)
-from .errors import (BudgetExceededError, CacheError, CacheFormatError,
-                     CacheQMismatchError, CacheVersionError,
-                     HypothesisNotVerifiedError, InputError, RichwordsError,
-                     SeedGapError, StateError)
-from .functions import (ExponentFunction, FunctionSpec, check_d_condition,
-                        check_delta, check_phi_composition, check_psi_family,
-                        constant_spec, exp_sqrt_ln_spec, identity_spec,
-                        ln_spec, log_grid, log_over_x_crossover,
-                        parse_function_spec, power_spec, sqrt_spec,
-                        x_over_ln_spec)
-from .logvalue import (PRECISION_BITS, ROUND_DOWN, ROUND_NEAREST, ROUND_UP,
-                       LogValue)
-from .ups import (UpsFactorization, compare_luf_bound, luf, max_luf_table,
-                  ups_factorize, verify_unioccurrence)
+import importlib
+
 from .version import TOOL_VERSION
-from .words import (Alphabet, Word, is_palindrome, is_rich_naive,
-                    letters_from_text, naive_palindromic_factor_count,
-                    text_from_letters)
 
 __version__ = TOOL_VERSION
 
-__all__ = [
-    "Alphabet",
-    "BootstrapState",
-    "BootstrapTrajectory",
-    "BoundEntry",
-    "BoundTable",
-    "BudgetExceededError",
-    "CacheError",
-    "CacheFormatError",
-    "CacheQMismatchError",
-    "CacheVersionError",
-    "Eertree",
-    "EnumerationConfig",
-    "ExponentFunction",
-    "FunctionSpec",
-    "HypothesisNotVerifiedError",
-    "InputError",
-    "LogValue",
-    "OmegaParams",
-    "PRECISION_BITS",
-    "ROUND_DOWN",
-    "ROUND_NEAREST",
-    "ROUND_UP",
-    "RichCountTable",
-    "RichEntry",
-    "RichwordsError",
-    "SeedGapError",
-    "StateError",
-    "TOOL_VERSION",
-    "UpsFactorization",
-    "Word",
-    "bootstrap_iterate",
-    "bootstrap_step",
-    "check_composition_bound",
-    "check_d_condition",
-    "check_delta",
-    "check_jensen",
-    "check_p_monotonicity",
-    "check_phi_composition",
-    "check_product_bound",
-    "check_psi_family",
-    "compare_luf_bound",
-    "composition_bound_sweep",
-    "compositions_count",
-    "constant_spec",
-    "count_rich",
-    "count_rich_symmetric",
-    "errors",
-    "exp_sqrt_ln_spec",
-    "exponent_compare",
-    "fixed_point_c1",
-    "identity_spec",
-    "is_palindrome",
-    "is_rich_naive",
-    "letters_from_text",
-    "ln_spec",
-    "load_cache",
-    "log_grid",
-    "log_over_x_crossover",
-    "luf",
-    "max_luf_table",
-    "naive_palindromic_factor_count",
-    "omega",
-    "parse_function_spec",
-    "power_spec",
-    "recurrence_bound",
-    "save_cache",
-    "seed_table_from_counts",
-    "sqrt_spec",
-    "text_from_letters",
-    "ups_factorize",
-    "verify_unioccurrence",
-    "x_over_ln_spec",
-]
+# public name -> submodule that defines it ("errors" is the submodule)
+_HOMES = {
+    "Alphabet": "words",
+    "BootstrapState": "bootstrap",
+    "BootstrapTrajectory": "bootstrap",
+    "BoundEntry": "bounds",
+    "BoundTable": "bounds",
+    "BudgetExceededError": "errors",
+    "CacheError": "errors",
+    "CacheFormatError": "errors",
+    "CacheQMismatchError": "errors",
+    "CacheVersionError": "errors",
+    "Eertree": "eertree",
+    "EnumerationConfig": "enumeration",
+    "ExponentFunction": "functions",
+    "FunctionSpec": "functions",
+    "HypothesisNotVerifiedError": "errors",
+    "InputError": "errors",
+    "LogValue": "logvalue",
+    "OmegaParams": "bounds",
+    "PRECISION_BITS": "logvalue",
+    "ROUND_DOWN": "logvalue",
+    "ROUND_NEAREST": "logvalue",
+    "ROUND_UP": "logvalue",
+    "RichCountTable": "enumeration",
+    "RichEntry": "enumeration",
+    "RichwordsError": "errors",
+    "SeedGapError": "errors",
+    "StateError": "errors",
+    "TOOL_VERSION": "version",
+    "UpsFactorization": "ups",
+    "Word": "words",
+    "bootstrap_iterate": "bootstrap",
+    "bootstrap_step": "bootstrap",
+    "check_composition_bound": "bounds",
+    "check_d_condition": "functions",
+    "check_delta": "functions",
+    "check_jensen": "bounds",
+    "check_p_monotonicity": "bounds",
+    "check_phi_composition": "functions",
+    "check_product_bound": "bounds",
+    "check_psi_family": "functions",
+    "compare_luf_bound": "ups",
+    "composition_bound_sweep": "bounds",
+    "compositions_count": "bounds",
+    "constant_spec": "functions",
+    "count_rich": "enumeration",
+    "count_rich_symmetric": "enumeration",
+    "errors": "errors",
+    "exp_sqrt_ln_spec": "functions",
+    "exponent_compare": "bootstrap",
+    "fixed_point_c1": "bootstrap",
+    "identity_spec": "functions",
+    "is_palindrome": "words",
+    "is_rich_naive": "words",
+    "letters_from_text": "words",
+    "ln_spec": "functions",
+    "load_cache": "enumeration",
+    "log_grid": "functions",
+    "log_over_x_crossover": "functions",
+    "luf": "ups",
+    "max_luf_table": "ups",
+    "naive_palindromic_factor_count": "words",
+    "omega": "bounds",
+    "parse_function_spec": "functions",
+    "power_spec": "functions",
+    "recurrence_bound": "bounds",
+    "save_cache": "enumeration",
+    "seed_table_from_counts": "bounds",
+    "sqrt_spec": "functions",
+    "text_from_letters": "words",
+    "ups_factorize": "ups",
+    "verify_unioccurrence": "ups",
+    "x_over_ln_spec": "functions",
+}
+
+__all__ = list(_HOMES)
+
+
+def __getattr__(name):
+    try:
+        home = _HOMES[name]
+    except KeyError:
+        raise AttributeError(
+            f"module {__name__!r} has no attribute {name!r}") from None
+    module = importlib.import_module(f"{__name__}.{home}")
+    value = module if name == home else getattr(module, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__():
+    return sorted(set(globals()) | set(__all__))

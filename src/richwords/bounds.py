@@ -28,14 +28,17 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
-from typing import Callable
-
-import mpmath
-from mpmath import mp
+from typing import TYPE_CHECKING, Callable
 
 from .errors import HypothesisNotVerifiedError, InputError, SeedGapError
-from .functions import ExponentFunction, FunctionSpec, check_delta
-from .logvalue import PRECISION_BITS, ROUND_DOWN, ROUND_UP, LogValue, nudge
+
+# mpmath, functions and logvalue are imported by the functions that use
+# them: cli imports this module, and a count must not pay for mpmath
+if TYPE_CHECKING:
+    import mpmath
+
+    from .functions import ExponentFunction, FunctionSpec
+    from .logvalue import LogValue
 
 __all__ = [
     "compositions_count",
@@ -80,13 +83,19 @@ def check_composition_bound(n: int, L: int) -> bool:
     high-precision arithmetic and rounded down, so a True verdict is
     conservative.
     """
+    import mpmath
+
+    from .logvalue import PRECISION_BITS, nudge
+
     if not isinstance(n, int) or not isinstance(L, int) or not 1 <= L <= n:
         raise InputError(f"need integers 1 <= L <= n, got L={L!r}, n={n!r}")
     lhs = sum(math.comb(n - 1, p - 1) for p in range(1, L + 1))
     prec = max(PRECISION_BITS, n + 24)
-    with mp.workprec(prec):
-        return _under_composition_bound(lhs, L, mpmath.ln(n), mpmath.ln(L),
-                                        prec)
+    with mpmath.mp.workprec(prec):
+        # the right side is rounded down
+        rhs = nudge(mpmath.exp(L * (1 + mpmath.ln(n) - mpmath.ln(L))), -1,
+                    prec)
+        return mpmath.mpf(lhs) <= rhs
 
 
 def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
@@ -96,11 +105,15 @@ def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
     list.  Shares logarithms across the sweep, which matters once n_max
     reaches a few hundred.
     """
+    import mpmath
+
+    from .logvalue import PRECISION_BITS, nudge
+
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
     failures = []
     prec = max(PRECISION_BITS, n_max + 24)
-    with mp.workprec(prec):
+    with mpmath.mp.workprec(prec):
         ln_table = [mpmath.mpf(0)] * (n_max + 1)
         for i in range(1, n_max + 1):
             ln_table[i] = mpmath.ln(i)
@@ -109,18 +122,12 @@ def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
             ln_n = ln_table[n]
             for L in range(1, n + 1):
                 lhs += math.comb(n - 1, L - 1)
-                if not _under_composition_bound(lhs, L, ln_n, ln_table[L],
-                                                prec):
+                # the same comparison as check_composition_bound's
+                rhs = nudge(mpmath.exp(L * (1 + ln_n - ln_table[L])), -1,
+                            prec)
+                if not mpmath.mpf(lhs) <= rhs:
                     failures.append((n, L))
     return failures
-
-
-def _under_composition_bound(lhs: int, L: int, ln_n, ln_L,
-                             prec: int) -> bool:
-    # lhs <= (e*n/L)**L with the right side rounded down; runs inside
-    # mp.workprec(prec)
-    rhs = nudge(mpmath.exp(L * (1 + ln_n - ln_L)), -1, prec)
-    return mpmath.mpf(lhs) <= rhs
 
 
 @dataclass
@@ -139,10 +146,13 @@ class OmegaParams:
     c2: float
     phi: FunctionSpec
     psi: FunctionSpec
-    _verified: tuple[float, float] | None = field(default=None, repr=False)
+    _verified: tuple[float, float] | None = field(default=None, init=False,
+                                                  repr=False)
     exponent: ExponentFunction = field(init=False, repr=False)
 
     def __post_init__(self):
+        from .functions import ExponentFunction
+
         if not isinstance(self.q, int) or self.q < 2:
             raise InputError(f"q must be an integer >= 2, got {self.q!r}")
         self.exponent = ExponentFunction(self.phi, self.psi, self.c1, self.c2)
@@ -157,6 +167,8 @@ class OmegaParams:
             if self.psi.value(x) > x:
                 raise HypothesisNotVerifiedError(
                     f"psi(x) <= x fails at x={x:g} for {self.psi.label}")
+        from .functions import check_delta
+
         report = check_delta(self.exponent, x_lo, x_hi, _HYPOTHESIS_GRID_N)
         if not report.ok:
             raise HypothesisNotVerifiedError(
@@ -175,6 +187,10 @@ _FLOAT_GUARD_PREC = 48
 def omega(x: float, params: OmegaParams,
           rounding: str = "nearest") -> LogValue:
     """Omega(x) as a LogValue in base q."""
+    import mpmath
+
+    from .logvalue import ROUND_DOWN, ROUND_UP, LogValue, nudge
+
     if not x >= 1:
         raise InputError(f"x must be at least 1, got {x!r}")
     exponent = mpmath.mpf(params.exponent.value(float(x)))
@@ -201,6 +217,8 @@ class BoundTable:
 def seed_table_from_counts(counts: dict[int, int], q: int) -> BoundTable:
     """Build a seed table from exact integer counts, rounding exponents
     up so the seeds themselves are valid upper bounds."""
+    from .logvalue import ROUND_UP, LogValue
+
     entries = {}
     for n, count in counts.items():
         if not isinstance(n, int) or n < 1:
@@ -228,6 +246,8 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
     upper bound for the quantity the recurrence dominates, relative to
     the seeds.  Entry n only reads entries at indices <= ceil(n/2).
     """
+    from .logvalue import ROUND_UP
+
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
     n_seed = _checked_seeds(seeds)
@@ -345,6 +365,8 @@ def check_jensen(f, xs) -> bool:
     fails on the sampled range; a False return always means the averaged
     comparison itself failed.
     """
+    from .functions import check_delta
+
     xs = [float(x) for x in xs]
     if not xs:
         raise InputError("need at least one sample point")

@@ -22,12 +22,16 @@ import os
 import random
 import sys
 import time
+from typing import TYPE_CHECKING
 
-from . import bootstrap as bootstrap_mod
-from . import bounds, enumeration, functions, ups, words
-from .eertree import Eertree
+# the other submodules are imported by the handlers that use them, so a
+# run loads only what its subcommand needs (count never loads mpmath)
+from . import bounds, enumeration
 from .errors import InputError, RichwordsError
 from .version import TOOL_VERSION
+
+if TYPE_CHECKING:
+    from . import words
 
 CACHE_DIR_ENV = "RICHWORDS_CACHE_DIR"
 
@@ -236,6 +240,8 @@ def _cache_path(path: str) -> str:
 
 
 def _word_from_args(ns) -> words.Word:
+    from . import words
+
     return words.Word.from_text(ns.word, ns.q)
 
 
@@ -260,6 +266,8 @@ def _table_rows(table: enumeration.RichCountTable) -> list[dict]:
 
 
 def _omega_params(ns) -> bounds.OmegaParams:
+    from . import functions
+
     return bounds.OmegaParams(
         q=ns.q, c1=ns.c1, c2=ns.c2,
         phi=functions.parse_function_spec(ns.phi),
@@ -280,6 +288,8 @@ def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
 
 
 def _cmd_check(ns):
+    from .eertree import Eertree
+
     word = _word_from_args(ns)
     tree = Eertree.from_word(word.letters, word.alphabet.q)
     result = {
@@ -335,6 +345,8 @@ def _cmd_count(ns):
 
 
 def _cmd_ups(ns):
+    from . import ups, words
+
     word = _word_from_args(ns)
     factorization = ups.ups_factorize(word)
     parts = [words.text_from_letters(part) for part in factorization.parts]
@@ -349,10 +361,18 @@ def _cmd_ups(ns):
 
 
 def _cmd_maxluf(ns):
+    from . import ups
+
     table = ups.max_luf_table(ns.q, ns.n)
     if ns.phi:
+        from . import functions
+
         phi = functions.parse_function_spec(ns.phi)
         report = ups.compare_luf_bound(table, phi)
+        if not report.evaluated_rows:  # all_hold would be vacuously true
+            raise InputError(
+                f"--phi {phi.label} cannot be evaluated at any n in "
+                f"1..{ns.n} (its domain floor is {phi.domain_floor:g})")
         rows = [{"n": r.n, "max_luf": r.max_luf, "bound": r.bound,
                  "holds": r.holds} for r in report.rows]
         result = {"q": ns.q, "phi": phi.label, "rows": rows,
@@ -379,6 +399,8 @@ def _parse_tau(ns):
     if text == "phi":
         if not ns.phi:
             raise InputError("--tau phi needs --phi")
+        from . import functions
+
         phi = functions.parse_function_spec(ns.phi)
         return (lambda n: math.ceil(n / phi.value(float(n)))), \
             f"ceil(n/phi), phi={phi.label}"
@@ -426,6 +448,8 @@ def _check_at_least(flag: str, value: int, least: int) -> None:
 
 
 def _cmd_verify_jensen(ns):
+    from . import functions
+
     _check_at_least("--trials", ns.trials, 1)
     _check_at_least("--points", ns.points, 2)
     fn = functions.parse_function_spec(ns.fn)
@@ -462,6 +486,8 @@ def _cmd_verify_product_bound(ns):
 
 
 def _cmd_verify_p_monotonicity(ns):
+    from . import functions
+
     _check_at_least("--p-max", ns.p_max, 1)
     params = _omega_params(ns)
     phi = params.phi
@@ -483,6 +509,8 @@ def _cmd_verify_p_monotonicity(ns):
 
 
 def _cmd_verify_delta(ns):
+    from . import functions
+
     fn = functions.parse_function_spec(ns.fn)
     report = functions.check_delta(fn, ns.x_lo, ns.x_hi, ns.grid)
     result = {"fn": fn.label, "ok": report.ok,
@@ -494,6 +522,8 @@ def _cmd_verify_delta(ns):
 
 
 def _cmd_verify_psi_family(ns):
+    from . import functions
+
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     report = functions.check_psi_family(phi, psi, ns.x_lo, ns.x_hi, ns.grid)
@@ -512,6 +542,8 @@ def _cmd_verify_psi_family(ns):
 
 
 def _cmd_verify_d_condition(ns):
+    from . import functions
+
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     report = functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
@@ -527,6 +559,8 @@ def _cmd_verify_d_condition(ns):
 
 
 def _cmd_verify_phi_composition(ns):
+    from . import functions
+
     phi = functions.parse_function_spec(ns.phi)
     report = functions.check_phi_composition(phi, ns.n_lo, ns.n_hi, ns.grid)
     result = {"phi": phi.label, "ok": report.ok,
@@ -543,6 +577,8 @@ def _cmd_verify_phi_composition(ns):
 
 
 def _cmd_verify_crossover(ns):
+    from . import functions
+
     report = functions.log_over_x_crossover(ns.grid, ns.x_hi)
     result = {"x0": report.x0, "ok": report.decreasing_ok,
               "grid": ns.grid, "x_hi": ns.x_hi}
@@ -552,8 +588,10 @@ def _cmd_verify_crossover(ns):
 
 
 def _cmd_bootstrap(ns):
-    state = bootstrap_mod.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
-    trajectory = bootstrap_mod.bootstrap_iterate(state, ns.iters)
+    from . import bootstrap
+
+    state = bootstrap.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
+    trajectory = bootstrap.bootstrap_iterate(state, ns.iters)
     c1_final, c2_final = trajectory.final
     result = {
         "c1": c1_final,
@@ -565,11 +603,13 @@ def _cmd_bootstrap(ns):
 
 
 def _cmd_compare_exponents(ns):
-    state = bootstrap_mod.BootstrapState(
+    from . import bootstrap, functions
+
+    state = bootstrap.BootstrapState(
         ns.q, ns.d, ns.c1, ns.c2, ns.c3,
         phi=functions.parse_function_spec(ns.phi),
         psi=functions.parse_function_spec(ns.psi))
-    report = bootstrap_mod.exponent_compare(state, ns.n)
+    report = bootstrap.exponent_compare(state, ns.n)
     result = {
         "n": report.n,
         "old_exponent": report.old_exponent,

@@ -275,3 +275,15 @@ def test_hypothesis_failure_carries_report():
     with pytest.raises(HypothesisNotVerifiedError) as exc:
         check_product_bound(8, 2, [4, 4], params)
     assert exc.value.report is not None
+
+
+def test_verified_hull_cannot_be_passed_in():
+    # a caller-supplied hull would skip the concavity precondition
+    with pytest.raises(TypeError, match="_verified"):
+        OmegaParams(q=2, c1=1.0, c2=1.0, phi=power_spec(2.0),
+                    psi=identity_spec(), _verified=(1.0, 1e9))
+    params = OmegaParams(q=2, c1=1.0, c2=1.0, phi=power_spec(2.0),
+                         psi=identity_spec())
+    assert params._verified is None
+    with pytest.raises(HypothesisNotVerifiedError):
+        check_product_bound(8, 2, [4, 4], params)

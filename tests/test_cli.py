@@ -247,6 +247,17 @@ def test_maxluf_underflowing_phi_rows_are_null():
         (1.0, True)] + [(None, None)] * 4
 
 
+@pytest.mark.parametrize("fmt", ["json", "text", "csv"])
+def test_maxluf_phi_with_no_evaluable_row_is_rejected(fmt):
+    # every n <= 7 is below ln's domain floor 8, so no row has a verdict
+    # and "all_hold" would be vacuous
+    code, out, err = _invoke("maxluf", "--q", "2", "--n", "7",
+                             "--phi", "ln", "--format", fmt)
+    assert code == 1
+    assert out == ""
+    assert "domain floor is 8" in err
+
+
 @pytest.mark.parametrize("argv, expected", [
     (("count", "--q", "2", "--n", "3", "--no-max-luf"),
      ["n,count,max_luf", "1,2,", "2,4,", "3,8,"]),
