@@ -10,6 +10,14 @@ certified upper bound relative to the seeds.  The convolution only ever
 reads entries at indices at most ceil(n/2), which is what makes seeding a
 prefix of exact counts sound.
 
+The table is evaluated in one of two orders.  When tau(n) >= n on every
+recurrence row (tau = n, or a constant at least n_max), every part count
+is summed and the sum over p is the geometric series H = G + G*H, so
+B(n) = H[n] = g[n] + sum_{j<n} g[j]*H[n-j]: O(n_max**2) LogValue
+operations and no table of rows.  Otherwise each convolution row S_p is
+built for p up to p_cap = min(n_max, max tau) and summed up to tau(n):
+O(p_cap * n_max**2) operations.
+
 tau is an integer-valued function supplied by the caller; nothing here
 pins a particular choice, because the multiplicative constant inside the
 natural candidate ceil(c*n/ln n) is not determined by the development the
@@ -245,6 +253,12 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
     All arithmetic rounds up, so every produced entry is a certified
     upper bound for the quantity the recurrence dominates, relative to
     the seeds.  Entry n only reads entries at indices <= ceil(n/2).
+
+    If tau(n) >= n for every n in (n_seed, n_max], the sum over all part
+    counts is taken as the geometric series H = G + G*H, in
+    n_max*(n_max - 1) LogValue operations.  Otherwise the convolution rows
+    S_1..S_p_cap are built, p_cap = min(n_max, max tau), which costs
+    O(p_cap * n_max**2) operations and a p_cap x n_max table.
     """
     from .logvalue import ROUND_UP
 
@@ -274,30 +288,45 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
             raise InputError(
                 f"tau({n}) must be a positive integer, got {t!r}")
         taus[n] = t
-    p_cap = min(n_max, max(taus.values()))
 
-    # g[m] = B(ceil(m/2)); conv[p][m] = p-fold convolution of g at m
+    # g[m] = B(ceil(m/2)), known for m <= n once B is known below n
     g: list[LogValue | None] = [None] * (n_max + 1)
-    conv: list[list[LogValue | None]] = [
-        [None] * (n_max + 1) for _ in range(p_cap + 1)
-    ]
-    for n in range(1, n_max + 1):
-        g[n] = values[(n + 1) // 2]
-        conv[1][n] = g[n]
-        for p in range(2, min(n, p_cap) + 1):
-            acc: LogValue | None = None
-            prev = conv[p - 1]
-            for j in range(1, n - p + 2):
-                term = g[j] * prev[n - j]
-                acc = term if acc is None else acc + term
-            conv[p][n] = acc
-        if n > n_seed:
-            total: LogValue | None = None
-            for p in range(1, min(taus[n], n) + 1):
-                term = conv[p][n]
-                total = term if total is None else total + term
-            values[n] = total
-            out_entries[n] = BoundEntry(total, "recurrence")
+    if all(t >= n for n, t in taus.items()):
+        # every part count is summed, so B(n) = H[n] for the series
+        # H = G + G*H: H[n] = g[n] + sum_{j<n} g[j]*H[n-j]
+        h: list[LogValue | None] = [None] * (n_max + 1)
+        for n in range(1, n_max + 1):
+            g[n] = values[(n + 1) // 2]
+            acc = g[n]
+            for j in range(1, n):
+                acc = acc + g[j] * h[n - j]
+            h[n] = acc
+            if n > n_seed:
+                values[n] = acc
+    else:
+        # conv[p][m] = p-fold convolution of g at m
+        p_cap = min(n_max, max(taus.values()))
+        conv: list[list[LogValue | None]] = [
+            [None] * (n_max + 1) for _ in range(p_cap + 1)
+        ]
+        for n in range(1, n_max + 1):
+            g[n] = values[(n + 1) // 2]
+            conv[1][n] = g[n]
+            for p in range(2, min(n, p_cap) + 1):
+                acc: LogValue | None = None
+                prev = conv[p - 1]
+                for j in range(1, n - p + 2):
+                    term = g[j] * prev[n - j]
+                    acc = term if acc is None else acc + term
+                conv[p][n] = acc
+            if n > n_seed:
+                total: LogValue | None = None
+                for p in range(1, min(taus[n], n) + 1):
+                    term = conv[p][n]
+                    total = term if total is None else total + term
+                values[n] = total
+    for n in range(n_seed + 1, n_max + 1):
+        out_entries[n] = BoundEntry(values[n], "recurrence")
     return BoundTable(q, out_entries, tau_label)
 
 

@@ -385,6 +385,9 @@ def _cmd_maxluf(ns):
 
 def _parse_tau(ns):
     text = ns.tau.strip()
+    if ns.phi is not None and text != "phi":
+        raise InputError(f"--phi is only read with --tau phi, not with "
+                         f"--tau {text}")
     if text == "n":
         return (lambda n: n), "n"
     if text.startswith("const:"):
@@ -410,6 +413,8 @@ def _parse_tau(ns):
 def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
+    # flags are checked before the seeds are enumerated
+    tau, tau_label = _parse_tau(ns)
     if ns.seeds_cache:
         cache = enumeration.load_cache(_cache_path(ns.seeds_cache),
                                        expected_q=ns.q)
@@ -420,7 +425,6 @@ def _cmd_bound_recurrence(ns):
             enumeration.EnumerationConfig(with_max_luf=False))
         counts = {n: e.count for n, e in table.entries.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)
-    tau, tau_label = _parse_tau(ns)
     result_table = bounds.recurrence_bound(seeds, tau, ns.n_max, tau_label)
     rows = [{"n": n,
              "exponent_log_q": bounds.exponent_text(

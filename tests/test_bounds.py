@@ -150,17 +150,23 @@ def test_recurrence_tau_one_chain():
 def test_recurrence_matches_exact_oracle():
     # the log-domain engine must dominate the exact-integer mirror and
     # stay within the nudge budget of it
-    for n_seed in (1, 2, 3, 6):
-        seeds_counts = _counts(2, n_seed)
-        seeds = seed_table_from_counts(seeds_counts, 2)
-        for tau in (lambda n: n, lambda n: 2, lambda n: max(1, n // 2)):
-            exact = oracles.recurrence_table_exact(seeds_counts, tau, 12)
-            table = recurrence_bound(seeds, tau, 12)
-            for n in range(1, 13):
-                got = float(table.entries[n].value.log_q)
-                want = math.log2(exact[n])
-                assert got >= want - 1e-12, (n_seed, n)
-                assert got <= want + 1e-9, (n_seed, n)
+    # tau >= n on every row sums the geometric series; any row below n
+    # (the boundary tau, n - 1 on one row only) takes the convolution rows
+    for n_max, n_seeds in ((12, (1, 2, 3, 6)), (40, (10,))):
+        for n_seed in n_seeds:
+            seeds_counts = _counts(2, n_seed)
+            seeds = seed_table_from_counts(seeds_counts, 2)
+            for tau in (lambda n: n, lambda n: n + 3,
+                        lambda n: n - 1 if n == n_max - 2 else n,
+                        lambda n: 2, lambda n: max(1, n // 2)):
+                exact = oracles.recurrence_table_exact(seeds_counts, tau,
+                                                       n_max)
+                table = recurrence_bound(seeds, tau, n_max)
+                for n in range(1, n_max + 1):
+                    got = float(table.entries[n].value.log_q)
+                    want = math.log2(exact[n])
+                    assert got >= want - 1e-12, (n_max, n_seed, n)
+                    assert got <= want + 1e-9, (n_max, n_seed, n)
 
 
 def test_recurrence_direct_composition_sum_agrees():

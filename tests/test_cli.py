@@ -342,6 +342,25 @@ def test_bound_recurrence_tau_phi():
     assert _result(out)["tau"].startswith("ceil(n/phi)")
 
 
+@pytest.mark.parametrize("tau", ["n", "const:1", "const:4"])
+def test_bound_recurrence_phi_without_tau_phi_is_exit_one(tau):
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--seed-n", "5",
+                             "--n-max", "8", "--tau", tau, "--phi", "sqrt")
+    assert (code, out) == (1, "")
+    assert f"--phi is only read with --tau phi, not with --tau {tau}" in err
+
+
+@pytest.mark.parametrize("k", [30, 31, 100])
+def test_bound_recurrence_tau_n_equals_large_constant(k):
+    # tau(n) >= n on every row sums every part count either way
+    args = ("bound-recurrence", "--q", "2", "--seed-n", "6", "--n-max", "30",
+            "--format", "csv")
+    code_n, out_n, _ = _invoke(*args, "--tau", "n")
+    code_k, out_k, _ = _invoke(*args, "--tau", f"const:{k}")
+    assert (code_n, code_k) == (0, 0)
+    assert out_n == out_k
+
+
 def test_verify_crossover_passes():
     code, out, _ = _invoke("verify", "crossover")
     assert code == 0
