@@ -414,14 +414,17 @@ def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
     # flags are checked before the seeds are enumerated
+    if ns.seed_n is not None:
+        _check_at_least("--seed-n", ns.seed_n, 1)
     tau, tau_label = _parse_tau(ns)
     if ns.seeds_cache:
         cache = enumeration.load_cache(_cache_path(ns.seeds_cache),
                                        expected_q=ns.q)
         counts = {n: e.count for n, e in cache.entries.items()}
     else:
+        # rows 1..n_max read no seed above n_max
         table = enumeration.count_rich(
-            ns.q, ns.seed_n,
+            ns.q, min(ns.seed_n, ns.n_max),
             enumeration.EnumerationConfig(with_max_luf=False))
         counts = {n: e.count for n, e in table.entries.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)

@@ -50,7 +50,7 @@ import functools
 import json
 import math
 import os
-from concurrent.futures import ProcessPoolExecutor
+import sys
 from dataclasses import dataclass, field
 
 from .errors import (
@@ -64,6 +64,16 @@ from .version import TOOL_VERSION
 
 CACHE_SCHEMA_VERSION = 1
 DEFAULT_NODE_BUDGET = 10**9
+
+
+def __getattr__(name):
+    # the pool pulls in multiprocessing, which a serial count never needs
+    if name != "ProcessPoolExecutor":
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    from concurrent.futures import ProcessPoolExecutor
+
+    globals()[name] = ProcessPoolExecutor  # later lookups skip this hook
+    return ProcessPoolExecutor
 
 
 @dataclass
@@ -204,7 +214,9 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
                               with_max_luf=config.with_max_luf,
                               limit=config.node_budget)
     if cut:
-        with ProcessPoolExecutor(max_workers=config.workers) as pool:
+        # through the module, so that a patched ProcessPoolExecutor is used
+        pool_class = sys.modules[__name__].ProcessPoolExecutor
+        with pool_class(max_workers=config.workers) as pool:
             shards = list(pool.map(shard, range(config.workers)))
     else:
         shards = [shard(0)]

@@ -7,12 +7,29 @@ above the 80 bits the bound tables call for.
 
 Directed rounding is implemented by an outward nudge: after an operation
 is evaluated at working precision, the result is shifted by
-2**(magnitude - PRECISION_BITS + GUARD_BITS) in the requested direction.
-mpmath's primitive operations are accurate to about one unit in the last
-place, and no operation here composes more than a handful of primitives,
-so the nudge strictly covers the true result.  Chains of "up" operations
+2**(m - PRECISION_BITS + GUARD_BITS) in the requested direction, where m
+is the magnitude of the result (mpmath.mag, 0 for zero).  mpmath's
+primitive operations are accurate to about one unit in the last place,
+and no operation here composes more than a handful of primitives, so the
+nudge strictly covers the true result.  Chains of "up" operations
 therefore give certified upper bounds (and "down" chains lower bounds) at
 the cost of a relative error around 2**-112 per step.
+
+Addition evaluates hi + log_q(1 + q**(lo - hi)), and the error of its
+tail is relative to the tail, not to the sum: the argument t of the
+exponential is itself rounded, so the tail is off by up to |t| units in
+its last place, and when hi is negative the sum can cancel to far below
+the tail.  So an addition takes m as the larger of mag(sum), unless the
+sum is 0, and mag(tail) + max(0, mag(t)).  For hi >= 1, as everywhere in
+the bound recurrence, the second is never the larger (tail * |t| < 1
+there), so m is mag(sum) as for every other operation.
+
+`*`, `+` and nudge call mpmath.libmp on the raw (sign, man, exp, bc)
+tuples of the exponents.  They run the same primitives, at the same
+precisions and with the same round-to-nearest, as mpmath's context does
+for `x + y`, `exp`, `log1p` and `/` at PRECISION_BITS (log1p at 10 bits
+more, and 1 + x at twice that), so the argument above rests on mpmath's
+primitives alone; only the context's per-call bookkeeping is skipped.
 """
 
 from __future__ import annotations
@@ -21,6 +38,8 @@ from dataclasses import dataclass
 
 import mpmath
 from mpmath import mp
+from mpmath.libmp import (fone, mpf_add, mpf_div, mpf_exp, mpf_gt, mpf_log,
+                          mpf_mul, mpf_pos, mpf_shift, mpf_sub, round_nearest)
 
 from .errors import InputError
 
@@ -33,7 +52,11 @@ ROUND_NEAREST = "nearest"
 
 _DIRECTION = {ROUND_UP: 1, ROUND_DOWN: -1, ROUND_NEAREST: 0}
 
+# mpmath.log1p works at 10 bits above the caller's precision
+_LOG1P_PREC = PRECISION_BITS + 10
+
 _LN_CACHE: dict[int, mpmath.mpf] = {}
+_make_mpf = mp.make_mpf
 
 
 def _ln_base(q: int) -> mpmath.mpf:
@@ -45,18 +68,48 @@ def _ln_base(q: int) -> mpmath.mpf:
     return value
 
 
+def _mag(x: tuple) -> int:
+    """mpmath.mag of a raw mpf tuple, with 0 for zero."""
+    _, man, exp, bc = x
+    return exp + bc if man else 0
+
+
+def _nudged(x: tuple, direction: int, prec: int, magnitude: int) -> tuple:
+    """x moved by 2**(magnitude - prec + GUARD_BITS), on raw mpf tuples."""
+    if direction == 0:
+        return x
+    eps = mpf_shift(fone, magnitude - prec + GUARD_BITS)
+    if direction > 0:
+        return mpf_add(x, eps, prec, round_nearest)
+    return mpf_sub(x, eps, prec, round_nearest)
+
+
 def nudge(x, direction: int, prec: int = PRECISION_BITS):
-    """Shift x outward by 2**(mag(x) - prec + GUARD_BITS).
+    """Shift x outward by 2**(mag(x) - prec + GUARD_BITS), the sum rounded
+    to nearest at prec bits.
 
     direction +1 moves up, -1 moves down, 0 returns x unchanged.  The
     shift floor for x == 0 is 2**(-prec + GUARD_BITS).
     """
     if direction == 0:
         return x
-    magnitude = 0 if x == 0 else int(mpmath.mag(x))
-    eps = mpmath.ldexp(1, magnitude - prec + GUARD_BITS)
-    with mp.workprec(prec):
-        return x + eps if direction > 0 else x - eps
+    x = mp.convert(x)._mpf_  # exact for ints and floats; keeps an mpf's bits
+    return _make_mpf(_nudged(x, direction, prec, _mag(x)))
+
+
+def _log1p(x: tuple) -> tuple:
+    """mpmath.log1p(x) at PRECISION_BITS, step for step, on raw tuples."""
+    _, man, exp, bc = x
+    if not man:
+        return x
+    if exp + bc < -_LOG1P_PREC:
+        # log(1 + x) = x - x**2/2 + O(x**3); halving is exact
+        half_square = mpf_shift(mpf_mul(x, x, _LOG1P_PREC, round_nearest), -1)
+        value = mpf_sub(x, half_square, _LOG1P_PREC, round_nearest)
+    else:
+        value = mpf_log(mpf_add(fone, x, 2 * _LOG1P_PREC, round_nearest),
+                        _LOG1P_PREC, round_nearest)
+    return mpf_pos(value, PRECISION_BITS, round_nearest)
 
 
 def _check_rounding(rounding: str) -> int:
@@ -118,24 +171,34 @@ class LogValue:
 
     def __mul__(self, other: "LogValue") -> "LogValue":
         self._compatible(other)
-        direction = _DIRECTION[self.rounding]
-        with mp.workprec(PRECISION_BITS):
-            exponent = self.log_q + other.log_q
-        return LogValue(nudge(exponent, direction), self.q, self.rounding)
+        # one rounding of the exact sum: its error is relative to the sum
+        exponent = mpf_add(self.log_q._mpf_, other.log_q._mpf_,
+                           PRECISION_BITS, round_nearest)
+        return LogValue(_make_mpf(_nudged(exponent, _DIRECTION[self.rounding],
+                                          PRECISION_BITS, _mag(exponent))),
+                        self.q, self.rounding)
 
     def __add__(self, other: "LogValue") -> "LogValue":
         """Addition of the represented values via base-q log-sum-exp."""
         self._compatible(other)
-        direction = _DIRECTION[self.rounding]
-        hi, lo = self.log_q, other.log_q
-        if lo > hi:
+        hi, lo = self.log_q._mpf_, other.log_q._mpf_
+        if mpf_gt(lo, hi):
             hi, lo = lo, hi
-        ln_q = _ln_base(self.q)
-        with mp.workprec(PRECISION_BITS):
-            # hi + log_q(1 + q**(lo - hi)), with lo - hi <= 0
-            tail = mpmath.log1p(mpmath.exp((lo - hi) * ln_q)) / ln_q
-            exponent = hi + tail
-        return LogValue(nudge(exponent, direction), self.q, self.rounding)
+        ln_q = _ln_base(self.q)._mpf_
+        prec = PRECISION_BITS
+        # hi + log1p(exp(t)) / ln q, with t = (lo - hi) * ln q <= 0
+        t = mpf_mul(mpf_sub(lo, hi, prec, round_nearest), ln_q, prec,
+                    round_nearest)
+        tail = mpf_div(_log1p(mpf_exp(t, prec, round_nearest)), ln_q, prec,
+                       round_nearest)
+        exponent = mpf_add(hi, tail, prec, round_nearest)
+        # see the module docstring; the tail is never 0, the sum can be
+        magnitude = _mag(tail) + max(0, _mag(t))
+        if exponent[1]:
+            magnitude = max(magnitude, _mag(exponent))
+        return LogValue(_make_mpf(_nudged(exponent, _DIRECTION[self.rounding],
+                                          prec, magnitude)),
+                        self.q, self.rounding)
 
     def with_rounding(self, rounding: str) -> "LogValue":
         """Re-tag the rounding policy; moving to a directed mode nudges the

@@ -194,6 +194,31 @@ def log_sum_exact(ints, q):
         return mpmath.log(total) / mpmath.log(q)
 
 
+# LogValue works at 120 bits; the oracles below work far above that
+ORACLE_BITS = 400
+
+
+def log_q_of_sum(a, b, q):
+    """log_q(q**a + q**b) for mpf exponents, evaluated as written, with
+    enough bits that the smaller power is not lost in the sum."""
+    with mpmath.workprec(ORACLE_BITS + int(abs(a - b) * math.log2(q))):
+        q = mpmath.mpf(q)
+        return mpmath.log(q ** a + q ** b) / mpmath.log(q)
+
+
+def sum_of_exponents(a, b):
+    """a + b for mpf exponents, at ORACLE_BITS."""
+    with mpmath.workprec(ORACLE_BITS):
+        return a + b
+
+
+def nudge_step(x, prec, guard):
+    """2**(m - prec + guard), where 2**(m - 1) <= |x| < 2**m (m = 0 for
+    x == 0): the outward shift of a LogValue nudge at prec bits."""
+    m = 0 if x == 0 else mpmath.frexp(x)[1]
+    return mpmath.ldexp(1, m - prec + guard)
+
+
 def frac_pow2_sum_log2(ints):
     """Exact check helper: log2 of a sum of ints via Fraction bracketing."""
     total = sum(ints)

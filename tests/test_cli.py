@@ -289,6 +289,37 @@ def test_bound_recurrence_seed_flags_exclusive(tmp_path):
     assert "seed" in err
 
 
+@pytest.mark.parametrize("seed_n", ["0", "-3"])
+def test_bound_recurrence_nonpositive_seed_n_names_the_flag(seed_n):
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "5",
+                             "--seed-n", seed_n)
+    assert code == 1
+    assert out == ""
+    assert f"--seed-n must be >= 1, got {seed_n}" in err
+    assert "Traceback" not in err
+
+
+def test_bound_recurrence_enumerates_no_seed_above_n_max(monkeypatch):
+    from richwords import enumeration
+
+    asked = []
+    real = enumeration.count_rich
+
+    def recording(q, n_max, config=None):
+        asked.append(n_max)
+        return real(q, n_max, config)
+
+    monkeypatch.setattr(enumeration, "count_rich", recording)
+    _, wide, _ = _invoke("bound-recurrence", "--q", "2", "--seed-n", "24",
+                         "--n-max", "5")
+    _, narrow, _ = _invoke("bound-recurrence", "--q", "2", "--seed-n", "5",
+                           "--n-max", "5")
+    assert asked == [5, 5]
+    assert _result(wide) == _result(narrow)
+    _invoke("bound-recurrence", "--q", "2", "--seed-n", "3", "--n-max", "9")
+    assert asked[-1] == 3
+
+
 @pytest.mark.parametrize("tau", ["const:x", "const:"])
 def test_bound_recurrence_non_integer_tau_is_exit_one(tau):
     code, out, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "8",

@@ -23,8 +23,12 @@ ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
 _PROBE = """\
 import io, json, sys
 from richwords import cli
-code = cli.run(sys.argv[1:], stdout=io.StringIO(), stderr=io.StringIO())
-print(json.dumps({"code": code, "mpmath": "mpmath" in sys.modules,
+out = io.StringIO()
+code = cli.run(sys.argv[1:], stdout=out, stderr=io.StringIO())
+print(json.dumps({"code": code, "stdout": out.getvalue(),
+                  "mpmath": "mpmath" in sys.modules,
+                  "pool": [m in sys.modules for m in
+                           ("multiprocessing", "concurrent.futures")],
                   "richwords": sorted(m for m in sys.modules
                                       if m.startswith("richwords."))}))
 """
@@ -52,6 +56,25 @@ def test_bound_recurrence_loads_mpmath_on_first_use():
     assert loaded["code"] == 0
     assert loaded["mpmath"] is True
     assert "richwords.logvalue" in loaded["richwords"]
+
+
+@pytest.mark.parametrize("argv", [
+    ["count", "--q", "2", "--n", "9"],
+    ["bound-recurrence", "--q", "2", "--seed-n", "4", "--n-max", "8"],
+], ids=lambda argv: argv[0])
+def test_serial_run_loads_no_process_pool(argv):
+    loaded = _fresh_run(*argv)
+    assert loaded["code"] == 0
+    assert loaded["pool"] == [False, False]
+
+
+def test_sharded_count_loads_the_pool_and_prints_the_same_table():
+    args = ("count", "--q", "2", "--n", "9", "--format", "csv")
+    serial = _fresh_run(*args)
+    sharded = _fresh_run(*args, "--workers", "2")
+    assert sharded["code"] == 0
+    assert sharded["pool"] == [True, True]
+    assert sharded["stdout"] == serial["stdout"]
 
 
 def test_package_import_loads_only_the_version():

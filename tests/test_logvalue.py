@@ -1,4 +1,5 @@
 import math
+import random
 
 import mpmath
 import pytest
@@ -7,7 +8,9 @@ from hypothesis import strategies as st
 
 from richwords import (InputError, LogValue, ROUND_DOWN, ROUND_NEAREST,
                        ROUND_UP)
-from richwords.logvalue import nudge
+from richwords.logvalue import GUARD_BITS, PRECISION_BITS, nudge
+
+from . import oracles
 
 
 def test_from_int_roundtrip():
@@ -130,3 +133,116 @@ def test_nudge_is_strict():
     assert nudge(x, 1) > x
     assert nudge(x, -1) < x
     assert nudge(mpmath.mpf(0), 1) > 0
+
+
+# -- the kernel against the 400-bit oracles ------------------------------
+
+_ROUNDINGS = (ROUND_UP, ROUND_DOWN, ROUND_NEAREST)
+
+
+def _exponent(rng):
+    # a float plus bits below its last place, so the exponent has ~120 bits
+    return (mpmath.mpf(rng.uniform(-60, 400))
+            + mpmath.ldexp(rng.getrandbits(64), -100))
+
+
+def _random_pairs():
+    rng = random.Random(20261018)
+    return [(rng.choice((2, 3, 7)), _exponent(rng), _exponent(rng))
+            for _ in range(150)]
+
+
+def _tail_pairs():
+    # q**(lo - hi) below 2**-130 takes log1p's x - x**2/2 branch
+    pairs = []
+    for q in (2, 3, 7):
+        for bits in (131, 160, 300, 1000, 3000):
+            for hi in (mpmath.mpf(0), mpmath.mpf("37.25"), mpmath.mpf(-5)):
+                pairs.append((q, hi, hi - mpmath.mpf(bits) / math.log2(q)))
+    return pairs
+
+
+def _special_pairs():
+    pairs = []
+    for q in (2, 3, 7):
+        # equal operands
+        for x in (0, 1, -1, "-3.25", "10000.5", "1e-18"):
+            pairs.append((q, mpmath.mpf(x), mpmath.mpf(x)))
+        # log_q = 0 on one or both sides
+        for x in (0, 5, -5, "0.001", "-1000"):
+            pairs.append((q, mpmath.mpf(0), mpmath.mpf(x)))
+        # negative exponents (as from_exponent gives them: they fit in 53
+        # bits), and sums whose exponent cancels to about 0:
+        # q**hi + q**lo = 1 with hi = log_q(1 - q**lo) at 120 bits
+        for lo in ("-0.5", "-2", "-7.75", "-40", "-100"):
+            lo = mpmath.mpf(lo)
+            with mpmath.workprec(PRECISION_BITS):
+                hi = mpmath.log(1 - mpmath.mpf(q) ** lo) / mpmath.log(q)
+            pairs.append((q, hi, lo))
+            pairs.append((q, lo, lo - 3))
+    return pairs
+
+
+def _operands(pair, rounding):
+    # the constructor keeps every bit of an mpf exponent, as the bound
+    # recurrence's values have; from_exponent would round it to 53 bits
+    q, a, b = pair
+    return q, LogValue(a, q, rounding), LogValue(b, q, rounding), a, b
+
+
+def _assert_within_budget(result, exact, scale, rounding):
+    """result lies on the side of exact its rounding asks for, within
+    twice the nudge of scale (one nudge covers the primitives' error)."""
+    budget = 2 * oracles.nudge_step(scale, PRECISION_BITS, GUARD_BITS)
+    with mpmath.workprec(oracles.ORACLE_BITS):
+        gap = result.log_q - exact
+    if rounding == ROUND_UP:
+        assert 0 < gap <= budget
+    elif rounding == ROUND_DOWN:
+        assert -budget <= gap < 0
+    else:
+        assert abs(gap) <= budget / 2**GUARD_BITS
+
+
+_PAIRS = _random_pairs() + _tail_pairs() + _special_pairs()
+
+
+@pytest.mark.parametrize("rounding", _ROUNDINGS)
+def test_add_brackets_the_oracle(rounding):
+    for pair in _PAIRS:
+        q, x, y, a, b = _operands(pair, rounding)
+        exact = oracles.log_q_of_sum(a, b, q)
+        hi, lo = max(a, b), min(a, b)
+        with mpmath.workprec(oracles.ORACLE_BITS):
+            # the tail's error grows with the exponential's argument t,
+            # and it is the tail's, not the sum's, when the sum cancels;
+            # 2|t| because the magnitudes of tail and t are added
+            tail = exact - hi
+            t = (lo - hi) * mpmath.log(q)
+            scale = max(abs(exact), tail * max(1, 2 * abs(t)))
+        for result in (x + y, y + x):
+            _assert_within_budget(result, exact, scale, rounding)
+
+
+@pytest.mark.parametrize("rounding", _ROUNDINGS)
+def test_mul_brackets_the_oracle(rounding):
+    for pair in _PAIRS:
+        _, x, y, a, b = _operands(pair, rounding)
+        exact = oracles.sum_of_exponents(a, b)
+        for result in (x * y, y * x):
+            _assert_within_budget(result, exact, exact, rounding)
+
+
+@pytest.mark.parametrize("prec", [48, PRECISION_BITS])
+@pytest.mark.parametrize("x", [0, -1, "-3.5", "-1e-30", "-123456.789", 2])
+def test_nudge_moves_by_its_step(x, prec):
+    x = mpmath.mpf(x)
+    step = oracles.nudge_step(x, prec, GUARD_BITS)
+    # the shifted value is rounded to prec bits: half a unit there at most
+    slack = step / 2**(GUARD_BITS - 1)
+    for direction in (1, -1):
+        moved = nudge(x, direction, prec)
+        with mpmath.workprec(oracles.ORACLE_BITS):
+            assert abs(moved - x - direction * step) <= slack
+            assert (moved - x) * direction > 0
+    assert nudge(x, 0, prec) is x
