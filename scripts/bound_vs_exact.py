@@ -13,8 +13,6 @@ import argparse
 import math
 import sys
 
-import mpmath
-
 from richwords import (EnumerationConfig, count_rich, recurrence_bound,
                        seed_table_from_counts)
 

@@ -37,8 +37,6 @@ _HOMES = {
     "LogValue": "logvalue",
     "OmegaParams": "bounds",
     "PRECISION_BITS": "logvalue",
-    "ROUND_DOWN": "logvalue",
-    "ROUND_NEAREST": "logvalue",
     "ROUND_UP": "logvalue",
     "RichCountTable": "enumeration",
     "RichEntry": "enumeration",
@@ -50,7 +48,6 @@ _HOMES = {
     "Word": "words",
     "bootstrap_iterate": "bootstrap",
     "bootstrap_step": "bootstrap",
-    "check_composition_bound": "bounds",
     "check_d_condition": "functions",
     "check_delta": "functions",
     "check_jensen": "bounds",
@@ -60,7 +57,6 @@ _HOMES = {
     "check_psi_family": "functions",
     "compare_luf_bound": "ups",
     "composition_bound_sweep": "bounds",
-    "compositions_count": "bounds",
     "constant_spec": "functions",
     "count_rich": "enumeration",
     "count_rich_symmetric": "enumeration",
@@ -69,8 +65,6 @@ _HOMES = {
     "exponent_compare": "bootstrap",
     "fixed_point_c1": "bootstrap",
     "identity_spec": "functions",
-    "is_palindrome": "words",
-    "is_rich_naive": "words",
     "letters_from_text": "words",
     "ln_spec": "functions",
     "load_cache": "enumeration",
@@ -78,8 +72,6 @@ _HOMES = {
     "log_over_x_crossover": "functions",
     "luf": "ups",
     "max_luf_table": "ups",
-    "naive_palindromic_factor_count": "words",
-    "omega": "bounds",
     "parse_function_spec": "functions",
     "power_spec": "functions",
     "recurrence_bound": "bounds",

@@ -23,13 +23,15 @@ pins a particular choice, because the multiplicative constant inside the
 natural candidate ceil(c*n/ln n) is not determined by the development the
 table is based on.
 
-The rest of the module hosts the companion inequality checks: the
-composition-count bound sum_{p<=L} C(n-1,p-1) <= (e*n/L)**L, the
-convexity (Jensen) comparison, and the product/p-monotonicity checks for
-the growth function Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)).
-Those checks compare exponents with a small relative slack and refuse to
-run (rather than answer False) when their concavity precondition cannot
-be verified on the sampled range.
+The rest of the module hosts the companion inequality checks.  The
+composition-count bound sum_{p<=L} C(n-1,p-1) <= (e*n/L)**L is decided in
+floats with an explicit margin, and by exact integers for a pair inside
+the margin, so it needs neither mpmath nor LogValue.  The convexity
+(Jensen) comparison and the product/p-monotonicity checks for the growth
+function Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)) compare
+exponents with a small relative slack and refuse to run (rather than
+answer False) when their concavity precondition cannot be verified on the
+sampled range.
 """
 
 from __future__ import annotations
@@ -49,11 +51,8 @@ if TYPE_CHECKING:
     from .logvalue import LogValue
 
 __all__ = [
-    "compositions_count",
-    "check_composition_bound",
     "composition_bound_sweep",
     "OmegaParams",
-    "omega",
     "BoundEntry",
     "BoundTable",
     "seed_table_from_counts",
@@ -73,68 +72,42 @@ _HYPOTHESIS_GRID_N = 256
 _JENSEN_GRID_N = 128
 
 
-def compositions_count(n: int, p: int) -> int:
-    """Number of ways to write n as an ordered sum of p positive parts."""
-    if not isinstance(p, int) or p < 1:
-        raise InputError(f"part count must be a positive integer, got {p!r}")
-    if not isinstance(n, int):
-        raise InputError(f"n must be an integer, got {n!r}")
-    if p > n:
-        return 0
-    return math.comb(n - 1, p - 1)
+# P/R = sum_{k<=25} 1/k!, a rational within 1/25! below e
+_E_DEN = math.factorial(25)
+_E_NUM = sum(_E_DEN // math.factorial(k) for k in range(26))
+
+# each float side is off by a few units in the last place of a number
+# below n*(1 + ln n), far less than this for any n a sweep can reach
+_FLOAT_MARGIN = 1e-6
 
 
-def check_composition_bound(n: int, L: int) -> bool:
-    """Exact check of sum_{p=1..L} C(n-1,p-1) <= (e*n/L)**L.
-
-    The left side is an exact integer; the right side is evaluated in
-    high-precision arithmetic and rounded down, so a True verdict is
-    conservative.
-    """
-    import mpmath
-
-    from .logvalue import PRECISION_BITS, nudge
-
-    if not isinstance(n, int) or not isinstance(L, int) or not 1 <= L <= n:
-        raise InputError(f"need integers 1 <= L <= n, got L={L!r}, n={n!r}")
-    lhs = sum(math.comb(n - 1, p - 1) for p in range(1, L + 1))
-    prec = max(PRECISION_BITS, n + 24)
-    with mpmath.mp.workprec(prec):
-        # the right side is rounded down
-        rhs = nudge(mpmath.exp(L * (1 + mpmath.ln(n) - mpmath.ln(L))), -1,
-                    prec)
-        return mpmath.mpf(lhs) <= rhs
+def _composition_pair_holds(lhs: int, n: int, L: int) -> bool:
+    """lhs <= (e*n/L)**L, read in floats when they clear the margin and
+    otherwise by the exact lhs * (R*L)**L <= (P*n)**L, which implies it
+    because P/R < e."""
+    if math.log(lhs) + _FLOAT_MARGIN < L * (1 + math.log(n) - math.log(L)):
+        return True
+    return lhs * (_E_DEN * L) ** L <= (_E_NUM * n) ** L
 
 
 def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
-    """Run check_composition_bound for all 1 <= L <= n <= n_max.
+    """Check sum_{p=1..L} C(n-1,p-1) <= (e*n/L)**L for all
+    1 <= L <= n <= n_max.
 
     Returns the (n, L) pairs that fail; the expected result is an empty
-    list.  Shares logarithms across the sweep, which matters once n_max
-    reaches a few hundred.
+    list.  A pass is certified: the left side is an exact integer, and
+    the right side is bounded below with the float margin or, inside it,
+    with exact integers.
     """
-    import mpmath
-
-    from .logvalue import PRECISION_BITS, nudge
-
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
     failures = []
-    prec = max(PRECISION_BITS, n_max + 24)
-    with mpmath.mp.workprec(prec):
-        ln_table = [mpmath.mpf(0)] * (n_max + 1)
-        for i in range(1, n_max + 1):
-            ln_table[i] = mpmath.ln(i)
-        for n in range(1, n_max + 1):
-            lhs = 0
-            ln_n = ln_table[n]
-            for L in range(1, n + 1):
-                lhs += math.comb(n - 1, L - 1)
-                # the same comparison as check_composition_bound's
-                rhs = nudge(mpmath.exp(L * (1 + ln_n - ln_table[L])), -1,
-                            prec)
-                if not mpmath.mpf(lhs) <= rhs:
-                    failures.append((n, L))
+    for n in range(1, n_max + 1):
+        lhs = 0
+        for L in range(1, n + 1):
+            lhs += math.comb(n - 1, L - 1)
+            if not _composition_pair_holds(lhs, n, L):
+                failures.append((n, L))
     return failures
 
 
@@ -186,29 +159,6 @@ class OmegaParams:
         self._verified = (x_lo, x_hi)
 
 
-# the exponent function is evaluated in IEEE doubles, so a directed
-# omega must be pushed outward by more than a few double ulps; 2**-48
-# relative is ample and still far below any slack the callers use
-_FLOAT_GUARD_PREC = 48
-
-
-def omega(x: float, params: OmegaParams,
-          rounding: str = "nearest") -> LogValue:
-    """Omega(x) as a LogValue in base q."""
-    import mpmath
-
-    from .logvalue import ROUND_DOWN, ROUND_UP, LogValue, nudge
-
-    if not x >= 1:
-        raise InputError(f"x must be at least 1, got {x!r}")
-    exponent = mpmath.mpf(params.exponent.value(float(x)))
-    if rounding == ROUND_UP:
-        exponent = nudge(exponent, 1, prec=_FLOAT_GUARD_PREC)
-    elif rounding == ROUND_DOWN:
-        exponent = nudge(exponent, -1, prec=_FLOAT_GUARD_PREC)
-    return LogValue.from_exponent(exponent, params.q, rounding)
-
-
 @dataclass(frozen=True)
 class BoundEntry:
     value: LogValue
@@ -225,13 +175,13 @@ class BoundTable:
 def seed_table_from_counts(counts: dict[int, int], q: int) -> BoundTable:
     """Build a seed table from exact integer counts, rounding exponents
     up so the seeds themselves are valid upper bounds."""
-    from .logvalue import ROUND_UP, LogValue
+    from .logvalue import LogValue
 
     entries = {}
     for n, count in counts.items():
         if not isinstance(n, int) or n < 1:
             raise InputError(f"seed index must be a positive integer, got {n!r}")
-        entries[n] = BoundEntry(LogValue.from_int(count, q, ROUND_UP),
+        entries[n] = BoundEntry(LogValue.from_int(count, q),
                                 "exact-seed")
     return BoundTable(q, entries, tau_label="unset")
 
@@ -260,8 +210,6 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
     S_1..S_p_cap are built, p_cap = min(n_max, max tau), which costs
     O(p_cap * n_max**2) operations and a p_cap x n_max table.
     """
-    from .logvalue import ROUND_UP
-
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
     n_seed = _checked_seeds(seeds)
@@ -273,8 +221,6 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
         value = entry.value
         if value.q != q:
             raise InputError(f"seed at n={n} has base {value.q}, table has {q}")
-        if value.rounding != ROUND_UP:
-            value = value.with_rounding(ROUND_UP)
         values[n] = value
         out_entries[n] = BoundEntry(value, entry.provenance)
     if n_max <= n_seed:

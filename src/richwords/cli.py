@@ -313,8 +313,6 @@ def _load_count_table(ns) -> enumeration.RichCountTable:
     if flags:
         raise InputError("--load-cache cannot be combined with enumeration "
                          f"flags: {', '.join(flags)}")
-    if ns.n < 1:
-        raise InputError(f"n_max must be a positive integer, got {ns.n}")
     table = enumeration.load_cache(_cache_path(ns.load_cache),
                                    expected_q=ns.q)
     for n in range(1, ns.n + 1):
@@ -326,6 +324,7 @@ def _load_count_table(ns) -> enumeration.RichCountTable:
 
 
 def _cmd_count(ns):
+    _check_at_least("--n", ns.n, 1)
     if ns.load_cache:
         table = _load_count_table(ns)
     else:
@@ -414,6 +413,7 @@ def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
     # flags are checked before the seeds are enumerated
+    _check_at_least("--n-max", ns.n_max, 1)
     if ns.seed_n is not None:
         _check_at_least("--seed-n", ns.seed_n, 1)
     tau, tau_label = _parse_tau(ns)
@@ -439,6 +439,7 @@ def _cmd_bound_recurrence(ns):
 
 
 def _cmd_verify_composition_bound(ns):
+    _check_at_least("--n-max", ns.n_max, 1)
     failures = bounds.composition_bound_sweep(ns.n_max)
     ok = not failures
     result = {"n_max": ns.n_max, "ok": ok,

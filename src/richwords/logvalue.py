@@ -1,19 +1,18 @@
-"""Positive reals stored as base-q exponents, with directed rounding.
+"""Positive reals stored as base-q exponents, every operation rounded up.
 
 A LogValue represents q**log_q.  Multiplication adds exponents; addition
 of the represented values goes through log-sum-exp in base q.  Exponents
 are mpmath floats carried at PRECISION_BITS of working precision, well
 above the 80 bits the bound tables call for.
 
-Directed rounding is implemented by an outward nudge: after an operation
-is evaluated at working precision, the result is shifted by
-2**(m - PRECISION_BITS + GUARD_BITS) in the requested direction, where m
-is the magnitude of the result (mpmath.mag, 0 for zero).  mpmath's
-primitive operations are accurate to about one unit in the last place,
-and no operation here composes more than a handful of primitives, so the
-nudge strictly covers the true result.  Chains of "up" operations
-therefore give certified upper bounds (and "down" chains lower bounds) at
-the cost of a relative error around 2**-112 per step.
+Rounding up is implemented by an outward nudge: after an operation is
+evaluated at working precision, the result is raised by
+2**(m - PRECISION_BITS + GUARD_BITS), where m is the magnitude of the
+result (mpmath.mag, 0 for zero).  mpmath's primitive operations are
+accurate to about one unit in the last place, and no operation here
+composes more than a handful of primitives, so the nudge strictly covers
+the true result.  Chains of operations therefore give certified upper
+bounds, at the cost of a relative error around 2**-112 per step.
 
 Addition evaluates hi + log_q(1 + q**(lo - hi)), and the error of its
 tail is relative to the tail, not to the sum: the argument t of the
@@ -24,7 +23,7 @@ sum is 0, and mag(tail) + max(0, mag(t)).  For hi >= 1, as everywhere in
 the bound recurrence, the second is never the larger (tail * |t| < 1
 there), so m is mag(sum) as for every other operation.
 
-`*`, `+` and nudge call mpmath.libmp on the raw (sign, man, exp, bc)
+`*`, `+` and the nudge call mpmath.libmp on the raw (sign, man, exp, bc)
 tuples of the exponents.  They run the same primitives, at the same
 precisions and with the same round-to-nearest, as mpmath's context does
 for `x + y`, `exp`, `log1p` and `/` at PRECISION_BITS (log1p at 10 bits
@@ -46,11 +45,8 @@ from .errors import InputError
 PRECISION_BITS = 120
 GUARD_BITS = 8
 
+# the only rounding; from_int takes it by name
 ROUND_UP = "up"
-ROUND_DOWN = "down"
-ROUND_NEAREST = "nearest"
-
-_DIRECTION = {ROUND_UP: 1, ROUND_DOWN: -1, ROUND_NEAREST: 0}
 
 # mpmath.log1p works at 10 bits above the caller's precision
 _LOG1P_PREC = PRECISION_BITS + 10
@@ -74,27 +70,11 @@ def _mag(x: tuple) -> int:
     return exp + bc if man else 0
 
 
-def _nudged(x: tuple, direction: int, prec: int, magnitude: int) -> tuple:
-    """x moved by 2**(magnitude - prec + GUARD_BITS), on raw mpf tuples."""
-    if direction == 0:
-        return x
+def _nudged(x: tuple, prec: int, magnitude: int) -> tuple:
+    """x raised by 2**(magnitude - prec + GUARD_BITS), the sum rounded to
+    nearest at prec bits, on raw mpf tuples."""
     eps = mpf_shift(fone, magnitude - prec + GUARD_BITS)
-    if direction > 0:
-        return mpf_add(x, eps, prec, round_nearest)
-    return mpf_sub(x, eps, prec, round_nearest)
-
-
-def nudge(x, direction: int, prec: int = PRECISION_BITS):
-    """Shift x outward by 2**(mag(x) - prec + GUARD_BITS), the sum rounded
-    to nearest at prec bits.
-
-    direction +1 moves up, -1 moves down, 0 returns x unchanged.  The
-    shift floor for x == 0 is 2**(-prec + GUARD_BITS).
-    """
-    if direction == 0:
-        return x
-    x = mp.convert(x)._mpf_  # exact for ints and floats; keeps an mpf's bits
-    return _make_mpf(_nudged(x, direction, prec, _mag(x)))
+    return mpf_add(x, eps, prec, round_nearest)
 
 
 def _log1p(x: tuple) -> tuple:
@@ -112,27 +92,16 @@ def _log1p(x: tuple) -> tuple:
     return mpf_pos(value, PRECISION_BITS, round_nearest)
 
 
-def _check_rounding(rounding: str) -> int:
-    try:
-        return _DIRECTION[rounding]
-    except KeyError:
-        raise InputError(
-            f"rounding must be one of {sorted(_DIRECTION)}, got {rounding!r}"
-        ) from None
-
-
 @dataclass(frozen=True, eq=False)
 class LogValue:
-    """The positive real q**log_q under a fixed rounding policy."""
+    """The positive real q**log_q; every operation on it rounds up."""
 
     log_q: mpmath.mpf
     q: int
-    rounding: str = ROUND_NEAREST
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
             raise InputError(f"base must be an integer >= 2, got {self.q!r}")
-        _check_rounding(self.rounding)
         # coerce only non-mpf input: mpf(x) re-rounds an existing mpf to
         # the ambient (53-bit) precision, which would erase the nudges
         if not isinstance(self.log_q, mpmath.mpf):
@@ -142,21 +111,19 @@ class LogValue:
     # -- constructors ------------------------------------------------------
 
     @classmethod
-    def from_int(cls, value: int, q: int, rounding: str = ROUND_NEAREST
+    def from_int(cls, value: int, q: int, rounding: str = ROUND_UP
                  ) -> "LogValue":
+        """value as a LogValue, its exponent rounded up."""
+        if rounding != ROUND_UP:
+            raise InputError(
+                f"rounding must be {ROUND_UP!r}, got {rounding!r}")
         if not isinstance(value, int) or value < 1:
             raise InputError(f"need a positive integer, got {value!r}")
-        direction = _check_rounding(rounding)
         with mp.workprec(max(PRECISION_BITS, value.bit_length() + 16)):
             exponent = mpmath.ln(value) / _ln_base(q)
-        with mp.workprec(PRECISION_BITS):
-            exponent = +exponent
-        return cls(nudge(exponent, direction), q, rounding)
-
-    @classmethod
-    def from_exponent(cls, log_q, q: int, rounding: str = ROUND_NEAREST
-                      ) -> "LogValue":
-        return cls(mpmath.mpf(log_q), q, rounding)
+        exponent = mpf_pos(exponent._mpf_, PRECISION_BITS, round_nearest)
+        return cls(_make_mpf(_nudged(exponent, PRECISION_BITS,
+                                     _mag(exponent))), q)
 
     # -- arithmetic ---------------------------------------------------------
 
@@ -165,18 +132,14 @@ class LogValue:
             raise InputError(f"expected a LogValue, got {other!r}")
         if other.q != self.q:
             raise InputError(f"mixed bases {self.q} and {other.q}")
-        if other.rounding != self.rounding:
-            raise InputError(
-                f"mixed rounding {self.rounding!r} and {other.rounding!r}")
 
     def __mul__(self, other: "LogValue") -> "LogValue":
         self._compatible(other)
         # one rounding of the exact sum: its error is relative to the sum
         exponent = mpf_add(self.log_q._mpf_, other.log_q._mpf_,
                            PRECISION_BITS, round_nearest)
-        return LogValue(_make_mpf(_nudged(exponent, _DIRECTION[self.rounding],
-                                          PRECISION_BITS, _mag(exponent))),
-                        self.q, self.rounding)
+        return LogValue(_make_mpf(_nudged(exponent, PRECISION_BITS,
+                                          _mag(exponent))), self.q)
 
     def __add__(self, other: "LogValue") -> "LogValue":
         """Addition of the represented values via base-q log-sum-exp."""
@@ -196,18 +159,7 @@ class LogValue:
         magnitude = _mag(tail) + max(0, _mag(t))
         if exponent[1]:
             magnitude = max(magnitude, _mag(exponent))
-        return LogValue(_make_mpf(_nudged(exponent, _DIRECTION[self.rounding],
-                                          prec, magnitude)),
-                        self.q, self.rounding)
-
-    def with_rounding(self, rounding: str) -> "LogValue":
-        """Re-tag the rounding policy; moving to a directed mode nudges the
-        exponent outward so certification is preserved."""
-        direction = _check_rounding(rounding)
-        exponent = self.log_q
-        if rounding != self.rounding and direction != 0:
-            exponent = nudge(exponent, direction)
-        return LogValue(exponent, self.q, rounding)
+        return LogValue(_make_mpf(_nudged(exponent, prec, magnitude)), self.q)
 
     def __repr__(self):
-        return f"LogValue({self.q}**{mpmath.nstr(self.log_q, 12)}, {self.rounding})"
+        return f"LogValue({self.q}**{mpmath.nstr(self.log_q, 12)})"

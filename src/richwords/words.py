@@ -1,10 +1,7 @@
-"""Alphabet and word primitives, plus the naive palindromic-factor oracle.
+"""Alphabet and word primitives.
 
 Letters are small non-negative integers.  Text I/O maps 'a'..'z' to 0..25
 at the edges only; everything inside the package works on integer tuples.
-
-The oracle here enumerates all substrings into a set.  It is deliberately
-slow and obvious so the fast paths elsewhere can be checked against it.
 """
 
 from __future__ import annotations
@@ -68,30 +65,3 @@ def text_from_letters(letters) -> str:
     if any(a >= 26 for a in letters):
         raise InputError("letters above 25 have no text rendering")
     return "".join(_TEXT_ALPHABET[a] for a in letters)
-
-
-def is_palindrome(w: Word) -> bool:
-    """True iff the word reads the same in both directions (empty: True)."""
-    return w.letters == w.letters[::-1]
-
-
-def naive_palindromic_factor_count(w: Word) -> int:
-    """Number of distinct palindromic factors of w, counting the empty word.
-
-    Quadratic-time reference implementation: collect every substring that
-    is a palindrome into a set and add one for the empty factor.
-    """
-    seen = set()
-    letters = w.letters
-    n = len(letters)
-    for i in range(n):
-        for j in range(i + 1, n + 1):
-            sub = letters[i:j]
-            if sub == sub[::-1]:
-                seen.add(sub)
-    return len(seen) + 1
-
-
-def is_rich_naive(w: Word) -> bool:
-    """True iff w attains the maximum |w|+1 distinct palindromic factors."""
-    return naive_palindromic_factor_count(w) == len(w) + 1

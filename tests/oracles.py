@@ -2,9 +2,10 @@
 
 Everything here is written the dumb-but-obvious way on purpose: set
 comprehensions over all substrings, O(n^2) scans, exact integer
-arithmetic. None of it imports the algorithms under test beyond plain
-data containers, except that rich_entries_plain_dfs prunes with the
-public Eertree, which the tests check against palindromic_factors.
+arithmetic, or mpmath at high precision. None of it imports the
+algorithms under test beyond plain data containers and error types,
+except that rich_entries_plain_dfs prunes with the public Eertree, which
+the tests check against palindromic_factors.
 """
 
 from __future__ import annotations
@@ -14,6 +15,8 @@ import math
 from fractions import Fraction
 
 import mpmath
+
+from richwords.errors import InputError
 
 
 def all_words(q, n):
@@ -78,6 +81,34 @@ def compositions(n, p):
     for first in range(1, n - p + 2):
         for rest in compositions(n - first, p - 1):
             yield (first,) + rest
+
+
+def compositions_count(n, p):
+    """Number of ways to write n as an ordered sum of p positive parts."""
+    if not isinstance(p, int) or p < 1:
+        raise InputError(f"part count must be a positive integer, got {p!r}")
+    if not isinstance(n, int):
+        raise InputError(f"n must be an integer, got {n!r}")
+    if p > n:
+        return 0
+    return math.comb(n - 1, p - 1)
+
+
+def check_composition_bound(n, L):
+    """sum_{p=1..L} C(n-1,p-1) <= (e*n/L)**L, the right side in mpmath.
+
+    The left side is an exact integer; the right side is evaluated at
+    n + 24 bits (120 at least) and moved down by 2**(mag - prec + 8), so
+    a True verdict is conservative.
+    """
+    if not isinstance(n, int) or not isinstance(L, int) or not 1 <= L <= n:
+        raise InputError(f"need integers 1 <= L <= n, got L={L!r}, n={n!r}")
+    lhs = sum(math.comb(n - 1, p - 1) for p in range(1, L + 1))
+    prec = max(120, n + 24)
+    with mpmath.workprec(prec):
+        rhs = mpmath.exp(L * (1 + mpmath.ln(n) - mpmath.ln(L)))
+        rhs -= mpmath.ldexp(1, mpmath.mag(rhs) - prec + 8)
+        return lhs <= rhs
 
 
 def rich_counts_brute(q, n_max):
@@ -187,6 +218,13 @@ def exponent_value_mp(fn, x):
             * mpmath.log(spec_value_mp(fn.phi, x)))
 
 
+def log2_bracket(n):
+    """(lower, upper) enclosure of log2(n), good to ~2^-140."""
+    with mpmath.workprec(250):
+        x = mpmath.log(n) / mpmath.log(2)
+        return x - mpmath.ldexp(1, -140), x + mpmath.ldexp(1, -140)
+
+
 def log_sum_exact(ints, q):
     """log_q of an exact integer sum, as an mpf at high precision."""
     total = sum(ints)
@@ -214,7 +252,7 @@ def sum_of_exponents(a, b):
 
 def nudge_step(x, prec, guard):
     """2**(m - prec + guard), where 2**(m - 1) <= |x| < 2**m (m = 0 for
-    x == 0): the outward shift of a LogValue nudge at prec bits."""
+    x == 0): the upward shift of a LogValue nudge at prec bits."""
     m = 0 if x == 0 else mpmath.frexp(x)[1]
     return mpmath.ldexp(1, m - prec + guard)
 

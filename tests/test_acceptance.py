@@ -14,8 +14,8 @@ import time
 import mpmath
 
 from richwords import (BootstrapState, Eertree, EnumerationConfig,
-                       ExponentFunction, FunctionSpec, LogValue, OmegaParams,
-                       ROUND_DOWN, ROUND_UP, bootstrap_iterate,
+                       ExponentFunction, FunctionSpec, OmegaParams,
+                       bootstrap_iterate,
                        bootstrap_step, check_d_condition, check_jensen,
                        check_p_monotonicity, check_product_bound,
                        composition_bound_sweep, count_rich,
@@ -132,8 +132,8 @@ def test_criterion_05_recurrence_dominates_exact_counts():
 
     ok = True
     for n in range(11, 21):
-        exact_floor = LogValue.from_int(counts[n], 2, ROUND_DOWN)
-        if not bound.entries[n].value.log_q >= exact_floor.log_q:
+        exact_floor, _ = oracles.log2_bracket(counts[n])
+        if not bound.entries[n].value.log_q >= exact_floor:
             ok = False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 600.0

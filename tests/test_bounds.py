@@ -8,15 +8,15 @@ from hypothesis import strategies as st
 
 from richwords import (EnumerationConfig, FunctionSpec,
                        HypothesisNotVerifiedError, InputError, OmegaParams,
-                       ROUND_DOWN, ROUND_UP, SeedGapError,
-                       check_composition_bound, check_jensen,
-                       check_p_monotonicity, check_product_bound,
-                       composition_bound_sweep, compositions_count,
-                       count_rich, identity_spec, omega,
-                       power_spec, recurrence_bound, seed_table_from_counts,
-                       sqrt_spec, x_over_ln_spec)
+                       SeedGapError, check_jensen, check_p_monotonicity,
+                       check_product_bound, composition_bound_sweep,
+                       count_rich, identity_spec, power_spec,
+                       recurrence_bound, seed_table_from_counts, sqrt_spec,
+                       x_over_ln_spec)
+from richwords.bounds import _E_DEN, _E_NUM, _composition_pair_holds
 
 from . import oracles
+from .oracles import check_composition_bound, compositions_count
 
 
 # -- compositions -----------------------------------------------------------
@@ -54,6 +54,28 @@ def test_composition_bound_sweep_clean():
     assert composition_bound_sweep(120) == []
 
 
+def test_composition_bound_sweep_matches_mpmath_oracle():
+    n_max = 150
+    failures = set(composition_bound_sweep(n_max))
+    for n in range(1, n_max + 1):
+        for L in range(1, n + 1):
+            assert ((n, L) not in failures) == check_composition_bound(n, L)
+
+
+@pytest.mark.parametrize("n, L", [(30, 10), (100, 40), (600, 600)])
+def test_composition_pair_exact_edge(n, L):
+    # the largest lhs the exact test passes; both sit inside the float
+    # margin, so the exact fallback decides them
+    edge = (_E_NUM * n) ** L // (_E_DEN * L) ** L
+    assert _composition_pair_holds(edge, n, L)
+    assert not _composition_pair_holds(edge + 1, n, L)
+
+
+def test_e_lower_rational_is_below_e():
+    with mpmath.workprec(200):
+        assert mpmath.mpf(_E_NUM) / _E_DEN < mpmath.e
+
+
 def test_composition_bound_is_tightish():
     # the bound is within a factor e^L of the exact sum for L = n
     n = 30
@@ -70,31 +92,9 @@ def test_composition_bound_validation():
         check_composition_bound(5, 6)
 
 
-# -- omega ------------------------------------------------------------------
-
-
 def _identity_params(q=2):
     return OmegaParams(q=q, c1=1.0, c2=1.0, phi=identity_spec(),
                        psi=identity_spec())
-
-
-def test_omega_exponent_identity_pair():
-    p = _identity_params()
-    assert abs(float(omega(math.e, p).log_q) - 2.0) < 1e-12
-    assert abs(float(omega(1.0, p).log_q) - 1.0) < 1e-12
-
-
-def test_omega_respects_rounding_tag():
-    p = _identity_params()
-    up = omega(10.0, p, ROUND_UP)
-    down = omega(10.0, p, ROUND_DOWN)
-    assert down.log_q < up.log_q
-    assert up.rounding == ROUND_UP
-
-
-def test_omega_rejects_below_one():
-    with pytest.raises(InputError):
-        omega(0.5, _identity_params())
 
 
 # -- seed tables ------------------------------------------------------------

@@ -88,12 +88,18 @@ def test_count_symmetric_sharded_budget_is_exit_one():
     ("--workers", "0"),
     ("--workers", "2", "--shard-depth", "-4"),
     ("--workers", "2", "--shard-depth", "0"),
+    # the cache is never opened
+    ("--n", "0"),
+    ("--n", "-2"),
+    ("--n", "0", "--load-cache", "absent.jsonl"),
 ])
 def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
     code, out, err = _invoke("count", "--q", "2", "--n", "6", *flags)
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
+    if flags[0] == "--n":
+        assert f"--n must be >= 1, got {flags[1]}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -141,6 +147,9 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
       "--points", "0"), "--points"),
     (("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
       "--points", "1"), "--points"),
+    # checked no pair
+    (("composition-bound", "--n-max", "0"), "--n-max"),
+    (("composition-bound", "--n-max", "-1"), "--n-max"),
 ])
 def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     code, out, err = _invoke("verify", *argv)
@@ -177,7 +186,7 @@ def test_count_load_cache_prints_rows_up_to_n(tmp_path):
     code, out, _ = _invoke("count", "--q", "2", "--n", "3",
                            "--load-cache", path, "--format", "csv")
     assert out == "n,count,max_luf\n1,2,1\n2,4,2\n3,8,2\n"
-    for n, message in (("7", "has no row n=7"), ("0", "positive")):
+    for n, message in (("7", "has no row n=7"), ("0", "--n must be >= 1")):
         code, out, err = _invoke("count", "--q", "2", "--n", n,
                                  "--load-cache", path)
         assert (code, out) == (1, ""), n
@@ -289,13 +298,15 @@ def test_bound_recurrence_seed_flags_exclusive(tmp_path):
     assert "seed" in err
 
 
-@pytest.mark.parametrize("seed_n", ["0", "-3"])
-def test_bound_recurrence_nonpositive_seed_n_names_the_flag(seed_n):
+@pytest.mark.parametrize("flag, value", [
+    ("--seed-n", "0"), ("--seed-n", "-3"), ("--n-max", "0"),
+    ("--n-max", "-3")], ids=["0", "-3", "n-max-0", "n-max--3"])
+def test_bound_recurrence_nonpositive_seed_n_names_the_flag(flag, value):
     code, out, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "5",
-                             "--seed-n", seed_n)
+                             "--seed-n", "4", flag, value)
     assert code == 1
     assert out == ""
-    assert f"--seed-n must be >= 1, got {seed_n}" in err
+    assert f"{flag} must be >= 1, got {value}" in err
     assert "Traceback" not in err
 
 

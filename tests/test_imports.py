@@ -50,6 +50,13 @@ def test_count_loads_no_mpmath_and_only_its_own_modules():
                                    "richwords.errors", "richwords.version"]
 
 
+def test_verify_composition_bound_loads_no_mpmath():
+    loaded = _fresh_run("verify", "composition-bound", "--n-max", "30")
+    assert loaded["code"] == 0
+    assert loaded["mpmath"] is False
+    assert "richwords.logvalue" not in loaded["richwords"]
+
+
 def test_bound_recurrence_loads_mpmath_on_first_use():
     loaded = _fresh_run("bound-recurrence", "--q", "2", "--seed-n", "4",
                         "--n-max", "8")

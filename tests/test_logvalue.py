@@ -6,9 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (InputError, LogValue, ROUND_DOWN, ROUND_NEAREST,
-                       ROUND_UP)
-from richwords.logvalue import GUARD_BITS, PRECISION_BITS, nudge
+from richwords import InputError, LogValue, ROUND_UP
+from richwords.logvalue import GUARD_BITS, PRECISION_BITS, _mag, _nudged
 
 from . import oracles
 
@@ -27,14 +26,14 @@ def test_from_int_rejects_nonpositive():
 
 def test_base_validation():
     with pytest.raises(InputError):
-        LogValue.from_exponent(1.0, 1)
+        LogValue(mpmath.mpf(1), 1)
     with pytest.raises(InputError):
-        LogValue.from_exponent(1.0, 0)
+        LogValue(mpmath.mpf(1), 0)
 
 
 def test_mul_adds_exponents():
-    a = LogValue.from_exponent(3.0, 2)
-    b = LogValue.from_exponent(4.5, 2)
+    a = LogValue(mpmath.mpf(3), 2)
+    b = LogValue(mpmath.mpf("4.5"), 2)
     assert abs(float((a * b).log_q) - 7.5) < 1e-30
 
 
@@ -53,30 +52,11 @@ def test_mixed_bases_rejected():
         a + b
 
 
-def test_mixed_rounding_rejected():
-    a = LogValue.from_int(2, 2, ROUND_UP)
-    b = LogValue.from_int(2, 2, ROUND_DOWN)
-    with pytest.raises(InputError):
-        a * b
-
-
-def test_directed_ordering():
-    # compare as mpf: the nudges live ~100 bits below float64 resolution
-    for x, y in ((932, 488), (3, 7), (10**6, 10**6 + 1)):
-        up = LogValue.from_int(x, 2, ROUND_UP) + LogValue.from_int(
-            y, 2, ROUND_UP)
-        near = LogValue.from_int(x, 2) + LogValue.from_int(y, 2)
-        down = LogValue.from_int(x, 2, ROUND_DOWN) + LogValue.from_int(
-            y, 2, ROUND_DOWN)
-        assert down.log_q <= near.log_q <= up.log_q
-        assert down.log_q < up.log_q
-
-
-def _log2_bracket(n):
-    """(lower, upper) enclosure of log2(n), good to ~2^-140."""
-    with mpmath.workprec(250):
-        x = mpmath.log(n) / mpmath.log(2)
-        return x - mpmath.ldexp(1, -140), x + mpmath.ldexp(1, -140)
+def test_from_int_rejects_other_roundings():
+    assert LogValue.from_int(2, 2, ROUND_UP).log_q > 1
+    for rounding in ("down", "nearest", "UP", None):
+        with pytest.raises(InputError, match="rounding"):
+            LogValue.from_int(2, 2, rounding)
 
 
 @settings(max_examples=200)
@@ -86,58 +66,41 @@ def test_up_sum_dominates_exact(ints):
     acc = LogValue.from_int(ints[0], 2, ROUND_UP)
     for x in ints[1:]:
         acc = acc + LogValue.from_int(x, 2, ROUND_UP)
-    lower, _ = _log2_bracket(sum(ints))
+    lower, _ = oracles.log2_bracket(sum(ints))
     assert acc.log_q > lower
 
 
 @settings(max_examples=200)
 @given(st.lists(st.integers(1, 10**9), min_size=2, max_size=8))
-def test_down_product_never_overshoots(ints):
-    acc = LogValue.from_int(ints[0], 2, ROUND_DOWN)
+def test_up_product_never_undershoots(ints):
+    acc = LogValue.from_int(ints[0], 2, ROUND_UP)
     exact = ints[0]
     for x in ints[1:]:
-        acc = acc * LogValue.from_int(x, 2, ROUND_DOWN)
+        acc = acc * LogValue.from_int(x, 2, ROUND_UP)
         exact *= x
-    _, upper = _log2_bracket(exact)
-    assert acc.log_q < upper
+    lower, _ = oracles.log2_bracket(exact)
+    assert acc.log_q > lower
 
 
 @given(st.integers(1, 10**15), st.integers(1, 10**15))
 def test_add_commutes_to_the_ulp(x, y):
-    a = LogValue.from_int(x, 2) + LogValue.from_int(y, 2)
-    b = LogValue.from_int(y, 2) + LogValue.from_int(x, 2)
+    a = LogValue.from_int(x, 2, ROUND_UP) + LogValue.from_int(y, 2, ROUND_UP)
+    b = LogValue.from_int(y, 2, ROUND_UP) + LogValue.from_int(x, 2, ROUND_UP)
     assert abs(a.log_q - b.log_q) < mpmath.mpf(2) ** -90
 
 
 def test_addition_associativity_within_tolerance():
     xs = [17, 5, 90001, 3]
-    left = LogValue.from_int(xs[0], 2)
+    left = LogValue.from_int(xs[0], 2, ROUND_UP)
     for x in xs[1:]:
-        left = left + LogValue.from_int(x, 2)
-    right = LogValue.from_int(xs[-1], 2)
+        left = left + LogValue.from_int(x, 2, ROUND_UP)
+    right = LogValue.from_int(xs[-1], 2, ROUND_UP)
     for x in reversed(xs[:-1]):
-        right = LogValue.from_int(x, 2) + right
+        right = LogValue.from_int(x, 2, ROUND_UP) + right
     assert abs(left.log_q - right.log_q) < mpmath.mpf(2) ** -90
 
 
-def test_with_rounding_nudges_outward():
-    v = LogValue.from_exponent(1.0, 2)
-    up = v.with_rounding(ROUND_UP)
-    down = v.with_rounding(ROUND_DOWN)
-    assert float(down.log_q) <= 1.0 <= float(up.log_q)
-    assert up.rounding == ROUND_UP
-
-
-def test_nudge_is_strict():
-    x = mpmath.mpf(1.0)
-    assert nudge(x, 1) > x
-    assert nudge(x, -1) < x
-    assert nudge(mpmath.mpf(0), 1) > 0
-
-
 # -- the kernel against the 400-bit oracles ------------------------------
-
-_ROUNDINGS = (ROUND_UP, ROUND_DOWN, ROUND_NEAREST)
 
 
 def _exponent(rng):
@@ -171,8 +134,8 @@ def _special_pairs():
         # log_q = 0 on one or both sides
         for x in (0, 5, -5, "0.001", "-1000"):
             pairs.append((q, mpmath.mpf(0), mpmath.mpf(x)))
-        # negative exponents (as from_exponent gives them: they fit in 53
-        # bits), and sums whose exponent cancels to about 0:
+        # negative exponents that fit in 53 bits, and sums whose
+        # exponent cancels to about 0:
         # q**hi + q**lo = 1 with hi = log_q(1 - q**lo) at 120 bits
         for lo in ("-0.5", "-2", "-7.75", "-40", "-100"):
             lo = mpmath.mpf(lo)
@@ -183,34 +146,28 @@ def _special_pairs():
     return pairs
 
 
-def _operands(pair, rounding):
+def _operands(pair):
     # the constructor keeps every bit of an mpf exponent, as the bound
-    # recurrence's values have; from_exponent would round it to 53 bits
+    # recurrence's values have
     q, a, b = pair
-    return q, LogValue(a, q, rounding), LogValue(b, q, rounding), a, b
+    return q, LogValue(a, q), LogValue(b, q), a, b
 
 
-def _assert_within_budget(result, exact, scale, rounding):
-    """result lies on the side of exact its rounding asks for, within
-    twice the nudge of scale (one nudge covers the primitives' error)."""
+def _assert_within_budget(result, exact, scale):
+    """result lies above exact, within twice the nudge of scale (one
+    nudge covers the primitives' error)."""
     budget = 2 * oracles.nudge_step(scale, PRECISION_BITS, GUARD_BITS)
     with mpmath.workprec(oracles.ORACLE_BITS):
         gap = result.log_q - exact
-    if rounding == ROUND_UP:
-        assert 0 < gap <= budget
-    elif rounding == ROUND_DOWN:
-        assert -budget <= gap < 0
-    else:
-        assert abs(gap) <= budget / 2**GUARD_BITS
+    assert 0 < gap <= budget
 
 
 _PAIRS = _random_pairs() + _tail_pairs() + _special_pairs()
 
 
-@pytest.mark.parametrize("rounding", _ROUNDINGS)
-def test_add_brackets_the_oracle(rounding):
+def test_add_brackets_the_oracle():
     for pair in _PAIRS:
-        q, x, y, a, b = _operands(pair, rounding)
+        q, x, y, a, b = _operands(pair)
         exact = oracles.log_q_of_sum(a, b, q)
         hi, lo = max(a, b), min(a, b)
         with mpmath.workprec(oracles.ORACLE_BITS):
@@ -221,16 +178,15 @@ def test_add_brackets_the_oracle(rounding):
             t = (lo - hi) * mpmath.log(q)
             scale = max(abs(exact), tail * max(1, 2 * abs(t)))
         for result in (x + y, y + x):
-            _assert_within_budget(result, exact, scale, rounding)
+            _assert_within_budget(result, exact, scale)
 
 
-@pytest.mark.parametrize("rounding", _ROUNDINGS)
-def test_mul_brackets_the_oracle(rounding):
+def test_mul_brackets_the_oracle():
     for pair in _PAIRS:
-        _, x, y, a, b = _operands(pair, rounding)
+        _, x, y, a, b = _operands(pair)
         exact = oracles.sum_of_exponents(a, b)
         for result in (x * y, y * x):
-            _assert_within_budget(result, exact, exact, rounding)
+            _assert_within_budget(result, exact, exact)
 
 
 @pytest.mark.parametrize("prec", [48, PRECISION_BITS])
@@ -240,9 +196,7 @@ def test_nudge_moves_by_its_step(x, prec):
     step = oracles.nudge_step(x, prec, GUARD_BITS)
     # the shifted value is rounded to prec bits: half a unit there at most
     slack = step / 2**(GUARD_BITS - 1)
-    for direction in (1, -1):
-        moved = nudge(x, direction, prec)
-        with mpmath.workprec(oracles.ORACLE_BITS):
-            assert abs(moved - x - direction * step) <= slack
-            assert (moved - x) * direction > 0
-    assert nudge(x, 0, prec) is x
+    moved = mpmath.mp.make_mpf(_nudged(x._mpf_, prec, _mag(x._mpf_)))
+    with mpmath.workprec(oracles.ORACLE_BITS):
+        assert abs(moved - x - step) <= slack
+        assert moved > x

