@@ -116,10 +116,11 @@ class OmegaParams:
     """Parameters of the growth function Omega and its exponent.
 
     exponent is the ExponentFunction of c1, c2, phi and psi, built (and
-    its constants checked) once.  ensure_hypothesis() verifies (on a
-    sampled log grid) that psi stays below the identity and that the
-    exponent function is increasing and concave over a range, and caches
-    the verified hull so sweeps do not re-verify per call.
+    its constants checked) once.  ensure_hypothesis() verifies with
+    check_psi_family (on one sampled log grid) that psi stays below the
+    identity and that the exponent function is increasing and concave
+    over a range, and caches the verified hull so sweeps do not re-verify
+    per call.
     """
 
     q: int
@@ -144,19 +145,27 @@ class OmegaParams:
             if lo <= x_lo and x_hi <= hi:
                 return
             x_lo, x_hi = min(lo, x_lo), max(hi, x_hi)
-        for x in (x_lo, x_hi):
-            if self.psi.value(x) > x:
-                raise HypothesisNotVerifiedError(
-                    f"psi(x) <= x fails at x={x:g} for {self.psi.label}")
-        from .functions import check_delta
+        from .functions import check_psi_family
 
-        report = check_delta(self.exponent, x_lo, x_hi, _HYPOTHESIS_GRID_N)
-        if not report.ok:
-            raise HypothesisNotVerifiedError(
-                f"exponent function is not concave-increasing near "
-                f"x={report.violation_x:g} ({report.violation_kind})",
-                report)
+        _require(check_psi_family(self.exponent, x_lo, x_hi,
+                                  _HYPOTHESIS_GRID_N), "exponent function")
         self._verified = (x_lo, x_hi)
+
+
+def _require(report, what: str) -> None:
+    """Raise HypothesisNotVerifiedError, carrying report, unless the
+    sampled precondition held; report is a PsiFamilyReport or a
+    DeltaReport."""
+    if report.ok:
+        return
+    psi_x = getattr(report, "psi_violation_x", None)
+    if psi_x is not None:
+        reason = f"psi(x) <= x fails at x={psi_x:g}"
+    else:
+        delta = getattr(report, "combined_delta", report)
+        reason = (f"not concave-increasing near x={delta.violation_x:g} "
+                  f"({delta.violation_kind})")
+    raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
 
 
 @dataclass(frozen=True)
@@ -345,12 +354,7 @@ def check_jensen(f, xs) -> bool:
     xs = [float(x) for x in xs]
     if not xs:
         raise InputError("need at least one sample point")
-    lo, hi = min(xs), max(xs)
-    report = check_delta(f, lo, hi, _JENSEN_GRID_N)
-    if not report.ok:
-        raise HypothesisNotVerifiedError(
-            f"{f.label} is not concave-increasing near "
-            f"x={report.violation_x:g} ({report.violation_kind})", report)
+    _require(check_delta(f, min(xs), max(xs), _JENSEN_GRID_N), f.label)
     lhs = sum(f.value(x) for x in xs)
     rhs = len(xs) * f.value(math.fsum(xs) / len(xs))
     return _exponent_leq(lhs, rhs)

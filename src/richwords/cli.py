@@ -4,9 +4,10 @@ Subcommands mirror the library: check/count/ups/maxluf for the exact
 side, bound-recurrence for certified tables, verify * for the inequality
 checks, bootstrap and compare-exponents for the constant-improvement map.
 
-Exit codes: 0 on success, 2 when a verification ran and found a
-counterexample (the report carries the witness), 1 for usage, domain and
-I/O errors.
+Exit codes: 2 exactly when the report's "ok" is false (a verification
+ran and found a counterexample; the report carries the witness), 1 for
+usage, domain and I/O errors, 0 otherwise.  run() decides the code from
+the result; a handler only builds its result.
 
 Reports are emitted on stdout and are byte-identical for identical
 configurations: the envelope carries the tool version and the parsed
@@ -60,6 +61,26 @@ _SPEC_HELP = ("catalogue function: identity | sqrt | ln | x-over-lnx | "
 
 
 def build_parser() -> _Parser:
+    # flag groups that several subcommands share through parents=[...]
+    phi_psi = _Parser(add_help=False)
+    _add_spec(phi_psi, "--phi", _SPEC_HELP)
+    _add_spec(phi_psi, "--psi", _SPEC_HELP)
+
+    fn_range = _Parser(add_help=False)
+    _add_spec(fn_range, "--fn", _SPEC_HELP)
+    fn_range.add_argument("--x-lo", type=float, required=True)
+    fn_range.add_argument("--x-hi", type=float, required=True)
+
+    omega = _Parser(add_help=False)
+    omega.add_argument("--q", type=int, default=2)
+    omega.add_argument("--c1", type=float, default=1.0)
+    omega.add_argument("--c2", type=float, default=1.0)
+
+    constants = _Parser(add_help=False)
+    constants.add_argument("--q", type=int, required=True)
+    for flag in ("--d", "--c1", "--c2", "--c3"):
+        constants.add_argument(flag, type=float, required=True)
+
     parser = _Parser(prog="richwords",
                      description="rich-word enumeration and bound checks")
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
@@ -126,37 +147,25 @@ def build_parser() -> _Parser:
     p.add_argument("--n-max", type=int, default=300)
     _add_format(p, "json", "text")
 
-    p = vsub.add_parser("jensen", help="averaged comparison for a concave "
-                                       "increasing function")
-    _add_spec(p, "--fn", _SPEC_HELP)
-    p.add_argument("--x-lo", type=float, required=True)
-    p.add_argument("--x-hi", type=float, required=True)
+    p = vsub.add_parser("jensen", parents=[fn_range],
+                        help="averaged comparison for a concave "
+                             "increasing function")
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--points", type=int, default=8,
                    help="max sample points per trial")
     p.add_argument("--seed", type=int, default=0)
     _add_format(p, "json", "text")
 
-    p = vsub.add_parser("product-bound",
+    p = vsub.add_parser("product-bound", parents=[omega, phi_psi],
                         help="composition-wise product against the "
                              "balanced power")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    _add_spec(p, "--phi", _SPEC_HELP)
-    _add_spec(p, "--psi", _SPEC_HELP)
     p.add_argument("--n-max", type=int, default=200)
     p.add_argument("--trials", type=int, default=1000)
     p.add_argument("--seed", type=int, default=0)
     _add_format(p, "json", "text")
 
-    p = vsub.add_parser("p-monotonicity",
+    p = vsub.add_parser("p-monotonicity", parents=[omega, phi_psi],
                         help="balanced power is monotone in the part count")
-    p.add_argument("--q", type=int, default=2)
-    p.add_argument("--c1", type=float, default=1.0)
-    p.add_argument("--c2", type=float, default=1.0)
-    _add_spec(p, "--phi", _SPEC_HELP)
-    _add_spec(p, "--psi", _SPEC_HELP)
     p.add_argument("--n-lo", type=int, default=10)
     p.add_argument("--n-hi", type=int, default=10000)
     p.add_argument("--grid", type=int, default=1000,
@@ -164,27 +173,21 @@ def build_parser() -> _Parser:
     p.add_argument("--p-max", type=int, default=8)
     _add_format(p, "json", "text")
 
-    p = vsub.add_parser("delta", help="increasing and concave on a grid")
-    _add_spec(p, "--fn", _SPEC_HELP)
-    p.add_argument("--x-lo", type=float, required=True)
-    p.add_argument("--x-hi", type=float, required=True)
+    p = vsub.add_parser("delta", parents=[fn_range],
+                        help="increasing and concave on a grid")
     p.add_argument("--grid", type=int, default=512)
     _add_format(p, "json", "text")
 
-    p = vsub.add_parser("psi-family",
+    p = vsub.add_parser("psi-family", parents=[phi_psi],
                         help="psi below identity and combined exponent "
                              "concave-increasing")
-    _add_spec(p, "--phi", _SPEC_HELP)
-    _add_spec(p, "--psi", _SPEC_HELP)
     p.add_argument("--x-lo", type=float, required=True)
     p.add_argument("--x-hi", type=float, required=True)
     p.add_argument("--grid", type=int, default=512)
     _add_format(p, "json", "text")
 
-    p = vsub.add_parser("d-condition",
+    p = vsub.add_parser("d-condition", parents=[phi_psi],
                         help="threshold for 2*psi(phi(n)/2) >= d*psi(n)")
-    _add_spec(p, "--phi", _SPEC_HELP)
-    _add_spec(p, "--psi", _SPEC_HELP)
     p.add_argument("--d", type=float, required=True)
     p.add_argument("--n-lo", type=float, default=1e2)
     p.add_argument("--n-hi", type=float, default=1e8)
@@ -205,24 +208,13 @@ def build_parser() -> _Parser:
     p.add_argument("--x-hi", type=float, default=1e6)
     _add_format(p, "json", "text")
 
-    p = sub.add_parser("bootstrap", help="iterate the constant map")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--c1", type=float, required=True)
-    p.add_argument("--c2", type=float, required=True)
-    p.add_argument("--c3", type=float, required=True)
+    p = sub.add_parser("bootstrap", parents=[constants],
+                       help="iterate the constant map")
     p.add_argument("--iters", type=int, default=1)
     _add_format(p, "json", "text")
 
-    p = sub.add_parser("compare-exponents",
+    p = sub.add_parser("compare-exponents", parents=[constants, phi_psi],
                        help="exponent before and after one map step")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--c1", type=float, required=True)
-    p.add_argument("--c2", type=float, required=True)
-    p.add_argument("--c3", type=float, required=True)
-    _add_spec(p, "--phi", _SPEC_HELP)
-    _add_spec(p, "--psi", _SPEC_HELP)
     p.add_argument("--n", type=float, required=True)
     _add_format(p, "json", "text")
 
@@ -283,8 +275,8 @@ def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
 
 
 # -- handlers ----------------------------------------------------------------
-# each returns (result dict, exit code, csv column names or None); a table
-# handler's result holds its rows under "rows"
+# each returns its result dict; a table handler's result holds its rows
+# under "rows", each row's keys in csv column order
 
 
 def _cmd_check(ns):
@@ -292,12 +284,11 @@ def _cmd_check(ns):
 
     word = _word_from_args(ns)
     tree = Eertree.from_word(word.letters, word.alphabet.q)
-    result = {
+    return {
         "word": ns.word,
         "rich": tree.is_rich_prefix(),
         "palindromes": tree.distinct_palindrome_count(),
     }
-    return result, 0, None
 
 
 def _load_count_table(ns) -> enumeration.RichCountTable:
@@ -339,8 +330,7 @@ def _cmd_count(ns):
             table = enumeration.count_rich(ns.q, ns.n, config)
         if ns.save_cache:
             enumeration.save_cache(table, _cache_path(ns.save_cache))
-    result = {"q": table.q, "rows": _table_rows(table)}
-    return result, 0, ["n", "count", "max_luf"]
+    return {"q": table.q, "rows": _table_rows(table)}
 
 
 def _cmd_ups(ns):
@@ -349,14 +339,13 @@ def _cmd_ups(ns):
     word = _word_from_args(ns)
     factorization = ups.ups_factorize(word)
     parts = [words.text_from_letters(part) for part in factorization.parts]
-    result = {
+    return {
         "word": ns.word,
         "parts": parts,
         "p": factorization.p,
         "boundaries": list(factorization.boundaries),
         "unioccurrent": ups.verify_unioccurrence(factorization),
     }
-    return result, 0, None
 
 
 def _cmd_maxluf(ns):
@@ -374,12 +363,11 @@ def _cmd_maxluf(ns):
                 f"1..{ns.n} (its domain floor is {phi.domain_floor:g})")
         rows = [{"n": r.n, "max_luf": r.max_luf, "bound": r.bound,
                  "holds": r.holds} for r in report.rows]
-        result = {"q": ns.q, "phi": phi.label, "rows": rows,
-                  "all_hold": report.all_hold,
-                  "first_failure_n": report.first_failure_n}
-        return result, 0, ["n", "max_luf", "bound", "holds"]
+        return {"q": ns.q, "phi": phi.label, "rows": rows,
+                "all_hold": report.all_hold,
+                "first_failure_n": report.first_failure_n}
     rows = [{"n": n, "max_luf": m} for n, m in sorted(table.items())]
-    return {"q": ns.q, "rows": rows}, 0, ["n", "max_luf"]
+    return {"q": ns.q, "rows": rows}
 
 
 def _parse_tau(ns):
@@ -434,19 +422,17 @@ def _cmd_bound_recurrence(ns):
                  result_table.entries[n].value.log_q),
              "provenance": result_table.entries[n].provenance}
             for n in sorted(result_table.entries)]
-    result = {"q": ns.q, "tau": tau_label, "rows": rows}
-    return result, 0, ["n", "exponent_log_q", "provenance"]
+    return {"q": ns.q, "tau": tau_label, "rows": rows}
 
 
 def _cmd_verify_composition_bound(ns):
     _check_at_least("--n-max", ns.n_max, 1)
     failures = bounds.composition_bound_sweep(ns.n_max)
-    ok = not failures
-    result = {"n_max": ns.n_max, "ok": ok,
+    result = {"n_max": ns.n_max, "ok": not failures,
               "checked": ns.n_max * (ns.n_max + 1) // 2}
-    if not ok:
+    if failures:
         result["witness"] = {"n": failures[0][0], "L": failures[0][1]}
-    return result, 0 if ok else 2, None
+    return result
 
 
 def _check_at_least(flag: str, value: int, least: int) -> None:
@@ -469,11 +455,9 @@ def _cmd_verify_jensen(ns):
         k = rng.randint(2, ns.points)
         xs = [rng.uniform(lo, ns.x_hi) for _ in range(k)]
         if not bounds.check_jensen(fn, xs):
-            result = {"fn": fn.label, "ok": False, "trials_run": trial + 1,
-                      "witness": {"xs": xs}}
-            return result, 2, None
-    result = {"fn": fn.label, "ok": True, "trials_run": ns.trials}
-    return result, 0, None
+            return {"fn": fn.label, "ok": False, "trials_run": trial + 1,
+                    "witness": {"xs": xs}}
+    return {"fn": fn.label, "ok": True, "trials_run": ns.trials}
 
 
 def _cmd_verify_product_bound(ns):
@@ -486,17 +470,16 @@ def _cmd_verify_product_bound(ns):
         p = rng.randint(1, n)
         parts = _random_composition(rng, n, p)
         if not bounds.check_product_bound(n, p, parts, params):
-            result = {"ok": False, "trials_run": trial + 1,
-                      "witness": {"n": n, "p": p, "parts": parts}}
-            return result, 2, None
-    result = {"ok": True, "trials_run": ns.trials}
-    return result, 0, None
+            return {"ok": False, "trials_run": trial + 1,
+                    "witness": {"n": n, "p": p, "parts": parts}}
+    return {"ok": True, "trials_run": ns.trials}
 
 
 def _cmd_verify_p_monotonicity(ns):
     from . import functions
 
     _check_at_least("--p-max", ns.p_max, 1)
+    _check_at_least("--grid", ns.grid, 2)
     params = _omega_params(ns)
     phi = params.phi
     sampled = sorted({int(round(x)) for x in functions.log_grid(
@@ -509,16 +492,15 @@ def _cmd_verify_p_monotonicity(ns):
         for p in range(1, min(ns.p_max, tau_n) + 1):
             checked += 1
             if not bounds.check_p_monotonicity(float(n), p, params):
-                result = {"ok": False, "checked": checked,
-                          "witness": {"n": n, "p": p}}
-                return result, 2, None
-    result = {"ok": True, "checked": checked}
-    return result, 0, None
+                return {"ok": False, "checked": checked,
+                        "witness": {"n": n, "p": p}}
+    return {"ok": True, "checked": checked}
 
 
 def _cmd_verify_delta(ns):
     from . import functions
 
+    _check_at_least("--grid", ns.grid, 2)
     fn = functions.parse_function_spec(ns.fn)
     report = functions.check_delta(fn, ns.x_lo, ns.x_hi, ns.grid)
     result = {"fn": fn.label, "ok": report.ok,
@@ -526,15 +508,17 @@ def _cmd_verify_delta(ns):
     if not report.ok:
         result["witness"] = {"x": report.violation_x,
                              "kind": report.violation_kind}
-    return result, 0 if report.ok else 2, None
+    return result
 
 
 def _cmd_verify_psi_family(ns):
     from . import functions
 
+    _check_at_least("--grid", ns.grid, 2)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
-    report = functions.check_psi_family(phi, psi, ns.x_lo, ns.x_hi, ns.grid)
+    report = functions.check_psi_family(functions.ExponentFunction(phi, psi),
+                                        ns.x_lo, ns.x_hi, ns.grid)
     result = {"phi": phi.label, "psi": psi.label, "ok": report.ok,
               "psi_leq_x_ok": report.psi_leq_x_ok,
               "combined_concave_increasing": report.combined_delta.ok}
@@ -546,29 +530,31 @@ def _cmd_verify_psi_family(ns):
             witness["combined_fails_at"] = report.combined_delta.violation_x
             witness["kind"] = report.combined_delta.violation_kind
         result["witness"] = witness
-    return result, 0 if report.ok else 2, None
+    return result
 
 
 def _cmd_verify_d_condition(ns):
     from . import functions
 
+    _check_at_least("--grid", ns.grid, 2)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     report = functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
                                          ns.grid)
-    ok = report.holds_at_top
-    result = {"phi": phi.label, "psi": psi.label, "d": ns.d, "ok": ok,
-              "n0": report.n0, "failures": report.failures}
-    if not ok:
+    result = {"phi": phi.label, "psi": psi.label, "d": ns.d,
+              "ok": report.holds_at_top, "n0": report.n0,
+              "failures": report.failures}
+    if not report.holds_at_top:
         result["witness"] = {"n": ns.n_hi,
                              "note": "inequality still failing at the top "
                                      "of the sampled range"}
-    return result, 0 if ok else 2, None
+    return result
 
 
 def _cmd_verify_phi_composition(ns):
     from . import functions
 
+    _check_at_least("--grid", ns.grid, 2)
     phi = functions.parse_function_spec(ns.phi)
     report = functions.check_phi_composition(phi, ns.n_lo, ns.n_hi, ns.grid)
     result = {"phi": phi.label, "ok": report.ok,
@@ -581,18 +567,19 @@ def _cmd_verify_phi_composition(ns):
         result["witness"] = {"n": ns.n_hi,
                              "note": "real-tau inequality failing at the "
                                      "top of the sampled range"}
-    return result, 0 if report.ok else 2, None
+    return result
 
 
 def _cmd_verify_crossover(ns):
     from . import functions
 
+    _check_at_least("--grid", ns.grid, 2)
     report = functions.log_over_x_crossover(ns.grid, ns.x_hi)
     result = {"x0": report.x0, "ok": report.decreasing_ok,
               "grid": ns.grid, "x_hi": ns.x_hi}
     if not report.decreasing_ok:
         result["witness"] = {"x": report.violation_x}
-    return result, 0 if report.decreasing_ok else 2, None
+    return result
 
 
 def _cmd_bootstrap(ns):
@@ -601,13 +588,12 @@ def _cmd_bootstrap(ns):
     state = bootstrap.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
     trajectory = bootstrap.bootstrap_iterate(state, ns.iters)
     c1_final, c2_final = trajectory.final
-    result = {
+    return {
         "c1": c1_final,
         "c2": c2_final,
         "c1_fixed_point": trajectory.c1_fixed_point,
         "trajectory": [list(pt) for pt in trajectory.points],
     }
-    return result, 0, None
 
 
 def _cmd_compare_exponents(ns):
@@ -618,7 +604,7 @@ def _cmd_compare_exponents(ns):
         phi=functions.parse_function_spec(ns.phi),
         psi=functions.parse_function_spec(ns.psi))
     report = bootstrap.exponent_compare(state, ns.n)
-    result = {
+    return {
         "n": report.n,
         "old_exponent": report.old_exponent,
         "new_exponent": report.new_exponent,
@@ -626,10 +612,17 @@ def _cmd_compare_exponents(ns):
         "first_term_dominates": report.first_term_dominates,
         "c1_shrinks": report.c1_shrinks,
     }
-    return result, 0, None
 
 
-_VERIFY_HANDLERS = {
+# keyed by the subcommand, or by the check for verify
+_HANDLERS = {
+    "check": _cmd_check,
+    "count": _cmd_count,
+    "ups": _cmd_ups,
+    "maxluf": _cmd_maxluf,
+    "bound-recurrence": _cmd_bound_recurrence,
+    "bootstrap": _cmd_bootstrap,
+    "compare-exponents": _cmd_compare_exponents,
     "composition-bound": _cmd_verify_composition_bound,
     "jensen": _cmd_verify_jensen,
     "product-bound": _cmd_verify_product_bound,
@@ -641,18 +634,8 @@ _VERIFY_HANDLERS = {
     "crossover": _cmd_verify_crossover,
 }
 
-_HANDLERS = {
-    "check": _cmd_check,
-    "count": _cmd_count,
-    "ups": _cmd_ups,
-    "maxluf": _cmd_maxluf,
-    "bound-recurrence": _cmd_bound_recurrence,
-    "bootstrap": _cmd_bootstrap,
-    "compare-exponents": _cmd_compare_exponents,
-}
 
-
-def _emit(ns, result, columns, stdout) -> None:
+def _emit(ns, result, stdout) -> None:
     fmt = getattr(ns, "format", "json")
     if fmt == "json":
         envelope = {
@@ -662,10 +645,11 @@ def _emit(ns, result, columns, stdout) -> None:
         }
         stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
     elif fmt == "csv":  # argparse offers csv to table handlers only
-        stdout.write(",".join(columns) + "\n")
-        for row in result["rows"]:
-            stdout.write(",".join("" if row[c] is None else str(row[c])
-                                  for c in columns) + "\n")
+        rows = result["rows"]  # never empty: every table has n >= 1
+        stdout.write(",".join(rows[0]) + "\n")  # the keys, in order
+        for row in rows:
+            stdout.write(",".join("" if v is None else str(v)
+                                  for v in row.values()) + "\n")
     else:
         for key in sorted(result):
             value = result[key]
@@ -687,13 +671,9 @@ def run(argv, stdout=None, stderr=None) -> int:
             ns = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
-        if ns.command == "verify":
-            handler = _VERIFY_HANDLERS[ns.verify_what]
-        else:
-            handler = _HANDLERS[ns.command]
-        result, code, columns = handler(ns)
-        _emit(ns, result, columns, stdout)
-        return code
+        result = _HANDLERS[getattr(ns, "verify_what", ns.command)](ns)
+        _emit(ns, result, stdout)
+        return 2 if result.get("ok") is False else 0
     except _UsageError as exc:
         stderr.write(f"usage error: {exc}\n")
         return 1

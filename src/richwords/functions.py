@@ -19,7 +19,8 @@ forms
                                     h = -c/(ln x)**2 + u v (v-1) (ln x)**(v-2)
 
 Checks sample log-spaced grids and report the first violation found; a
-clean pass means "verified on the sampled range", never a proof.
+clean pass means "verified on the sampled range", never a proof.  A
+report carries its verdict and witness only, not the inputs it was given.
 """
 
 from __future__ import annotations
@@ -307,10 +308,6 @@ def log_grid(x_lo: float, x_hi: float, n: int) -> list[float]:
 class DeltaReport:
     """Outcome of sampling f' > 0 and f'' < 0 on a log grid."""
 
-    fn_label: str
-    x_lo: float
-    x_hi: float
-    grid_n: int
     ok: bool
     violation_x: float | None = None
     violation_kind: str | None = None  # "d1" or "d2"
@@ -329,19 +326,14 @@ def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> DeltaReport:
     for x in log_grid(x_lo, x_hi, grid_n):
         _, d1, d2 = f.d012(x)
         if not d1 > 0.0:
-            return DeltaReport(f.label, x_lo, x_hi, grid_n, False, x, "d1")
+            return DeltaReport(False, x, "d1")
         if not d2 < 0.0:
-            return DeltaReport(f.label, x_lo, x_hi, grid_n, False, x, "d2")
-    return DeltaReport(f.label, x_lo, x_hi, grid_n, True)
+            return DeltaReport(False, x, "d2")
+    return DeltaReport(True)
 
 
 @dataclass(frozen=True)
 class PsiFamilyReport:
-    phi_label: str
-    psi_label: str
-    x_lo: float
-    x_hi: float
-    grid_n: int
     psi_leq_x_ok: bool
     psi_violation_x: float | None
     combined_delta: DeltaReport
@@ -351,25 +343,15 @@ class PsiFamilyReport:
         return self.psi_leq_x_ok and self.combined_delta.ok
 
 
-def check_psi_family(phi: FunctionSpec, psi: FunctionSpec, x_lo: float,
-                     x_hi: float, grid_n: int = 512) -> PsiFamilyReport:
-    """Sample the admissibility of psi relative to phi: psi(x) <= x, and
-    x/psi(x) + (x/phi(x))*ln(phi(x)) increasing and concave."""
-    combined = ExponentFunction(phi, psi)
-    if x_lo < combined.domain_floor:
-        raise InputError(
-            f"x_lo={x_lo!r} is below the domain floor "
-            f"{combined.domain_floor} of the combined function")
-    psi_ok = True
-    psi_violation = None
-    for x in log_grid(x_lo, x_hi, grid_n):
-        if psi.value(x) > x:
-            psi_ok = False
-            psi_violation = x
-            break
-    delta = check_delta(combined, x_lo, x_hi, grid_n)
-    return PsiFamilyReport(phi.label, psi.label, x_lo, x_hi, grid_n,
-                           psi_ok, psi_violation, delta)
+def check_psi_family(exponent: ExponentFunction, x_lo: float, x_hi: float,
+                     grid_n: int = 512) -> PsiFamilyReport:
+    """Sample the admissibility of exponent's psi relative to its phi:
+    psi(x) <= x, and c1*x/psi(x) + c2*(x/phi(x))*ln(phi(x)) increasing
+    and concave, both on the same grid."""
+    delta = check_delta(exponent, x_lo, x_hi, grid_n)  # checks the floor
+    psi_violation = next((x for x in log_grid(x_lo, x_hi, grid_n)
+                          if exponent.psi.value(x) > x), None)
+    return PsiFamilyReport(psi_violation is None, psi_violation, delta)
 
 
 def _threshold(grid: list[float], last_fail: int | None
@@ -391,12 +373,6 @@ class DConditionReport:
     fails at the top of the grid there is no n0 to report.
     """
 
-    phi_label: str
-    psi_label: str
-    d: float
-    n_lo: float
-    n_hi: float
-    grid_n: int
     n0: float | None
     holds_at_top: bool
     failures: int
@@ -421,8 +397,7 @@ def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
         if not lhs >= rhs:
             last_fail = idx
             failures += 1
-    return DConditionReport(phi.label, psi.label, d, n_lo, n_hi, grid_n,
-                            *_threshold(grid, last_fail), failures)
+    return DConditionReport(*_threshold(grid, last_fail), failures)
 
 
 @dataclass(frozen=True)
@@ -431,10 +406,6 @@ class PhiCompositionReport:
     tau(x) = x/phi(x), reported for the real-valued tau and for the
     integer ceiling variant side by side (they can genuinely disagree)."""
 
-    phi_label: str
-    n_lo: float
-    n_hi: float
-    grid_n: int
     real_tau_n0: float | None
     real_tau_holds_at_top: bool
     ceil_tau_n0: float | None
@@ -471,8 +442,7 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
             real_fail = idx
         if not ceil_ok:
             ceil_fail = idx
-    return PhiCompositionReport(phi.label, n_lo, n_hi, grid_n,
-                                *_threshold(grid, real_fail),
+    return PhiCompositionReport(*_threshold(grid, real_fail),
                                 *_threshold(grid, ceil_fail), disagree)
 
 
@@ -481,8 +451,6 @@ class CrossoverReport:
     """Where ln(x)/x turns decreasing, with a grid confirmation."""
 
     x0: float
-    x_hi: float
-    grid_n: int
     decreasing_ok: bool
     violation_x: float | None = None
 
@@ -501,6 +469,6 @@ def log_over_x_crossover(grid_n: int = 1000,
     for x in grid[1:]:
         cur = math.log(x) / x
         if not cur < prev:
-            return CrossoverReport(x0, x_hi, grid_n, False, x)
+            return CrossoverReport(x0, False, x)
         prev = cur
-    return CrossoverReport(x0, x_hi, grid_n, True)
+    return CrossoverReport(x0, True)

@@ -119,6 +119,9 @@ class LogValue:
                 f"rounding must be {ROUND_UP!r}, got {rounding!r}")
         if not isinstance(value, int) or value < 1:
             raise InputError(f"need a positive integer, got {value!r}")
+        # before _ln_base caches the log of a bad base
+        if not isinstance(q, int) or q < 2:
+            raise InputError(f"base must be an integer >= 2, got {q!r}")
         with mp.workprec(max(PRECISION_BITS, value.bit_length() + 16)):
             exponent = mpmath.ln(value) / _ln_base(q)
         exponent = mpf_pos(exponent._mpf_, PRECISION_BITS, round_nearest)

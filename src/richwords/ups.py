@@ -132,7 +132,6 @@ class LufBoundRow:
 
 @dataclass(frozen=True)
 class LufBoundReport:
-    phi_label: str
     rows: tuple[LufBoundRow, ...]
 
     @property
@@ -167,4 +166,4 @@ def compare_luf_bound(table: dict[int, int], phi) -> LufBoundReport:
             rows.append(LufBoundRow(n, m, None, None))
             continue
         rows.append(LufBoundRow(n, m, bound, m <= bound))
-    return LufBoundReport(phi.label, tuple(rows))
+    return LufBoundReport(tuple(rows))

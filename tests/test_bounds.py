@@ -283,6 +283,17 @@ def test_hypothesis_failure_carries_report():
     assert exc.value.report is not None
 
 
+def test_psi_above_identity_inside_the_hull_is_refused():
+    # psi = 0.8*ln(x)**3 is below x at 8 and at 50 but above it near 10.9
+    params = OmegaParams(q=2, c1=0.1, c2=10.0, phi=x_over_ln_spec(),
+                         psi=FunctionSpec(0.8, 0.0, c=3.0))
+    with pytest.raises(HypothesisNotVerifiedError) as exc:
+        check_product_bound(116, 2, [16, 100], params)  # hull (8, 50)
+    assert not exc.value.report.psi_leq_x_ok
+    assert 8.0 < exc.value.report.psi_violation_x < 50.0
+    assert params._verified is None
+
+
 def test_verified_hull_cannot_be_passed_in():
     # a caller-supplied hull would skip the concavity precondition
     with pytest.raises(TypeError, match="_verified"):

@@ -150,6 +150,18 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
     # checked no pair
     (("composition-bound", "--n-max", "0"), "--n-max"),
     (("composition-bound", "--n-max", "-1"), "--n-max"),
+    # "ok: true" after 0 comparisons
+    (("crossover", "--grid", "1"), "--grid"),
+    # sampled the low end only
+    (("delta", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10", "--grid", "1"),
+     "--grid"),
+    (("psi-family", "--phi", "x-over-lnx", "--psi", "ln", "--x-lo", "8",
+      "--x-hi", "1e4", "--grid", "1"), "--grid"),
+    (("d-condition", "--phi", "power:0.8", "--psi", "ln@2", "--d", "1.5",
+      "--grid", "1"), "--grid"),
+    (("phi-composition", "--phi", "sqrt", "--grid", "1"), "--grid"),
+    (("p-monotonicity", "--phi", "identity", "--psi", "identity",
+      "--grid", "1"), "--grid"),
 ])
 def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     code, out, err = _invoke("verify", *argv)

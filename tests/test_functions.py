@@ -202,14 +202,16 @@ def test_delta_requires_domain():
 
 
 def test_psi_family_good_pair():
-    rep = check_psi_family(identity_spec(), identity_spec(), 8.0, 1e6)
+    rep = check_psi_family(ExponentFunction(identity_spec(), identity_spec()),
+                           8.0, 1e6)
     assert rep.ok
     assert rep.psi_leq_x_ok
     assert rep.combined_delta.ok
 
 
 def test_psi_family_rejects_psi_above_identity():
-    rep = check_psi_family(identity_spec(), power_spec(2.0), 8.0, 1e4)
+    rep = check_psi_family(ExponentFunction(identity_spec(), power_spec(2.0)),
+                           8.0, 1e4)
     assert not rep.ok
     assert not rep.psi_leq_x_ok
     assert rep.psi_violation_x is not None

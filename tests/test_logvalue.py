@@ -7,7 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richwords import InputError, LogValue, ROUND_UP
-from richwords.logvalue import GUARD_BITS, PRECISION_BITS, _mag, _nudged
+from richwords.logvalue import (_LN_CACHE, GUARD_BITS, PRECISION_BITS, _mag,
+                                _nudged)
 
 from . import oracles
 
@@ -29,6 +30,11 @@ def test_base_validation():
         LogValue(mpmath.mpf(1), 1)
     with pytest.raises(InputError):
         LogValue(mpmath.mpf(1), 0)
+    cached = set(_LN_CACHE)
+    for q in (1, 0, -2, 2.0):
+        with pytest.raises(InputError):
+            LogValue.from_int(5, q)
+    assert set(_LN_CACHE) == cached
 
 
 def test_mul_adds_exponents():
