@@ -15,9 +15,19 @@ the word's longest palindromic suffix `last` if a precedes it, and
 dl[last][a] otherwise, so one lookup finds where it goes; a new node's
 row is its suffix link's row with one entry set.  A push is non-rich
 exactly when its transition is already set; it is skipped with nothing
-to undo, and backtracking resets the one transition a push set.  A node
-whose children end the walk counts them in its own loop: no node is
-built for them, and their peel lengths come from the direct links.
+to undo, and backtracking resets the one transition a push set.  The
+letter just before `last` needs no test: the longest palindromic suffix
+of a rich word occurs in it only once (Droubay, Justin & Pirillo), so
+a+last+a cannot have occurred before and the push is always rich.  Node
+ids are stored premultiplied by the row width, as their rows' bases.
+
+The recursion enters a frame only for words of length <= n_max - 3 (and
+for the one-letter word when n_max is 2).  A node of length n_max - 2
+still gets its row and its transition, but its children and
+grandchildren, the last two levels, are counted in its parent's loop: no
+node is built for the children, whose direct links are read off their
+suffix links' rows, and the peel lengths of both levels come from the
+direct links.
 
 Only canonical words are walked, those whose letters first appear in the
 order 0, 1, 2, ...: the walk carries `used`, the number of distinct
@@ -35,7 +45,8 @@ With workers > 1 each of `workers` pool tasks walks from the root but
 descends only into every workers-th rich word of length `cut`.  Rows up
 to the cut are alike in every shard and rows below add up; the node
 count follows from the merged table, so neither the counts nor the
-budget verdict depend on the worker count.
+budget verdict depend on the worker count.  The pool starts at most one
+process per CPU this process may run on.
 
 Optionally the walk tracks the maximum number of parts in the
 longest-palindromic-suffix peel among rich words of each length.  Peeling
@@ -105,14 +116,17 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
     # a canonical word shorter than n_max uses fewer than n_max letters
     width = min(q, n_max)
     counts = [[0] * (width + 1) for _ in range(n_max + 1)]
-    last_row = counts[n_max]
+    n_next = n_max - 1
+    next_row, last_row = counts[n_next], counts[n_max]
     maxluf = [0] * (n_max + 1) if with_max_luf else None
-    # the eertree of the current word: node d + 2 is the palindrome that
-    # the letter at depth d created, nxt[v * width + a] is a+P+a and
-    # dl[v * width + b] the direct link of P by b
-    length = [-1, 0] + [0] * n_max
-    nxt = [-1] * ((n_max + 2) * width)
-    dl = [0] * ((n_max + 2) * width)
+    # the eertree of the current word, each node v stored as its row base
+    # v * width: node d + 2 is the palindrome that the letter at depth d
+    # created, nxt[v + a] is a+P+a and dl[v + b] the direct link of P by
+    # b; the roots are 0 (length -1) and width (length 0)
+    size = (n_max + 2) * width
+    length = [-1] + [0] * (size - 1)
+    nxt = [-1] * size
+    dl = [0] * size
     word = [0] * n_max
     luf = [0] * (n_max + 1)  # peel length of each prefix of the word
     visited = 0
@@ -128,12 +142,14 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
         row = counts[n]
         i = depth - length[last] - 1
         before = word[i] if i >= 0 else -1
-        links = last * width
+        node = (n + 1) * width  # the node every child creates
         for a in range(letters):
-            u = last if a == before else dl[links + a]
-            t = u * width + a
-            if nxt[t] >= 0:  # a+P+a is not new: the word is not rich
-                continue
+            if a == before:  # P occurs once in the word, so a+P+a is new
+                u = last
+            else:
+                u = dl[last + a]
+                if nxt[u + a] >= 0:  # a+P+a is not new: not rich
+                    continue
             k = used + 1 if a == used else used
             row[k] += 1
             pal = length[u] + 2
@@ -149,44 +165,78 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
                     continue
                 skip = stride - 1
             word[depth] = a
-            node = n + 1
             length[node] = pal
             # node's suffix link w; node's direct links are w's, with w
-            # itself for the letter b before it
-            w = 1 if pal == 1 else nxt[dl[u * width + a] * width + a]
-            row_w = w * width
-            b = word[depth - length[w]]
-            if n + 1 < n_max:
-                links_node = node * width
-                dl[links_node:links_node + width] = dl[row_w:row_w + width]
-                dl[links_node + b] = w
-                nxt[t] = node
+            # itself for the letter before w inside node
+            t = u + a
+            w = width if pal == 1 else nxt[dl[t] + a]
+            dl[node:node + width] = dl[w:w + width]
+            dl[node + word[depth - length[w]]] = w
+            nxt[t] = node
+            if n != n_max - 2:  # shorter, or the root's child at n_max 2
                 walk(n, node, k)
                 nxt[t] = -1
                 continue
-            # node's children end the walk: count them here, with node's
-            # direct links read off w's row, and build nothing.  No child
-            # is node's palindrome again (it would end at two adjacent
-            # places, so be a power of a, and a longer power would be the
-            # child), so nxt[t] need not be set either
-            letters_node = k + 1 if k < q else q
-            visited += letters_node
+            # node's children and grandchildren end the walk: count them
+            # here.  A child c+V+c gets no node of its own: its direct
+            # links are read off its suffix link's row, and no grandchild
+            # is the child's palindrome again (it would end at two
+            # adjacent places, so be a power of c, and a longer power
+            # would be the grandchild), so its transition need not be set
+            letters_c = k + 1 if k < q else q
+            visited += letters_c
             if visited > limit:
                 raise BudgetExceededError(visited, limit)
             j = n - pal - 1
-            before_node = word[j] if j >= 0 else -1
-            for c in range(letters_node):
-                v = (node if c == before_node else w if c == b
-                     else dl[row_w + c])
-                if nxt[v * width + c] >= 0:
-                    continue
-                last_row[k + 1 if c == k else k] += 1
+            before_c = word[j] if j >= 0 else -1
+            for c in range(letters_c):
+                if c == before_c:  # new, as above
+                    v = node
+                else:
+                    v = dl[node + c]
+                    if nxt[v + c] >= 0:
+                        continue
+                kc = k + 1 if c == k else k
+                next_row[kc] += 1
+                pal_c = length[v] + 2
                 if maxluf is not None:
-                    parts = luf[n_max - length[v] - 2] + 1
-                    if parts > maxluf[n_max]:
-                        maxluf[n_max] = parts
+                    parts = luf[n_next] = luf[n_next - pal_c] + 1
+                    if parts > maxluf[n_next]:
+                        maxluf[n_next] = parts
+                if n_next == cut:
+                    if skip:
+                        skip -= 1
+                        continue
+                    skip = stride - 1
+                # the child's direct links are its suffix link wc's, with
+                # wc itself for the letter bc before it
+                if pal_c == 1:
+                    wc, bc = width, c
+                else:
+                    wc = nxt[dl[v + c] + c]
+                    bc = word[n - length[wc]]
+                letters_e = kc + 1 if kc < q else q
+                visited += letters_e
+                if visited > limit:
+                    raise BudgetExceededError(visited, limit)
+                j = n - pal_c
+                before_e = word[j] if j >= 0 else -1
+                for e in range(letters_e):
+                    if e == before_e:  # new, as above
+                        pal_e = pal_c + 2
+                    else:
+                        x = wc if e == bc else dl[wc + e]
+                        if nxt[x + e] >= 0:
+                            continue
+                        pal_e = length[x] + 2
+                    last_row[kc + 1 if e == kc else kc] += 1
+                    if maxluf is not None:
+                        parts = luf[n_max - pal_e] + 1
+                        if parts > maxluf[n_max]:
+                            maxluf[n_max] = parts
+            nxt[t] = -1
 
-    walk(0, 1, 0)
+    walk(0, width, 0)
     return counts, maxluf
 
 
@@ -203,6 +253,12 @@ def _validate_args(q, n_max, config):
         raise InputError(f"shard depth must be >= 1, got {config.shard_depth}")
 
 
+def _usable_cpus() -> int:
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
 def _count(q: int, n_max: int, config: EnumerationConfig | None,
            symmetric: bool) -> RichCountTable:
     config = config or EnumerationConfig()
@@ -216,7 +272,10 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
     if cut:
         # through the module, so that a patched ProcessPoolExecutor is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
-        with pool_class(max_workers=config.workers) as pool:
+        # no more processes than the CPUs this one may run on; there are
+        # still `workers` tasks, so the counts do not depend on the machine
+        processes = min(config.workers, _usable_cpus())
+        with pool_class(max_workers=processes) as pool:
             shards = list(pool.map(shard, range(config.workers)))
     else:
         shards = [shard(0)]

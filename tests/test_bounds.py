@@ -198,6 +198,21 @@ def test_recurrence_entries_grow_with_seed_values():
         assert t2.entries[n].value.log_q >= t1.entries[n].value.log_q
 
 
+def test_tau_n_rows_never_beat_the_trivial_bound():
+    # summing every part count overcounts too much to beat q^n: from exact
+    # binary seeds up to 10, every tau = n row to 60 lies above n, while a
+    # cap of 4 parts first falls below n at n = 25
+    seeds = seed_table_from_counts(_counts(2, 10), 2)
+    table = recurrence_bound(seeds, lambda n: n, 60, "n")
+    exponents = {n: table.entries[n].value.log_q for n in range(11, 61)}
+    assert all(exponents[n] > n for n in exponents)
+    assert 17.86 < exponents[11] < 17.87
+    assert 100.88 < exponents[60] < 100.89
+    capped = recurrence_bound(seeds, lambda n: 4, 25, "const:4")
+    assert [n for n in range(11, 26)
+            if capped.entries[n].value.log_q < n] == [25]
+
+
 def test_recurrence_rejects_bad_tau():
     seeds = seed_table_from_counts(_counts(2, 2), 2)
     with pytest.raises(InputError):

@@ -2,6 +2,7 @@ import functools
 import io
 import json
 import math
+import os
 
 import pytest
 from hypothesis import given, settings
@@ -10,7 +11,8 @@ from hypothesis import strategies as st
 from richwords import (BudgetExceededError, CacheError, CacheFormatError,
                        CacheQMismatchError, CacheVersionError,
                        EnumerationConfig, InputError, RichEntry, count_rich,
-                       count_rich_symmetric, load_cache, save_cache)
+                       count_rich_symmetric, enumeration, load_cache,
+                       save_cache)
 
 from . import oracles
 
@@ -26,6 +28,35 @@ def _brute_entries(q):
         entries[n] = RichEntry(len(rich),
                                max(len(oracles.peel(w)) for w in rich))
     return entries
+
+
+@pytest.fixture
+def inline_pool(monkeypatch):
+    """Stands in for ProcessPoolExecutor a pool class that records its
+    max_workers and runs every task in this process; returns the pools
+    made."""
+    pools = []
+
+    class InlinePool:
+        def __init__(self, max_workers):
+            self.max_workers = max_workers
+            self.tasks = 0
+            pools.append(self)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, *iterables):
+            results = [fn(*args) for args in zip(*iterables)]
+            self.tasks += len(results)
+            return iter(results)
+
+    monkeypatch.setattr(enumeration, "ProcessPoolExecutor", InlinePool,
+                        raising=False)
+    return pools
 
 
 def test_counts_against_bruteforce_binary():
@@ -72,8 +103,8 @@ def test_max_luf_disabled():
 def test_symmetric_agrees_with_plain():
     # both public names run the canonical walk; a plain walk that tries
     # every letter at every node is the reference.  Sharded, the cut is
-    # mid-tree, two levels above the last, or at the level whose children
-    # the walk counts in their parent's frame
+    # mid-tree, at the last level that gets a node (n_max - 2), or at the
+    # level below it, which the walk counts in its grandparent's frame
     for q, n_max in ((2, 14), (3, 10), (4, 8), (5, 7)):
         plain = oracles.rich_entries_plain_dfs(q, n_max)
         for with_max_luf in (True, False):
@@ -93,22 +124,61 @@ def test_symmetric_agrees_with_plain():
                             luf if with_max_luf else None), where
 
 
-def test_short_walks_against_plain_dfs():
-    # the root as the last level, and q > n_max, where the walk's tables
-    # are narrower than the alphabet
+def test_short_walks_against_plain_dfs(inline_pool):
+    # the root as the last level, q > n_max, where the walk's tables are
+    # narrower than the alphabet, and the shard cut at every level; the
+    # last that gets a node is n_max - 2, and n_max - 1 is counted in its
+    # grandparent's frame
     for q in range(2, 7):
-        for n_max in (1, 2, 3):
+        for n_max in range(1, 6):
             plain = oracles.rich_entries_plain_dfs(q, n_max)
             for with_max_luf in (True, False):
                 expected = {n: (count, luf if with_max_luf else None)
                             for n, (count, luf) in plain.items()}
-                for workers in (1, 2):
-                    table = count_rich(q, n_max, EnumerationConfig(
-                        workers=workers, shard_depth=1,
-                        with_max_luf=with_max_luf))
-                    assert {n: (e.count, e.max_luf)
-                            for n, e in table.entries.items()} == expected, (
-                        q, n_max, with_max_luf, workers)
+                for workers in (1, 2, 3):
+                    for depth in range(1, max(n_max, 2)):
+                        table = count_rich(q, n_max, EnumerationConfig(
+                            workers=workers, shard_depth=depth,
+                            with_max_luf=with_max_luf))
+                        assert {n: (e.count, e.max_luf)
+                                for n, e in table.entries.items()
+                                } == expected, (q, n_max, with_max_luf,
+                                                workers, depth)
+
+
+def test_longest_palindromic_suffix_extends_richly():
+    # the walk counts the push of the letter before the longest
+    # palindromic suffix P without a test: P occurs only once in a rich
+    # word, so a+P+a is new (Droubay, Justin & Pirillo)
+    for q, n_max in ((2, 9), (3, 7), (4, 6)):
+        for n in range(1, n_max + 1):
+            for w in oracles.all_words(q, n):
+                lps = oracles.longest_pal_suffix(w)
+                if lps < n and oracles.is_rich(w):
+                    assert oracles.is_rich(w + (w[n - lps - 1],)), w
+
+
+@pytest.mark.parametrize("cpus, workers", [(1, 3), (2, 5), (4, 3)])
+def test_pool_capped_at_usable_cpus(monkeypatch, inline_pool, cpus, workers):
+    # the pool starts no more processes than there are CPUs to run them;
+    # the tasks, and so the counts, stay those of `workers` strides
+    monkeypatch.setattr(os, "sched_getaffinity",
+                        lambda pid: set(range(cpus)), raising=False)
+    table = count_rich(3, 7, EnumerationConfig(workers=workers,
+                                               shard_depth=3))
+    assert [(p.max_workers, p.tasks) for p in inline_pool] == [
+        (min(cpus, workers), workers)]
+    assert table.entries == _brute_entries(3)
+
+
+@pytest.mark.parametrize("cpu_count, processes", [(2, 2), (None, 1)])
+def test_pool_cap_without_affinity(monkeypatch, inline_pool, cpu_count,
+                                   processes):
+    monkeypatch.delattr(os, "sched_getaffinity", raising=False)
+    monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
+    count_rich(2, 8, EnumerationConfig(workers=3, shard_depth=4))
+    assert [(p.max_workers, p.tasks) for p in inline_pool] == [
+        (processes, 3)]
 
 
 def test_parallel_matches_serial():
