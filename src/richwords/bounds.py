@@ -30,8 +30,11 @@ the margin, so it needs neither mpmath nor LogValue.  The convexity
 (Jensen) comparison and the product/p-monotonicity checks for the growth
 function Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)) compare
 exponents with a small relative slack and refuse to run (rather than
-answer False) when their concavity precondition cannot be verified on the
-sampled range.
+answer False) when their concavity precondition cannot be verified.
+OmegaParams verifies it once, over the range of arguments a run fixes
+before its first comparison, and the product and p-monotonicity checks
+refuse an argument outside that range; check_jensen verifies each call's
+own range.
 """
 
 from __future__ import annotations
@@ -113,43 +116,38 @@ def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
 
 @dataclass
 class OmegaParams:
-    """Parameters of the growth function Omega and its exponent.
+    """Parameters of the growth function Omega, verified over [x_lo, x_hi].
 
-    exponent is the ExponentFunction of c1, c2, phi and psi, built (and
-    its constants checked) once.  ensure_hypothesis() verifies with
-    check_psi_family (on one sampled log grid) that psi stays below the
-    identity and that the exponent function is increasing and concave
-    over a range, and caches the verified hull so sweeps do not re-verify
-    per call.
+    Construction builds exponent, the ExponentFunction of c1, c2, phi and
+    psi, and passes check_psi_family on one log grid over the range (psi
+    below the identity, exponent increasing and concave) or raises
+    HypothesisNotVerifiedError.  exponent_at refuses an argument outside
+    the range.  There is no q: the checks compare exponents, in which q
+    cancels.
     """
 
-    q: int
     c1: float
     c2: float
     phi: FunctionSpec
     psi: FunctionSpec
-    _verified: tuple[float, float] | None = field(default=None, init=False,
-                                                  repr=False)
+    x_lo: float
+    x_hi: float
     exponent: ExponentFunction = field(init=False, repr=False)
 
     def __post_init__(self):
-        from .functions import ExponentFunction
+        from .functions import ExponentFunction, check_psi_family
 
-        if not isinstance(self.q, int) or self.q < 2:
-            raise InputError(f"q must be an integer >= 2, got {self.q!r}")
         self.exponent = ExponentFunction(self.phi, self.psi, self.c1, self.c2)
-
-    def ensure_hypothesis(self, x_lo: float, x_hi: float) -> None:
-        if self._verified is not None:
-            lo, hi = self._verified
-            if lo <= x_lo and x_hi <= hi:
-                return
-            x_lo, x_hi = min(lo, x_lo), max(hi, x_hi)
-        from .functions import check_psi_family
-
-        _require(check_psi_family(self.exponent, x_lo, x_hi,
+        _require(check_psi_family(self.exponent, self.x_lo, self.x_hi,
                                   _HYPOTHESIS_GRID_N), "exponent function")
-        self._verified = (x_lo, x_hi)
+
+    def exponent_at(self, x: float) -> float:
+        """The exponent at x, refused outside the verified range."""
+        if not self.x_lo <= x <= self.x_hi:
+            raise HypothesisNotVerifiedError(
+                f"exponent function: x={x:g} is outside the verified range "
+                f"[{self.x_lo:g}, {self.x_hi:g}]")
+        return self.exponent.value(x)
 
 
 def _require(report, what: str) -> None:
@@ -314,14 +312,8 @@ def check_product_bound(n: int, p: int, parts, params: OmegaParams) -> bool:
         raise InputError("parts must be positive integers")
     if sum(parts) != n:
         raise InputError(f"parts sum to {sum(parts)}, not {n}")
-    args = [math.ceil(x / 2) for x in parts]
-    rhs_arg = n / (2.0 * p) + 1.0
-    lo = min(min(args), rhs_arg)
-    hi = max(max(args), rhs_arg)
-    params.ensure_hypothesis(lo, hi)
-    f = params.exponent
-    lhs = sum(f.value(float(x)) for x in args)
-    rhs = p * f.value(rhs_arg)
+    lhs = sum(params.exponent_at(float(math.ceil(x / 2))) for x in parts)
+    rhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
     return _exponent_leq(lhs, rhs)
 
 
@@ -332,12 +324,8 @@ def check_p_monotonicity(n: float, p: int, params: OmegaParams) -> bool:
         raise InputError(f"p must be a positive integer, got {p!r}")
     if not n >= 1:
         raise InputError(f"n must be at least 1, got {n!r}")
-    a_p = n / (2.0 * p) + 1.0
-    a_next = n / (2.0 * (p + 1)) + 1.0
-    params.ensure_hypothesis(min(a_p, a_next), max(a_p, a_next))
-    f = params.exponent
-    lhs = p * f.value(a_p)
-    rhs = (p + 1) * f.value(a_next)
+    lhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
+    rhs = (p + 1) * params.exponent_at(n / (2.0 * (p + 1)) + 1.0)
     return _exponent_leq(lhs, rhs)
 
 

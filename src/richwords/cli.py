@@ -72,7 +72,6 @@ def build_parser() -> _Parser:
     fn_range.add_argument("--x-hi", type=float, required=True)
 
     omega = _Parser(add_help=False)
-    omega.add_argument("--q", type=int, default=2)
     omega.add_argument("--c1", type=float, default=1.0)
     omega.add_argument("--c2", type=float, default=1.0)
 
@@ -257,15 +256,6 @@ def _table_rows(table: enumeration.RichCountTable) -> list[dict]:
     ]
 
 
-def _omega_params(ns) -> bounds.OmegaParams:
-    from . import functions
-
-    return bounds.OmegaParams(
-        q=ns.q, c1=ns.c1, c2=ns.c2,
-        phi=functions.parse_function_spec(ns.phi),
-        psi=functions.parse_function_spec(ns.psi))
-
-
 def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
     if p == 1:
         return [n]
@@ -319,6 +309,7 @@ def _cmd_count(ns):
     if ns.load_cache:
         table = _load_count_table(ns)
     else:
+        _check_at_least("--budget", ns.budget, 1)
         config = enumeration.EnumerationConfig(
             workers=ns.workers,
             with_max_luf=not ns.no_max_luf,
@@ -351,6 +342,7 @@ def _cmd_ups(ns):
 def _cmd_maxluf(ns):
     from . import ups
 
+    _check_at_least("--n", ns.n, 1)
     table = ups.max_luf_table(ns.q, ns.n)
     if ns.phi:
         from . import functions
@@ -461,14 +453,28 @@ def _cmd_verify_jensen(ns):
 
 
 def _cmd_verify_product_bound(ns):
+    from . import functions
+
     _check_at_least("--trials", ns.trials, 1)
     _check_at_least("--n-max", ns.n_max, 2)
-    params = _omega_params(ns)
+    phi = functions.parse_function_spec(ns.phi)
+    psi = functions.parse_function_spec(ns.psi)
+    floor = functions.ExponentFunction(phi, psi).domain_floor
+    # every part is at least m, so ceil(part/2) >= least >= floor
+    least = math.ceil(floor)
+    m = 2 * least - 1
+    if ns.n_max < m:
+        raise InputError(f"--n-max must be >= {m}, got {ns.n_max}: a part "
+                         f"below {m} halves to below the domain floor "
+                         f"{floor:g}")
+    params = bounds.OmegaParams(ns.c1, ns.c2, phi, psi, float(least),
+                                ns.n_max / 2 + 1)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
-        n = rng.randint(2, ns.n_max)
-        p = rng.randint(1, n)
-        parts = _random_composition(rng, n, p)
+        n = rng.randint(max(2, m), ns.n_max)
+        p = rng.randint(1, n // m)
+        parts = [m - 1 + part for part in
+                 _random_composition(rng, n - p * (m - 1), p)]
         if not bounds.check_product_bound(n, p, parts, params):
             return {"ok": False, "trials_run": trial + 1,
                     "witness": {"n": n, "p": p, "parts": parts}}
@@ -480,21 +486,21 @@ def _cmd_verify_p_monotonicity(ns):
 
     _check_at_least("--p-max", ns.p_max, 1)
     _check_at_least("--grid", ns.grid, 2)
-    params = _omega_params(ns)
-    phi = params.phi
-    sampled = sorted({int(round(x)) for x in functions.log_grid(
-        ns.n_lo, ns.n_hi, ns.grid)})
-    checked = 0
-    for n in sampled:
-        if n < 1:
-            continue
+    phi = functions.parse_function_spec(ns.phi)
+    psi = functions.parse_function_spec(ns.psi)
+    pairs = []
+    for n in sorted({int(round(x)) for x in functions.log_grid(
+            ns.n_lo, ns.n_hi, ns.grid)}):
         tau_n = max(1, math.ceil(n / phi.value(float(n))))
-        for p in range(1, min(ns.p_max, tau_n) + 1):
-            checked += 1
-            if not bounds.check_p_monotonicity(float(n), p, params):
-                return {"ok": False, "checked": checked,
-                        "witness": {"n": n, "p": p}}
-    return {"ok": True, "checked": checked}
+        pairs += [(n, p) for p in range(1, min(ns.p_max, tau_n) + 1)]
+    # the exact hull of the arguments check_p_monotonicity will ask about
+    args = [n / (2.0 * k) + 1.0 for n, p in pairs for k in (p, p + 1)]
+    params = bounds.OmegaParams(ns.c1, ns.c2, phi, psi, min(args), max(args))
+    for checked, (n, p) in enumerate(pairs, 1):
+        if not bounds.check_p_monotonicity(float(n), p, params):
+            return {"ok": False, "checked": checked,
+                    "witness": {"n": n, "p": p}}
+    return {"ok": True, "checked": len(pairs)}
 
 
 def _cmd_verify_delta(ns):

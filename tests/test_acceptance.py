@@ -183,8 +183,9 @@ def test_criterion_06_jensen_and_derivative_catalogue():
 
 
 def test_criterion_07_product_bound_and_p_monotonicity():
-    params = OmegaParams(q=2, c1=1.0, c2=1.0, phi=identity_spec(),
-                         psi=identity_spec())
+    # every argument below lies in [1, 10_000/2 + 1]
+    params = OmegaParams(c1=1.0, c2=1.0, phi=identity_spec(),
+                         psi=identity_spec(), x_lo=1.0, x_hi=5001.0)
     rng = random.Random(20260816)
     ok = EXPONENT_SLACK == 1e-9  # the slack the criterion states
 

@@ -92,9 +92,9 @@ def test_composition_bound_validation():
         check_composition_bound(5, 6)
 
 
-def _identity_params(q=2):
-    return OmegaParams(q=q, c1=1.0, c2=1.0, phi=identity_spec(),
-                       psi=identity_spec())
+def _identity_params(x_lo=1.0, x_hi=61.0):
+    return OmegaParams(c1=1.0, c2=1.0, phi=identity_spec(),
+                       psi=identity_spec(), x_lo=x_lo, x_hi=x_hi)
 
 
 # -- seed tables ------------------------------------------------------------
@@ -291,31 +291,43 @@ def test_jensen_sqrt_property(xs):
 
 
 def test_hypothesis_failure_carries_report():
-    params = OmegaParams(q=2, c1=1.0, c2=1.0, phi=power_spec(2.0),
-                         psi=identity_spec())
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        check_product_bound(8, 2, [4, 4], params)
+        OmegaParams(c1=1.0, c2=1.0, phi=power_spec(2.0),
+                    psi=identity_spec(), x_lo=2.0, x_hi=3.0)
     assert exc.value.report is not None
 
 
 def test_psi_above_identity_inside_the_hull_is_refused():
     # psi = 0.8*ln(x)**3 is below x at 8 and at 50 but above it near 10.9
-    params = OmegaParams(q=2, c1=0.1, c2=10.0, phi=x_over_ln_spec(),
-                         psi=FunctionSpec(0.8, 0.0, c=3.0))
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        check_product_bound(116, 2, [16, 100], params)  # hull (8, 50)
+        OmegaParams(c1=0.1, c2=10.0, phi=x_over_ln_spec(),
+                    psi=FunctionSpec(0.8, 0.0, c=3.0), x_lo=8.0, x_hi=50.0)
     assert not exc.value.report.psi_leq_x_ok
     assert 8.0 < exc.value.report.psi_violation_x < 50.0
-    assert params._verified is None
 
 
-def test_verified_hull_cannot_be_passed_in():
-    # a caller-supplied hull would skip the concavity precondition
-    with pytest.raises(TypeError, match="_verified"):
-        OmegaParams(q=2, c1=1.0, c2=1.0, phi=power_spec(2.0),
-                    psi=identity_spec(), _verified=(1.0, 1e9))
-    params = OmegaParams(q=2, c1=1.0, c2=1.0, phi=power_spec(2.0),
-                         psi=identity_spec())
-    assert params._verified is None
+def test_construction_always_verifies(psi_family_calls):
+    # a range is required, and it is verified before the object exists
+    with pytest.raises(TypeError, match="x_lo"):
+        OmegaParams(c1=1.0, c2=1.0, phi=identity_spec(), psi=identity_spec())
     with pytest.raises(HypothesisNotVerifiedError):
-        check_product_bound(8, 2, [4, 4], params)
+        OmegaParams(c1=1.0, c2=1.0, phi=power_spec(2.0),
+                    psi=identity_spec(), x_lo=1.0, x_hi=1e9)
+    params = _identity_params()
+    assert len(psi_family_calls) == 2  # one per construction
+    assert check_product_bound(120, 3, [40, 40, 40], params)
+    assert check_p_monotonicity(100.0, 4, params)
+    assert len(psi_family_calls) == 2  # the checks never verify again
+
+
+def test_argument_outside_the_range_is_refused():
+    params = _identity_params(x_lo=2.0, x_hi=10.0)
+    assert check_product_bound(8, 2, [4, 4], params)  # asks 2, 2 and 3
+    # ceil(1/2) = 1 lies below the range, ceil(40/2) = 20 above it
+    with pytest.raises(HypothesisNotVerifiedError, match="outside"):
+        check_product_bound(4, 2, [1, 3], params)
+    with pytest.raises(HypothesisNotVerifiedError, match="outside"):
+        check_product_bound(40, 2, [20, 20], params)
+    # 100/2 + 1 = 51 above it
+    with pytest.raises(HypothesisNotVerifiedError, match="outside"):
+        check_p_monotonicity(100.0, 1, params)

@@ -84,22 +84,27 @@ def test_count_symmetric_sharded_budget_is_exit_one():
 
 
 @pytest.mark.parametrize("flags", [
-    ("--workers", "-3"),
-    ("--workers", "0"),
-    ("--workers", "2", "--shard-depth", "-4"),
-    ("--workers", "2", "--shard-depth", "0"),
+    ("count", "--q", "2", "--n", "6", "--workers", "-3"),
+    ("count", "--q", "2", "--n", "6", "--workers", "0"),
+    ("count", "--q", "2", "--n", "6", "--workers", "2", "--shard-depth", "-4"),
+    ("count", "--q", "2", "--n", "6", "--workers", "2", "--shard-depth", "0"),
     # the cache is never opened
-    ("--n", "0"),
-    ("--n", "-2"),
-    ("--n", "0", "--load-cache", "absent.jsonl"),
+    ("count", "--q", "2", "--n", "0"),
+    ("count", "--q", "2", "--n", "-2"),
+    ("count", "--q", "2", "--n", "0", "--load-cache", "absent.jsonl"),
+    ("count", "--q", "2", "--n", "6", "--budget", "0"),
+    ("count", "--q", "2", "--n", "6", "--budget", "-1"),
+    ("maxluf", "--q", "2", "--n", "0"),
+    ("maxluf", "--q", "2", "--n", "-2"),
 ])
 def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
-    code, out, err = _invoke("count", "--q", "2", "--n", "6", *flags)
+    code, out, err = _invoke(*flags)
     assert code == 1
     assert out == ""
     assert "error:" in err and "Traceback" not in err
-    if flags[0] == "--n":
-        assert f"--n must be >= 1, got {flags[1]}" in err
+    for flag, value in zip(flags, flags[1:]):
+        if flag in ("--n", "--budget") and int(value) < 1:
+            assert f"{flag} must be >= 1, got {value}" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -465,6 +470,49 @@ def test_verify_product_bound():
     assert code == 0
 
 
+@pytest.mark.parametrize("argv", [
+    ("p-monotonicity", "--phi", "identity", "--psi", "identity"),
+    ("product-bound", "--phi", "identity", "--psi", "identity",
+     "--trials", "500"),
+    ("product-bound", "--phi", "x-over-lnx", "--psi", "ln"),
+])
+def test_omega_hypothesis_is_verified_once_per_run(psi_family_calls, argv):
+    code, _, err = _invoke("verify", *argv)
+    assert code == 0, err
+    assert len(psi_family_calls) == 1
+
+
+def test_product_bound_parts_halve_to_the_domain_floor(monkeypatch):
+    # floor 8 for x/ln x and ln: every part is at least 2*8 - 1 = 15
+    from richwords import bounds
+
+    drawn = []
+    check = bounds.check_product_bound
+
+    def recording(n, p, parts, params):
+        drawn.append((n, p, parts))
+        return check(n, p, parts, params)
+
+    monkeypatch.setattr(bounds, "check_product_bound", recording)
+    code, out, _ = _invoke("verify", "product-bound", "--phi", "x-over-lnx",
+                           "--psi", "ln", "--n-max", "100", "--trials", "300")
+    assert code == 0
+    assert _result(out)["trials_run"] == 300 == len(drawn)
+    assert min(min(parts) for _, _, parts in drawn) == 15
+    assert max(p for _, p, _ in drawn) > 1
+    assert all(sum(parts) == n and len(parts) == p for n, p, parts in drawn)
+
+
+@pytest.mark.parametrize("n_max", ["14", "2"])
+def test_product_bound_n_max_below_the_floor_part_names_it(n_max):
+    code, out, err = _invoke("verify", "product-bound", "--phi", "x-over-lnx",
+                             "--psi", "ln", "--n-max", n_max)
+    assert code == 1
+    assert out == ""
+    assert f"--n-max must be >= 15, got {n_max}" in err
+    assert "domain floor 8" in err and "Traceback" not in err
+
+
 def test_verify_p_monotonicity():
     code, out, _ = _invoke("verify", "p-monotonicity",
                            "--phi", "identity", "--psi", "identity",
@@ -648,11 +696,11 @@ _SURFACE = {
     ("verify", "product-bound"): (
         {"--trials": _SIZE, "--n-max": _SIZE},
         {"--phi": _SPEC, "--psi": _SPEC},
-        {"--q": _Q, "--c1": _FLOAT, "--c2": _FLOAT, "--seed": _INT}),
+        {"--c1": _FLOAT, "--c2": _FLOAT, "--seed": _INT}),
     ("verify", "p-monotonicity"): (
         {"--grid": _SIZE, "--p-max": _SIZE, "--n-hi": _INT},
         {"--phi": _SPEC, "--psi": _SPEC},
-        {"--q": _Q, "--c1": _FLOAT, "--c2": _FLOAT, "--n-lo": _INT}),
+        {"--c1": _FLOAT, "--c2": _FLOAT, "--n-lo": _INT}),
     ("verify", "delta"): (
         {"--grid": _SIZE},
         {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT}, {}),
