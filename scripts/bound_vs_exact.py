@@ -38,7 +38,7 @@ def main() -> int:
         tau, label = (lambda n: args.tau_const), f"const:{args.tau_const}"
     else:
         tau, label = (lambda n: n), "n"
-    bound = recurrence_bound(seeds, tau, args.exact_n, label)
+    bound = recurrence_bound(seeds, tau, args.exact_n)
 
     print(f"tau = {label}, seeds 1..{args.seed_n}")
     print(f"{'n':>4} {'exact':>14} {'log_q exact':>12} "

@@ -59,7 +59,6 @@ _HOMES = {
     "composition_bound_sweep": "bounds",
     "constant_spec": "functions",
     "count_rich": "enumeration",
-    "count_rich_symmetric": "enumeration",
     "errors": "errors",
     "exp_sqrt_ln_spec": "functions",
     "exponent_compare": "bootstrap",

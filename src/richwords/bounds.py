@@ -176,7 +176,6 @@ class BoundEntry:
 class BoundTable:
     q: int
     entries: dict[int, BoundEntry] = field(default_factory=dict)
-    tau_label: str = "unset"
 
 
 def seed_table_from_counts(counts: dict[int, int], q: int) -> BoundTable:
@@ -190,7 +189,7 @@ def seed_table_from_counts(counts: dict[int, int], q: int) -> BoundTable:
             raise InputError(f"seed index must be a positive integer, got {n!r}")
         entries[n] = BoundEntry(LogValue.from_int(count, q),
                                 "exact-seed")
-    return BoundTable(q, entries, tau_label="unset")
+    return BoundTable(q, entries)
 
 
 def _checked_seeds(seeds: BoundTable) -> int:
@@ -204,7 +203,7 @@ def _checked_seeds(seeds: BoundTable) -> int:
 
 
 def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
-                     n_max: int, tau_label: str = "custom") -> BoundTable:
+                     n_max: int) -> BoundTable:
     """Extend a seed table to n_max with the convolution recurrence.
 
     All arithmetic rounds up, so every produced entry is a certified
@@ -231,8 +230,7 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
         values[n] = value
         out_entries[n] = BoundEntry(value, entry.provenance)
     if n_max <= n_seed:
-        return BoundTable(q, {n: out_entries[n] for n in range(1, n_max + 1)},
-                          tau_label)
+        return BoundTable(q, {n: out_entries[n] for n in range(1, n_max + 1)})
 
     taus: dict[int, int] = {}
     for n in range(n_seed + 1, n_max + 1):
@@ -280,7 +278,7 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
                 values[n] = total
     for n in range(n_seed + 1, n_max + 1):
         out_entries[n] = BoundEntry(values[n], "recurrence")
-    return BoundTable(q, out_entries, tau_label)
+    return BoundTable(q, out_entries)
 
 
 def exponent_text(x: mpmath.mpf) -> str:

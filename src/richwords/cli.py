@@ -315,10 +315,9 @@ def _cmd_count(ns):
             with_max_luf=not ns.no_max_luf,
             node_budget=ns.budget,
             shard_depth=ns.shard_depth)
-        if ns.symmetric:
-            table = enumeration.count_rich_symmetric(ns.q, ns.n, config)
-        else:
-            table = enumeration.count_rich(ns.q, ns.n, config)
+        table = enumeration.count_rich(ns.q, ns.n, config)
+        if ns.symmetric:  # a label only: the walk is the same
+            table.provenance["symmetric"] = True
         if ns.save_cache:
             enumeration.save_cache(table, _cache_path(ns.save_cache))
     return {"q": table.q, "rows": _table_rows(table)}
@@ -408,7 +407,7 @@ def _cmd_bound_recurrence(ns):
             enumeration.EnumerationConfig(with_max_luf=False))
         counts = {n: e.count for n, e in table.entries.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)
-    result_table = bounds.recurrence_bound(seeds, tau, ns.n_max, tau_label)
+    result_table = bounds.recurrence_bound(seeds, tau, ns.n_max)
     rows = [{"n": n,
              "exponent_log_q": bounds.exponent_text(
                  result_table.entries[n].value.log_q),
@@ -460,13 +459,14 @@ def _cmd_verify_product_bound(ns):
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     floor = functions.ExponentFunction(phi, psi).domain_floor
-    # every part is at least m, so ceil(part/2) >= least >= floor
-    least = math.ceil(floor)
+    # the least integer both specs take: ln also refuses x = 1; every
+    # part is at least m, so ceil(part/2) >= least
+    least = max(math.ceil(floor), 2 if phi.uses_log or psi.uses_log else 1)
     m = 2 * least - 1
     if ns.n_max < m:
         raise InputError(f"--n-max must be >= {m}, got {ns.n_max}: a part "
-                         f"below {m} halves to below the domain floor "
-                         f"{floor:g}")
+                         f"below {m} halves to below {least}, the least x "
+                         f"both specs take (domain floor {floor:g})")
     params = bounds.OmegaParams(ns.c1, ns.c2, phi, psi, float(least),
                                 ns.n_max / 2 + 1)
     rng = random.Random(ns.seed)

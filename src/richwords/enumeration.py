@@ -41,8 +41,9 @@ distinct letters holds q(q-1)...(q-k+1) words and one canonical word, so
 rich words are counted per (length n, used k) and weighted by
 math.perm(q, k).
 
-With workers > 1 each of `workers` pool tasks walks from the root but
-descends only into every workers-th rich word of length `cut`.  Rows up
+With workers > 1 each of `tasks` pool tasks walks from the root but
+descends only into every tasks-th rich word of length `cut`, where tasks
+is `workers` capped at q**cut, the most words a cut can hold.  Rows up
 to the cut are alike in every shard and rows below add up; the node
 count follows from the merged table, so neither the counts nor the
 budget verdict depend on the worker count.  The pool starts at most one
@@ -259,24 +260,30 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _count(q: int, n_max: int, config: EnumerationConfig | None,
-           symmetric: bool) -> RichCountTable:
+def count_rich(q: int, n_max: int,
+               config: EnumerationConfig | None = None) -> RichCountTable:
+    """Count rich words of every length 1..n_max over q letters.
+
+    Walks canonical words only and rescales (see the module docstring);
+    the node budget counts canonical push attempts.
+    """
     config = config or EnumerationConfig()
     _validate_args(q, n_max, config)
     # cut 0 never matches a word length, so a serial run descends fully;
     # n_max - 1 is the deepest cut that still leaves subtrees to hand out
     cut = min(config.shard_depth, n_max - 1) if config.workers > 1 else 0
-    shard = functools.partial(_walk_shard, q, n_max, cut, config.workers,
+    # no more strides than the q**cut words a cut can hold at most
+    tasks = min(config.workers, q ** cut)
+    shard = functools.partial(_walk_shard, q, n_max, cut, tasks,
                               with_max_luf=config.with_max_luf,
                               limit=config.node_budget)
     if cut:
         # through the module, so that a patched ProcessPoolExecutor is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
-        # no more processes than the CPUs this one may run on; there are
-        # still `workers` tasks, so the counts do not depend on the machine
-        processes = min(config.workers, _usable_cpus())
-        with pool_class(max_workers=processes) as pool:
-            shards = list(pool.map(shard, range(config.workers)))
+        # no more processes than the CPUs this one may run on; the tasks,
+        # and so the counts, do not depend on the machine
+        with pool_class(max_workers=min(tasks, _usable_cpus())) as pool:
+            shards = list(pool.map(shard, range(tasks)))
     else:
         shards = [shard(0)]
 
@@ -299,30 +306,9 @@ def _count(q: int, n_max: int, config: EnumerationConfig | None,
                      maxluf[n] if maxluf is not None else None)
         for n in range(1, n_max + 1)
     }
-    # symmetric only labels the table: both public names run the same walk
-    provenance = {"symmetric": symmetric, "tool_version": TOOL_VERSION}
+    # `count --symmetric` sets the label to true; the walk is the same
+    provenance = {"symmetric": False, "tool_version": TOOL_VERSION}
     return RichCountTable(q, entries, provenance)
-
-
-def count_rich(q: int, n_max: int,
-               config: EnumerationConfig | None = None) -> RichCountTable:
-    """Count rich words of every length 1..n_max over q letters.
-
-    Walks canonical words only and rescales (see the module docstring);
-    the node budget counts canonical push attempts.
-    """
-    return _count(q, n_max, config, symmetric=False)
-
-
-def count_rich_symmetric(q: int, n_max: int,
-                         config: EnumerationConfig | None = None
-                         ) -> RichCountTable:
-    """count_rich, with the table's provenance marked "symmetric": true.
-
-    Both names run the same canonical walk and give the same entries;
-    only the provenance label, and so the cache header, differs.
-    """
-    return _count(q, n_max, config, symmetric=True)
 
 
 # -- cache I/O ------------------------------------------------------------

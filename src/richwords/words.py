@@ -47,9 +47,6 @@ class Word:
             q = max(2, max(letters, default=-1) + 1)
         return cls(letters, Alphabet(q))
 
-    def to_text(self) -> str:
-        return text_from_letters(self.letters)
-
 
 def letters_from_text(text: str) -> tuple[int, ...]:
     out = []

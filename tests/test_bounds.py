@@ -142,7 +142,7 @@ def test_recurrence_hand_checked_value():
 def test_recurrence_tau_one_chain():
     # tau = 1 collapses the recurrence to B(n) = B(ceil(n/2))
     seeds = seed_table_from_counts({1: 2}, 2)
-    table = recurrence_bound(seeds, lambda n: 1, 16, "const:1")
+    table = recurrence_bound(seeds, lambda n: 1, 16)
     for n in range(2, 17):
         assert abs(float(table.entries[n].value.log_q) - 1.0) < 1e-9
 
@@ -203,12 +203,12 @@ def test_tau_n_rows_never_beat_the_trivial_bound():
     # binary seeds up to 10, every tau = n row to 60 lies above n, while a
     # cap of 4 parts first falls below n at n = 25
     seeds = seed_table_from_counts(_counts(2, 10), 2)
-    table = recurrence_bound(seeds, lambda n: n, 60, "n")
+    table = recurrence_bound(seeds, lambda n: n, 60)
     exponents = {n: table.entries[n].value.log_q for n in range(11, 61)}
     assert all(exponents[n] > n for n in exponents)
     assert 17.86 < exponents[11] < 17.87
     assert 100.88 < exponents[60] < 100.89
-    capped = recurrence_bound(seeds, lambda n: 4, 25, "const:4")
+    capped = recurrence_bound(seeds, lambda n: 4, 25)
     assert [n for n in range(11, 26)
             if capped.entries[n].value.log_q < n] == [25]
 

@@ -83,6 +83,36 @@ def test_count_symmetric_sharded_budget_is_exit_one():
     assert "budget" in err
 
 
+@pytest.mark.parametrize("q, n", [(2, 9), (3, 7), (4, 6)])
+@pytest.mark.parametrize("workers", ["1", "2"])
+def test_count_symmetric_only_labels_the_table(tmp_path, q, n, workers):
+    # --symmetric runs the same walk: the same rows on stdout, and a cache
+    # that differs only by the header's "symmetric": true
+    argv = ("count", "--q", str(q), "--n", str(n), "--workers", workers,
+            "--shard-depth", "3")
+    for fmt in ("csv", "text", "json"):
+        _, plain, _ = _invoke(*argv, "--format", fmt)
+        code, sym, _ = _invoke(*argv, "--symmetric", "--format", fmt)
+        assert code == 0
+        if fmt == "json":  # the config echo holds the flag
+            plain, sym = _result(plain), _result(sym)
+        assert sym == plain, fmt
+    caches = {}
+    for name, flags in (("plain", ()), ("sym", ("--symmetric",))):
+        path = tmp_path / f"{name}.jsonl"
+        assert _invoke(*argv, *flags, "--save-cache", str(path))[0] == 0
+        caches[name] = path.read_text()
+    header, *rows = caches["sym"].split("\n")
+    assert '"symmetric": true' in header
+    assert "\n".join([header.replace('"symmetric": true',
+                                     '"symmetric": false'), *rows]
+                     ) == caches["plain"]
+    code, loaded, _ = _invoke("count", "--q", str(q), "--n", str(n),
+                              "--load-cache", str(tmp_path / "sym.jsonl"))
+    assert code == 0
+    assert _result(loaded) == plain  # the json result of the plain run
+
+
 @pytest.mark.parametrize("flags", [
     ("count", "--q", "2", "--n", "6", "--workers", "-3"),
     ("count", "--q", "2", "--n", "6", "--workers", "0"),
@@ -501,6 +531,31 @@ def test_product_bound_parts_halve_to_the_domain_floor(monkeypatch):
     assert min(min(parts) for _, _, parts in drawn) == 15
     assert max(p for _, p, _ in drawn) > 1
     assert all(sum(parts) == n and len(parts) == p for n, p, parts in drawn)
+
+
+def test_product_bound_ln_with_floor_one_starts_at_two(monkeypatch):
+    # ln refuses x = 1, so the least x both specs take is 2, not the floor
+    # 1: every part is at least 2*2 - 1 = 3
+    from richwords import bounds
+
+    drawn = []
+    check = bounds.check_product_bound
+
+    def recording(n, p, parts, params):
+        drawn.append(parts)
+        return check(n, p, parts, params)
+
+    monkeypatch.setattr(bounds, "check_product_bound", recording)
+    code, out, err = _invoke("verify", "product-bound", "--phi",
+                             "x-over-lnx@1", "--psi", "sqrt", "--n-max", "60",
+                             "--trials", "200")
+    assert code == 0, err
+    assert _result(out)["trials_run"] == 200 == len(drawn)
+    assert min(min(parts) for parts in drawn) == 3
+    code, out, err = _invoke("verify", "product-bound", "--phi", "identity",
+                             "--psi", "ln@1", "--n-max", "2")
+    assert (code, out) == (1, "")
+    assert "--n-max must be >= 3, got 2" in err
 
 
 @pytest.mark.parametrize("n_max", ["14", "2"])

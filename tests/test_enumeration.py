@@ -11,8 +11,7 @@ from hypothesis import strategies as st
 from richwords import (BudgetExceededError, CacheError, CacheFormatError,
                        CacheQMismatchError, CacheVersionError,
                        EnumerationConfig, InputError, RichEntry, count_rich,
-                       count_rich_symmetric, enumeration, load_cache,
-                       save_cache)
+                       enumeration, load_cache, save_cache)
 
 from . import oracles
 
@@ -101,27 +100,25 @@ def test_max_luf_disabled():
 
 
 def test_symmetric_agrees_with_plain():
-    # both public names run the canonical walk; a plain walk that tries
-    # every letter at every node is the reference.  Sharded, the cut is
-    # mid-tree, at the last level that gets a node (n_max - 2), or at the
-    # level below it, which the walk counts in its grandparent's frame
+    # the canonical (symmetric) walk against a plain walk that tries every
+    # letter at every node.  Sharded, the cut is mid-tree, at the last
+    # level that gets a node (n_max - 2), or at the level below it, which
+    # the walk counts in its grandparent's frame
     for q, n_max in ((2, 14), (3, 10), (4, 8), (5, 7)):
         plain = oracles.rich_entries_plain_dfs(q, n_max)
         for with_max_luf in (True, False):
             for workers, depth in ((1, 3), (2, 3), (2, n_max - 2),
                                    (2, n_max - 1)):
-                config = EnumerationConfig(workers=workers, shard_depth=depth,
-                                           with_max_luf=with_max_luf)
-                for count in (count_rich, count_rich_symmetric):
-                    table = count(q, n_max, config)
-                    assert sorted(table.entries) == sorted(plain)
-                    for n, (expected, luf) in plain.items():
-                        entry = table.entries[n]
-                        where = (count.__name__, q, n, with_max_luf, workers,
-                                 depth)
-                        assert entry.count == expected, where
-                        assert entry.max_luf == (
-                            luf if with_max_luf else None), where
+                table = count_rich(q, n_max, EnumerationConfig(
+                    workers=workers, shard_depth=depth,
+                    with_max_luf=with_max_luf))
+                assert sorted(table.entries) == sorted(plain)
+                for n, (expected, luf) in plain.items():
+                    entry = table.entries[n]
+                    where = (q, n, with_max_luf, workers, depth)
+                    assert entry.count == expected, where
+                    assert entry.max_luf == (
+                        luf if with_max_luf else None), where
 
 
 def test_short_walks_against_plain_dfs(inline_pool):
@@ -158,17 +155,26 @@ def test_longest_palindromic_suffix_extends_richly():
                     assert oracles.is_rich(w + (w[n - lps - 1],)), w
 
 
-@pytest.mark.parametrize("cpus, workers", [(1, 3), (2, 5), (4, 3)])
-def test_pool_capped_at_usable_cpus(monkeypatch, inline_pool, cpus, workers):
-    # the pool starts no more processes than there are CPUs to run them;
-    # the tasks, and so the counts, stay those of `workers` strides
+@pytest.mark.parametrize("cpus, workers, q, n_max, tasks", [
+    pytest.param(1, 3, 3, 7, 3, id="1-3"),
+    pytest.param(2, 5, 3, 7, 5, id="2-5"),
+    pytest.param(4, 3, 3, 7, 3, id="4-3"),
+    # a cut at n_max - 1 = 3 holds at most 2**3 words: 8 strides, not 10**6
+    pytest.param(2, 10**6, 2, 4, 8, id="2-1000000"),
+])
+def test_pool_capped_at_usable_cpus(monkeypatch, inline_pool, cpus, workers,
+                                    q, n_max, tasks):
+    # the pool starts no more processes than there are CPUs to run them,
+    # and no more tasks than words the cut can hold; the counts stay the
+    # serial ones
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
-    table = count_rich(3, 7, EnumerationConfig(workers=workers,
-                                               shard_depth=3))
+    table = count_rich(q, n_max, EnumerationConfig(workers=workers,
+                                                   shard_depth=3))
     assert [(p.max_workers, p.tasks) for p in inline_pool] == [
-        (min(cpus, workers), workers)]
-    assert table.entries == _brute_entries(3)
+        (min(cpus, tasks), tasks)]
+    assert table.entries == {n: e for n, e in _brute_entries(q).items()
+                             if n <= n_max}
 
 
 @pytest.mark.parametrize("cpu_count, processes", [(2, 2), (None, 1)])
@@ -182,17 +188,15 @@ def test_pool_cap_without_affinity(monkeypatch, inline_pool, cpu_count,
 
 
 def test_parallel_matches_serial():
-    # both public names against brute force, serial and sharded, with the
-    # shard cut at the root, mid-tree and clamped from n_max to n_max - 1
+    # brute force against serial and sharded walks, with the shard cut at
+    # the root, mid-tree and clamped from n_max to n_max - 1
     for q, n_max in ORACLE_N.items():
         brute = _brute_entries(q)
-        for count in (count_rich, count_rich_symmetric):
-            for workers in (1, 2, 3):
-                for depth in (1, 3, n_max):
-                    table = count(q, n_max, EnumerationConfig(
-                        workers=workers, shard_depth=depth))
-                    assert table.entries == brute, (
-                        count.__name__, q, workers, depth)
+        for workers in (1, 2, 3):
+            for depth in (1, 3, n_max):
+                table = count_rich(q, n_max, EnumerationConfig(
+                    workers=workers, shard_depth=depth))
+                assert table.entries == brute, (q, workers, depth)
 
 
 def test_parallel_caches_byte_identical(tmp_path):
@@ -235,9 +239,8 @@ def test_budget_verdict_exact_for_every_worker_count(q, n_max):
 
 def test_budget_error_in_parallel_mode():
     config = EnumerationConfig(workers=2, shard_depth=3, node_budget=200)
-    for count in (count_rich, count_rich_symmetric):
-        with pytest.raises(BudgetExceededError):
-            count(2, 14, config)
+    with pytest.raises(BudgetExceededError):
+        count_rich(2, 14, config)
 
 
 def test_invalid_args():
@@ -252,9 +255,8 @@ def test_invalid_args():
                    EnumerationConfig(workers=2, shard_depth=0),
                    EnumerationConfig(workers=2, shard_depth=-4),
                    EnumerationConfig(shard_depth=-4)):
-        for count in (count_rich, count_rich_symmetric):
-            with pytest.raises(InputError):
-                count(2, 5, config)
+        with pytest.raises(InputError):
+            count_rich(2, 5, config)
 
 
 def test_cache_roundtrip(tmp_path):
@@ -403,11 +405,10 @@ def test_cache_loader_fuzz_records(tmp_path_factory, records):
 
 
 def test_provenance_records_route():
-    plain = count_rich(2, 3)
-    sym = count_rich_symmetric(2, 3)
-    assert plain.provenance["symmetric"] is False
-    assert sym.provenance["symmetric"] is True
-    assert "date" not in plain.provenance
+    # count --symmetric sets the label; the library always walks the same
+    provenance = count_rich(2, 3).provenance
+    assert provenance["symmetric"] is False
+    assert "date" not in provenance
 
 
 @settings(max_examples=20, deadline=None)
