@@ -46,7 +46,7 @@ def main() -> int:
     for n in range(1, args.exact_n + 1):
         exact = counts[n]
         lg_exact = math.log(exact, args.q)
-        lg_bound = float(bound.entries[n].value.log_q)
+        lg_bound = float(bound[n].log_q)
         print(f"{n:>4} {exact:>14} {lg_exact:>12.4f} "
               f"{lg_bound:>12.4f} {lg_bound - lg_exact:>8.4f}")
     return 0

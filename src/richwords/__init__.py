@@ -21,8 +21,6 @@ _HOMES = {
     "Alphabet": "words",
     "BootstrapState": "bootstrap",
     "BootstrapTrajectory": "bootstrap",
-    "BoundEntry": "bounds",
-    "BoundTable": "bounds",
     "BudgetExceededError": "errors",
     "CacheError": "errors",
     "CacheFormatError": "errors",

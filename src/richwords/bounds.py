@@ -5,10 +5,12 @@ The central object is the recurrence table
     B(n) = sum over p = 1..tau(n) of S_p(n),
     S_p  = p-fold convolution of g over compositions, g(m) = B(ceil(m/2)),
 
-computed with every LogValue operation rounded up, so each entry is a
-certified upper bound relative to the seeds.  The convolution only ever
+computed with every LogValue operation rounded up, so each entry is an
+upper bound on the recurrence from the seeds.  The convolution only ever
 reads entries at indices at most ceil(n/2), which is what makes seeding a
-prefix of exact counts sound.
+prefix of exact counts sound.  Row n bounds R(n) itself when every rich
+word of length n splits into at most tau(n) palindromes, and so outright
+when tau(n) >= n (unconditional).
 
 The table is evaluated in one of two orders.  When tau(n) >= n on every
 recurrence row (tau = n, or a constant at least n_max), every part count
@@ -41,6 +43,8 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field
+from functools import reduce
+from operator import add
 from typing import TYPE_CHECKING, Callable
 
 from .errors import HypothesisNotVerifiedError, InputError, SeedGapError
@@ -56,9 +60,8 @@ if TYPE_CHECKING:
 __all__ = [
     "composition_bound_sweep",
     "OmegaParams",
-    "BoundEntry",
-    "BoundTable",
     "seed_table_from_counts",
+    "unconditional",
     "recurrence_bound",
     "exponent_text",
     "check_product_bound",
@@ -166,71 +169,57 @@ def _require(report, what: str) -> None:
     raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
 
 
-@dataclass(frozen=True)
-class BoundEntry:
-    value: LogValue
-    provenance: str  # "exact-seed" or "recurrence"
-
-
-@dataclass
-class BoundTable:
-    q: int
-    entries: dict[int, BoundEntry] = field(default_factory=dict)
-
-
-def seed_table_from_counts(counts: dict[int, int], q: int) -> BoundTable:
-    """Build a seed table from exact integer counts, rounding exponents
-    up so the seeds themselves are valid upper bounds."""
+def seed_table_from_counts(counts: dict[int, int], q: int
+                           ) -> dict[int, LogValue]:
+    """{n: count} as {n: LogValue}, each exponent rounded up so the seeds
+    themselves are valid upper bounds."""
     from .logvalue import LogValue
 
-    entries = {}
+    seeds = {}
     for n, count in counts.items():
         if not isinstance(n, int) or n < 1:
             raise InputError(f"seed index must be a positive integer, got {n!r}")
-        entries[n] = BoundEntry(LogValue.from_int(count, q),
-                                "exact-seed")
-    return BoundTable(q, entries)
+        if not isinstance(count, int) or count < 1:
+            raise InputError(f"seed count at n={n} must be a positive "
+                             f"integer, got {count!r}")
+        seeds[n] = LogValue.from_int(count, q)
+    return seeds
 
 
-def _checked_seeds(seeds: BoundTable) -> int:
-    if not seeds.entries:
-        raise SeedGapError(1)
-    n_seed = max(seeds.entries)
-    for i in range(1, n_seed + 1):
-        if i not in seeds.entries:
-            raise SeedGapError(i)
-    return n_seed
+def unconditional(tau: Callable[[int], int], n_seed: int, n_max: int) -> bool:
+    """Whether tau(n) >= n on every recurrence row n_seed < n <= n_max,
+    vacuously so when there is none.  Then every split of a word into
+    palindromes is summed and each row bounds R(n) outright; otherwise row
+    n bounds R(n) only if every rich word of length n splits into at most
+    tau(n) palindromes."""
+    return all(tau(n) >= n for n in range(n_seed + 1, n_max + 1))
 
 
-def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
-                     n_max: int) -> BoundTable:
-    """Extend a seed table to n_max with the convolution recurrence.
+def recurrence_bound(seeds: dict, tau: Callable[[int], int],
+                     n_max: int) -> dict:
+    """Extend the seeds {n: B(n)}, n = 1..n_seed, to {n: B(n)} for
+    n = 1..n_max with the convolution recurrence.
 
-    All arithmetic rounds up, so every produced entry is a certified
-    upper bound for the quantity the recurrence dominates, relative to
-    the seeds.  Entry n only reads entries at indices <= ceil(n/2).
+    The values are only added and multiplied.  On LogValue seeds every
+    operation rounds up, so each row is an upper bound on the integer
+    recurrence from the seeds; on int seeds the rows are that recurrence
+    exactly.  Entry n only reads entries at indices <= ceil(n/2).
 
-    If tau(n) >= n for every n in (n_seed, n_max], the sum over all part
-    counts is taken as the geometric series H = G + G*H, in
-    n_max*(n_max - 1) LogValue operations.  Otherwise the convolution rows
-    S_1..S_p_cap are built, p_cap = min(n_max, max tau), which costs
-    O(p_cap * n_max**2) operations and a p_cap x n_max table.
+    If unconditional(tau, n_seed, n_max), the sum over all part counts is
+    taken as the geometric series H = G + G*H, in n_max*(n_max - 1)
+    operations.  Otherwise the convolution rows S_1..S_p_cap are built,
+    p_cap = min(n_max, max tau), which costs O(p_cap * n_max**2)
+    operations and a p_cap x n_max table.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
-    n_seed = _checked_seeds(seeds)
-    q = seeds.q
-
-    values: dict[int, LogValue] = {}
-    out_entries: dict[int, BoundEntry] = {}
-    for n, entry in seeds.entries.items():
-        value = entry.value
-        if value.q != q:
-            raise InputError(f"seed at n={n} has base {value.q}, table has {q}")
-        values[n] = value
-        out_entries[n] = BoundEntry(value, entry.provenance)
-    if n_max <= n_seed:
-        return BoundTable(q, {n: out_entries[n] for n in range(1, n_max + 1)})
+    if not seeds:
+        raise SeedGapError(1)
+    n_seed = max(seeds)
+    for i in range(1, n_seed + 1):
+        if i not in seeds:
+            raise SeedGapError(i)
+    values = dict(seeds)
 
     taus: dict[int, int] = {}
     for n in range(n_seed + 1, n_max + 1):
@@ -241,44 +230,31 @@ def recurrence_bound(seeds: BoundTable, tau: Callable[[int], int],
         taus[n] = t
 
     # g[m] = B(ceil(m/2)), known for m <= n once B is known below n
-    g: list[LogValue | None] = [None] * (n_max + 1)
-    if all(t >= n for n, t in taus.items()):
+    g: dict = {}
+    if unconditional(taus.__getitem__, n_seed, n_max):
         # every part count is summed, so B(n) = H[n] for the series
         # H = G + G*H: H[n] = g[n] + sum_{j<n} g[j]*H[n-j]
-        h: list[LogValue | None] = [None] * (n_max + 1)
+        h: dict = {}
         for n in range(1, n_max + 1):
             g[n] = values[(n + 1) // 2]
-            acc = g[n]
-            for j in range(1, n):
-                acc = acc + g[j] * h[n - j]
-            h[n] = acc
+            h[n] = reduce(add, (g[j] * h[n - j] for j in range(1, n)), g[n])
             if n > n_seed:
-                values[n] = acc
+                values[n] = h[n]
     else:
         # conv[p][m] = p-fold convolution of g at m
         p_cap = min(n_max, max(taus.values()))
-        conv: list[list[LogValue | None]] = [
-            [None] * (n_max + 1) for _ in range(p_cap + 1)
-        ]
+        conv = {p: {} for p in range(2, p_cap + 1)}
+        conv[1] = g
         for n in range(1, n_max + 1):
             g[n] = values[(n + 1) // 2]
-            conv[1][n] = g[n]
             for p in range(2, min(n, p_cap) + 1):
-                acc: LogValue | None = None
                 prev = conv[p - 1]
-                for j in range(1, n - p + 2):
-                    term = g[j] * prev[n - j]
-                    acc = term if acc is None else acc + term
-                conv[p][n] = acc
+                conv[p][n] = reduce(add, (g[j] * prev[n - j]
+                                          for j in range(1, n - p + 2)))
             if n > n_seed:
-                total: LogValue | None = None
-                for p in range(1, min(taus[n], n) + 1):
-                    term = conv[p][n]
-                    total = term if total is None else total + term
-                values[n] = total
-    for n in range(n_seed + 1, n_max + 1):
-        out_entries[n] = BoundEntry(values[n], "recurrence")
-    return BoundTable(q, out_entries)
+                values[n] = reduce(add, (conv[p][n] for p in
+                                         range(1, min(taus[n], n) + 1)))
+    return {n: values[n] for n in range(1, n_max + 1)}
 
 
 def exponent_text(x: mpmath.mpf) -> str:

@@ -407,13 +407,16 @@ def _cmd_bound_recurrence(ns):
             enumeration.EnumerationConfig(with_max_luf=False))
         counts = {n: e.count for n, e in table.entries.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)
-    result_table = bounds.recurrence_bound(seeds, tau, ns.n_max)
+    table = bounds.recurrence_bound(seeds, tau, ns.n_max)
     rows = [{"n": n,
-             "exponent_log_q": bounds.exponent_text(
-                 result_table.entries[n].value.log_q),
-             "provenance": result_table.entries[n].provenance}
-            for n in sorted(result_table.entries)]
-    return {"q": ns.q, "tau": tau_label, "rows": rows}
+             "exponent_log_q": bounds.exponent_text(value.log_q),
+             "provenance": "exact-seed" if n in seeds else "recurrence"}
+            for n, value in table.items()]
+    certified = ("unconditional"
+                 if bounds.unconditional(tau, max(seeds), ns.n_max)
+                 else "conditional on palindromic length <= tau(n)")
+    return {"q": ns.q, "tau": tau_label, "certified": certified,
+            "rows": rows}
 
 
 def _cmd_verify_composition_bound(ns):

@@ -130,7 +130,7 @@ def test_criterion_05_recurrence_dominates_exact_counts():
     ok = True
     for n in range(11, 21):
         exact_floor, _ = oracles.log2_bracket(counts[n])
-        if not bound.entries[n].value.log_q >= exact_floor:
+        if not bound[n].log_q >= exact_floor:
             ok = False
     elapsed = time.perf_counter() - t0
     ok = ok and elapsed < 600.0

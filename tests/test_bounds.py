@@ -107,10 +107,19 @@ def _counts(q, n):
 
 def test_seed_table_roundtrip():
     seeds = seed_table_from_counts(_counts(2, 6), 2)
-    assert set(seeds.entries) == set(range(1, 7))
-    assert seeds.entries[6].provenance == "exact-seed"
+    assert list(seeds) == list(range(1, 7))
     # seed exponents certify from above
-    assert float(seeds.entries[6].value.log_q) >= math.log2(64)
+    assert float(seeds[6].log_q) >= math.log2(64)
+
+
+@pytest.mark.parametrize("count", [0, -4, "8", 2.0])
+def test_seed_count_must_be_a_positive_integer(count):
+    counts = _counts(2, 4)
+    counts[3] = count
+    with pytest.raises(InputError,
+                       match=f"seed count at n=3 must be a positive integer, "
+                             f"got {count!r}"):
+        seed_table_from_counts(counts, 2)
 
 
 def test_seed_gap_detection():
@@ -136,7 +145,8 @@ def test_recurrence_hand_checked_value():
     # g(m) = B(ceil(m/2)) = 2, so B(2) = 2 + 4 = 6.
     seeds = seed_table_from_counts({1: 2}, 2)
     table = recurrence_bound(seeds, lambda n: n, 2)
-    assert abs(float(table.entries[2].value.log_q) - math.log2(6)) < 1e-12
+    assert abs(float(table[2].log_q) - math.log2(6)) < 1e-12
+    assert recurrence_bound({1: 2}, lambda n: n, 2) == {1: 2, 2: 6}
 
 
 def test_recurrence_tau_one_chain():
@@ -144,15 +154,15 @@ def test_recurrence_tau_one_chain():
     seeds = seed_table_from_counts({1: 2}, 2)
     table = recurrence_bound(seeds, lambda n: 1, 16)
     for n in range(2, 17):
-        assert abs(float(table.entries[n].value.log_q) - 1.0) < 1e-9
+        assert abs(float(table[n].log_q) - 1.0) < 1e-9
 
 
 def test_recurrence_matches_exact_oracle():
-    # the log-domain engine must dominate the exact-integer mirror and
-    # stay within the nudge budget of it
+    # on int seeds the engine is the exact-integer mirror; the log-domain
+    # engine must dominate it and stay within the nudge budget of it
     # tau >= n on every row sums the geometric series; any row below n
     # (the boundary tau, n - 1 on one row only) takes the convolution rows
-    for n_max, n_seeds in ((12, (1, 2, 3, 6)), (40, (10,))):
+    for n_max, n_seeds in ((12, (1, 2, 3, 6)), (40, (10,)), (60, (10,))):
         for n_seed in n_seeds:
             seeds_counts = _counts(2, n_seed)
             seeds = seed_table_from_counts(seeds_counts, 2)
@@ -161,9 +171,13 @@ def test_recurrence_matches_exact_oracle():
                         lambda n: 2, lambda n: max(1, n // 2)):
                 exact = oracles.recurrence_table_exact(seeds_counts, tau,
                                                        n_max)
+                assert recurrence_bound(seeds_counts, tau, n_max) == {
+                    n: exact[n] for n in range(1, n_max + 1)}
+                if n_max > 40:  # the int check reaches further
+                    continue
                 table = recurrence_bound(seeds, tau, n_max)
                 for n in range(1, n_max + 1):
-                    got = float(table.entries[n].value.log_q)
+                    got = float(table[n].log_q)
                     want = math.log2(exact[n])
                     assert got >= want - 1e-12, (n_max, n_seed, n)
                     assert got <= want + 1e-9, (n_max, n_seed, n)
@@ -181,8 +195,7 @@ def test_recurrence_direct_composition_sum_agrees():
 def test_recurrence_truncates_to_requested_range():
     seeds = seed_table_from_counts(_counts(2, 8), 2)
     table = recurrence_bound(seeds, lambda n: n, 5)
-    assert set(table.entries) == set(range(1, 6))
-    assert all(e.provenance == "exact-seed" for e in table.entries.values())
+    assert table == {n: seeds[n] for n in range(1, 6)}
 
 
 def test_recurrence_entries_grow_with_seed_values():
@@ -195,22 +208,24 @@ def test_recurrence_entries_grow_with_seed_values():
     t2 = recurrence_bound(seed_table_from_counts(bumped, 2),
                           lambda n: n, 10)
     for n in range(4, 11):
-        assert t2.entries[n].value.log_q >= t1.entries[n].value.log_q
+        assert t2[n].log_q >= t1[n].log_q
 
 
 def test_tau_n_rows_never_beat_the_trivial_bound():
     # summing every part count overcounts too much to beat q^n: from exact
-    # binary seeds up to 10, every tau = n row to 60 lies above n, while a
-    # cap of 4 parts first falls below n at n = 25
+    # binary seeds up to 10, every tau = n row to 60 lies above n.  A cap
+    # of 4 parts first falls below n at n = 25, but its rows are only
+    # conditional, and the condition is false: binary rich words of
+    # length 14 need 5 palindromes, so const:4 is not a valid cap
     seeds = seed_table_from_counts(_counts(2, 10), 2)
     table = recurrence_bound(seeds, lambda n: n, 60)
-    exponents = {n: table.entries[n].value.log_q for n in range(11, 61)}
+    exponents = {n: table[n].log_q for n in range(11, 61)}
     assert all(exponents[n] > n for n in exponents)
     assert 17.86 < exponents[11] < 17.87
     assert 100.88 < exponents[60] < 100.89
     capped = recurrence_bound(seeds, lambda n: 4, 25)
     assert [n for n in range(11, 26)
-            if capped.entries[n].value.log_q < n] == [25]
+            if capped[n].log_q < n] == [25]
 
 
 def test_recurrence_rejects_bad_tau():

@@ -333,9 +333,76 @@ def test_bound_recurrence_runs():
                            "--seed-n", "5", "--tau", "n")
     assert code == 0
     rows = _result(out)["rows"]
-    assert rows[0]["provenance"] == "exact-seed"
-    assert rows[-1]["provenance"] == "recurrence"
-    assert rows[-1]["n"] == 10
+    assert [r["n"] for r in rows] == list(range(1, 11))
+    assert [r["provenance"] for r in rows] == (["exact-seed"] * 5
+                                               + ["recurrence"] * 5)
+
+
+_CONDITIONAL = "conditional on palindromic length <= tau(n)"
+
+
+@pytest.mark.parametrize("argv, certified", [
+    (("--seed-n", "10", "--n-max", "28"), "unconditional"),
+    (("--seed-n", "10", "--n-max", "28", "--tau", "const:28"),
+     "unconditional"),
+    (("--seed-n", "10", "--n-max", "28", "--tau", "const:27"), _CONDITIONAL),
+    (("--seed-n", "10", "--n-max", "28", "--tau", "const:2"), _CONDITIONAL),
+    (("--seed-n", "6", "--n-max", "12", "--tau", "phi", "--phi",
+      "x-over-lnx@1.5"), _CONDITIONAL),
+    # no recurrence row: every row is an exact count
+    (("--seed-n", "10", "--n-max", "10", "--tau", "const:1"),
+     "unconditional"),
+], ids=["tau-n", "const-n-max", "const-below-n-max", "const-2", "phi",
+        "seeds-only"])
+def test_bound_recurrence_says_whether_rows_are_conditional(argv, certified):
+    code, out, _ = _invoke("bound-recurrence", "--q", "2", *argv)
+    assert code == 0
+    result = _result(out)
+    assert result["certified"] == certified
+    _, text, _ = _invoke("bound-recurrence", "--q", "2", *argv,
+                         "--format", "text")
+    assert f"certified = {certified}\n" in text
+    _, csv_out, _ = _invoke("bound-recurrence", "--q", "2", *argv,
+                            "--format", "csv")
+    assert csv_out.splitlines()[0] == "n,exponent_log_q,provenance"
+
+
+@pytest.mark.parametrize("n_max", ["6", "16"])
+@pytest.mark.parametrize("tau", ["n", "const:3"])
+def test_bound_recurrence_seeds_cache_matches_seed_n(tmp_path, n_max, tau):
+    # a cache longer than the table gives its first n_max rows, all seeds
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "10", "--save-cache",
+                   str(cache))[0] == 0
+    for fmt in ("json", "csv"):
+        args = ("--n-max", n_max, "--tau", tau, "--format", fmt)
+        from_cache = _invoke("bound-recurrence", "--q", "2", "--seeds-cache",
+                             str(cache), *args)
+        from_walk = _invoke("bound-recurrence", "--q", "2", "--seed-n", "10",
+                            *args)
+        assert from_cache[0] == from_walk[0] == 0
+        if fmt == "csv":
+            assert from_cache[1] == from_walk[1]
+        else:
+            assert _result(from_cache[1]) == _result(from_walk[1])
+
+
+def test_bound_recurrence_bad_seed_count_names_the_row(tmp_path):
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "5", "--save-cache",
+                   str(cache))[0] == 0
+    lines = cache.read_text().splitlines()
+    row = json.loads(lines[3])
+    assert row["n"] == 3
+    row["count"] = "0"
+    lines[3] = json.dumps(row, sort_keys=True)
+    cache.write_text("\n".join(lines) + "\n")
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--seeds-cache",
+                             str(cache), "--n-max", "8")
+    assert (code, out) == (1, "")
+    assert ("error: seed count at n=3 must be a positive integer, got 0"
+            in err)
+    assert "Traceback" not in err
 
 
 def test_bound_recurrence_seed_flags_exclusive(tmp_path):
