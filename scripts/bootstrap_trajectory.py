@@ -29,23 +29,22 @@ def main() -> int:
 
     phi = parse_function_spec(args.phi) if args.phi else None
     psi = parse_function_spec(args.psi) if args.psi else None
-    state = BootstrapState(args.q, args.d, args.c1, args.c2, args.c3,
-                           phi=phi, psi=psi)
+    state = BootstrapState(args.q, args.d, args.c1, args.c2, args.c3)
 
     traj = bootstrap_iterate(state, args.iters)
-    print(f"c1 fixed point = c3/(d-1) = {traj.c1_fixed_point:.6g}")
+    print(f"c1 fixed point = c3/(d-1) = {traj['c1_fixed_point']:.6g}")
     print(f"{'step':>5} {'c1':>14} {'c2':>14}")
-    for i, (c1, c2) in enumerate(traj.points):
+    for i, (c1, c2) in enumerate(traj["trajectory"]):
         print(f"{i:>5} {c1:>14.8f} {c2:>14.8f}")
 
     if args.n is not None:
         if phi is None or psi is None:
             ap.error("--n needs --phi and --psi")
-        rep = exponent_compare(state, args.n)
+        rep = exponent_compare(state, phi, psi, args.n)
         print(f"\nexponent at n = {args.n:g}:")
-        print(f"  before map: {rep.old_exponent:.6g}")
-        print(f"  after map:  {rep.new_exponent:.6g}")
-        print(f"  improved:   {rep.improved}")
+        print(f"  before map: {rep['old_exponent']:.6g}")
+        print(f"  after map:  {rep['new_exponent']:.6g}")
+        print(f"  improved:   {rep['improved']}")
     return 0
 
 

@@ -18,9 +18,7 @@ __version__ = TOOL_VERSION
 
 # public name -> submodule that defines it ("errors" is the submodule)
 _HOMES = {
-    "Alphabet": "words",
     "BootstrapState": "bootstrap",
-    "BootstrapTrajectory": "bootstrap",
     "BudgetExceededError": "errors",
     "CacheError": "errors",
     "CacheFormatError": "errors",
@@ -42,8 +40,6 @@ _HOMES = {
     "SeedGapError": "errors",
     "StateError": "errors",
     "TOOL_VERSION": "version",
-    "UpsFactorization": "ups",
-    "Word": "words",
     "bootstrap_iterate": "bootstrap",
     "bootstrap_step": "bootstrap",
     "check_d_condition": "functions",

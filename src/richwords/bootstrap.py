@@ -10,21 +10,20 @@ where d > 1 comes from the halving condition on psi and c3 > 0 absorbs
 the composition-count term.  Iterating drives c1 towards the fixed point
 c3/(d-1) geometrically with ratio 1/d while c2 grows strictly; the
 trajectory is reported as data, with no claim that every iterate is a
-valid bound for a concrete phi and psi.
+valid bound for a concrete phi and psi.  bootstrap_iterate and
+exponent_compare return the result dicts the CLI prints.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 from .errors import InputError
 from .functions import FunctionSpec
 
 __all__ = [
     "BootstrapState",
-    "BootstrapTrajectory",
-    "ExponentCompareReport",
     "bootstrap_step",
     "bootstrap_iterate",
     "fixed_point_c1",
@@ -39,8 +38,6 @@ class BootstrapState:
     c1: float
     c2: float
     c3: float
-    phi: FunctionSpec | None = None
-    psi: FunctionSpec | None = None
 
     def __post_init__(self):
         if not isinstance(self.q, int) or self.q < 2:
@@ -63,55 +60,35 @@ def fixed_point_c1(state: BootstrapState) -> float:
     return state.c3 / (state.d - 1.0)
 
 
-@dataclass(frozen=True)
-class BootstrapTrajectory:
-    start: BootstrapState
-    steps: int
-    points: tuple[tuple[float, float], ...]  # (c1, c2), point 0 is the start
-    c1_fixed_point: float
-
-    @property
-    def final(self) -> tuple[float, float]:
-        return self.points[-1]
-
-
-def bootstrap_iterate(state: BootstrapState, steps: int) -> BootstrapTrajectory:
-    """Iterate the map `steps` times with q, d, c3 held fixed."""
+def bootstrap_iterate(state: BootstrapState, steps: int) -> dict:
+    """Iterate the map `steps` times with q, d, c3 held fixed; the
+    trajectory lists [c1, c2] at the start and after each step.  Raises
+    InputError naming the step at which a constant overflows."""
     if not isinstance(steps, int) or steps < 0:
         raise InputError(f"steps must be a non-negative integer, got {steps!r}")
-    points = [(state.c1, state.c2)]
+    trajectory = [[state.c1, state.c2]]
     current = state
-    for _ in range(steps):
-        c1_new, c2_new = bootstrap_step(current)
-        points.append((c1_new, c2_new))
-        current = BootstrapState(state.q, state.d, c1_new, c2_new, state.c3,
-                                 state.phi, state.psi)
-    return BootstrapTrajectory(state, steps, tuple(points),
-                               fixed_point_c1(state))
+    for step in range(1, steps + 1):
+        c1, c2 = bootstrap_step(current)
+        for name, value in (("c1", c1), ("c2", c2)):
+            if value == math.inf:
+                raise InputError(f"{name} overflows at step {step}")
+        trajectory.append([c1, c2])
+        current = replace(current, c1=c1, c2=c2)
+    return {"c1": current.c1, "c2": current.c2,
+            "c1_fixed_point": fixed_point_c1(state), "trajectory": trajectory}
 
 
-@dataclass(frozen=True)
-class ExponentCompareReport:
-    n: float
-    old_exponent: float
-    new_exponent: float
-    improved: bool
-    # old exponent is dominated by its first term
-    first_term_dominates: bool
-    # one map application shrinks c1
-    c1_shrinks: bool
-
-
-def exponent_compare(state: BootstrapState, n: float) -> ExponentCompareReport:
+def exponent_compare(state: BootstrapState, phi: FunctionSpec,
+                     psi: FunctionSpec, n: float) -> dict:
     """Compare the exponent before and after one application of the map
     at a concrete argument n, together with the two side conditions that
-    make the improvement genuine."""
-    if state.phi is None or state.psi is None:
-        raise InputError("exponent_compare needs phi and psi on the state")
+    make the improvement genuine: the old exponent's first term is the
+    larger ("first_term_dominates"), and the map shrinks c1."""
     if not n > 1:
         raise InputError(f"n must exceed 1, got {n!r}")
-    phi_n = state.phi.value(n)
-    psi_n = state.psi.value(n)
+    phi_n = phi.value(n)
+    psi_n = psi.value(n)
     if phi_n <= 1 or psi_n <= 0:
         raise InputError("phi and psi must be positive (phi above 1) at n")
     term1 = state.c1 * n / psi_n
@@ -119,11 +96,8 @@ def exponent_compare(state: BootstrapState, n: float) -> ExponentCompareReport:
     old_exponent = term1 + term2
     c1_new, c2_new = bootstrap_step(state)
     new_exponent = c1_new * n / psi_n + (c2_new / state.c2) * term2
-    return ExponentCompareReport(
-        n=n,
-        old_exponent=old_exponent,
-        new_exponent=new_exponent,
-        improved=new_exponent < old_exponent,
-        first_term_dominates=term1 > term2,
-        c1_shrinks=c1_new < state.c1,
-    )
+    return {"n": n, "old_exponent": old_exponent,
+            "new_exponent": new_exponent,
+            "improved": new_exponent < old_exponent,
+            "first_term_dominates": term1 > term2,
+            "c1_shrinks": c1_new < state.c1}

@@ -153,19 +153,18 @@ class OmegaParams:
         return self.exponent.value(x)
 
 
-def _require(report, what: str) -> None:
+def _require(report: dict, what: str) -> None:
     """Raise HypothesisNotVerifiedError, carrying report, unless the
-    sampled precondition held; report is a PsiFamilyReport or a
-    DeltaReport."""
-    if report.ok:
+    sampled precondition held; report is a check_psi_family or a
+    check_delta result."""
+    if report["ok"]:
         return
-    psi_x = getattr(report, "psi_violation_x", None)
-    if psi_x is not None:
-        reason = f"psi(x) <= x fails at x={psi_x:g}"
+    witness = report["witness"]
+    if "psi_leq_x_fails_at" in witness:
+        reason = f"psi(x) <= x fails at x={witness['psi_leq_x_fails_at']:g}"
     else:
-        delta = getattr(report, "combined_delta", report)
-        reason = (f"not concave-increasing near x={delta.violation_x:g} "
-                  f"({delta.violation_kind})")
+        x = witness.get("combined_fails_at", witness.get("x"))
+        reason = f"not concave-increasing near x={x:g} ({witness['kind']})"
     raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
 
 

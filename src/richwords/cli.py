@@ -23,16 +23,12 @@ import os
 import random
 import sys
 import time
-from typing import TYPE_CHECKING
 
 # the other submodules are imported by the handlers that use them, so a
 # run loads only what its subcommand needs (count never loads mpmath)
 from . import bounds, enumeration
 from .errors import InputError, RichwordsError
 from .version import TOOL_VERSION
-
-if TYPE_CHECKING:
-    from . import words
 
 CACHE_DIR_ENV = "RICHWORDS_CACHE_DIR"
 
@@ -230,10 +226,13 @@ def _cache_path(path: str) -> str:
     return path
 
 
-def _word_from_args(ns) -> words.Word:
+def _letters_from_args(ns) -> tuple[tuple[int, ...], int]:
+    # (letters, q); q defaults to the letters present, and at least 2
     from . import words
 
-    return words.Word.from_text(ns.word, ns.q)
+    letters = words.letters_from_text(ns.word)
+    q = ns.q if ns.q is not None else max(2, max(letters, default=-1) + 1)
+    return letters, q
 
 
 def _config_echo(ns) -> dict:
@@ -266,14 +265,14 @@ def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
 
 # -- handlers ----------------------------------------------------------------
 # each returns its result dict; a table handler's result holds its rows
-# under "rows", each row's keys in csv column order
+# under "rows", each row's keys in csv column order.  A handler whose
+# library call returns the printed dict only adds its input labels
 
 
 def _cmd_check(ns):
     from .eertree import Eertree
 
-    word = _word_from_args(ns)
-    tree = Eertree.from_word(word.letters, word.alphabet.q)
+    tree = Eertree.from_word(*_letters_from_args(ns))
     return {
         "word": ns.word,
         "rich": tree.is_rich_prefix(),
@@ -326,15 +325,16 @@ def _cmd_count(ns):
 def _cmd_ups(ns):
     from . import ups, words
 
-    word = _word_from_args(ns)
-    factorization = ups.ups_factorize(word)
-    parts = [words.text_from_letters(part) for part in factorization.parts]
+    letters, q = _letters_from_args(ns)
+    boundaries = ups.ups_factorize(letters, q)
+    parts = [words.text_from_letters(letters[b0:b1])
+             for b0, b1 in zip(boundaries, boundaries[1:])]
     return {
         "word": ns.word,
         "parts": parts,
-        "p": factorization.p,
-        "boundaries": list(factorization.boundaries),
-        "unioccurrent": ups.verify_unioccurrence(factorization),
+        "p": len(parts),
+        "boundaries": list(boundaries),
+        "unioccurrent": ups.verify_unioccurrence(letters, boundaries),
     }
 
 
@@ -347,16 +347,8 @@ def _cmd_maxluf(ns):
         from . import functions
 
         phi = functions.parse_function_spec(ns.phi)
-        report = ups.compare_luf_bound(table, phi)
-        if not report.evaluated_rows:  # all_hold would be vacuously true
-            raise InputError(
-                f"--phi {phi.label} cannot be evaluated at any n in "
-                f"1..{ns.n} (its domain floor is {phi.domain_floor:g})")
-        rows = [{"n": r.n, "max_luf": r.max_luf, "bound": r.bound,
-                 "holds": r.holds} for r in report.rows]
-        return {"q": ns.q, "phi": phi.label, "rows": rows,
-                "all_hold": report.all_hold,
-                "first_failure_n": report.first_failure_n}
+        return {"q": ns.q, "phi": phi.label,
+                **ups.compare_luf_bound(table, phi)}
     rows = [{"n": n, "max_luf": m} for n, m in sorted(table.items())]
     return {"q": ns.q, "rows": rows}
 
@@ -511,13 +503,9 @@ def _cmd_verify_delta(ns):
 
     _check_at_least("--grid", ns.grid, 2)
     fn = functions.parse_function_spec(ns.fn)
-    report = functions.check_delta(fn, ns.x_lo, ns.x_hi, ns.grid)
-    result = {"fn": fn.label, "ok": report.ok,
-              "x_lo": ns.x_lo, "x_hi": ns.x_hi, "grid": ns.grid}
-    if not report.ok:
-        result["witness"] = {"x": report.violation_x,
-                             "kind": report.violation_kind}
-    return result
+    return {"fn": fn.label, "x_lo": ns.x_lo, "x_hi": ns.x_hi,
+            "grid": ns.grid,
+            **functions.check_delta(fn, ns.x_lo, ns.x_hi, ns.grid)}
 
 
 def _cmd_verify_psi_family(ns):
@@ -526,20 +514,10 @@ def _cmd_verify_psi_family(ns):
     _check_at_least("--grid", ns.grid, 2)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
-    report = functions.check_psi_family(functions.ExponentFunction(phi, psi),
-                                        ns.x_lo, ns.x_hi, ns.grid)
-    result = {"phi": phi.label, "psi": psi.label, "ok": report.ok,
-              "psi_leq_x_ok": report.psi_leq_x_ok,
-              "combined_concave_increasing": report.combined_delta.ok}
-    if not report.ok:
-        witness = {}
-        if not report.psi_leq_x_ok:
-            witness["psi_leq_x_fails_at"] = report.psi_violation_x
-        if not report.combined_delta.ok:
-            witness["combined_fails_at"] = report.combined_delta.violation_x
-            witness["kind"] = report.combined_delta.violation_kind
-        result["witness"] = witness
-    return result
+    return {"phi": phi.label, "psi": psi.label,
+            **functions.check_psi_family(
+                functions.ExponentFunction(phi, psi), ns.x_lo, ns.x_hi,
+                ns.grid)}
 
 
 def _cmd_verify_d_condition(ns):
@@ -548,16 +526,9 @@ def _cmd_verify_d_condition(ns):
     _check_at_least("--grid", ns.grid, 2)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
-    report = functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
-                                         ns.grid)
-    result = {"phi": phi.label, "psi": psi.label, "d": ns.d,
-              "ok": report.holds_at_top, "n0": report.n0,
-              "failures": report.failures}
-    if not report.holds_at_top:
-        result["witness"] = {"n": ns.n_hi,
-                             "note": "inequality still failing at the top "
-                                     "of the sampled range"}
-    return result
+    return {"phi": phi.label, "psi": psi.label, "d": ns.d,
+            **functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
+                                          ns.grid)}
 
 
 def _cmd_verify_phi_composition(ns):
@@ -565,62 +536,33 @@ def _cmd_verify_phi_composition(ns):
 
     _check_at_least("--grid", ns.grid, 2)
     phi = functions.parse_function_spec(ns.phi)
-    report = functions.check_phi_composition(phi, ns.n_lo, ns.n_hi, ns.grid)
-    result = {"phi": phi.label, "ok": report.ok,
-              "real_tau_n0": report.real_tau_n0,
-              "real_tau_holds_at_top": report.real_tau_holds_at_top,
-              "ceil_tau_n0": report.ceil_tau_n0,
-              "ceil_tau_holds_at_top": report.ceil_tau_holds_at_top,
-              "variants_disagree": report.variants_disagree}
-    if not report.ok:
-        result["witness"] = {"n": ns.n_hi,
-                             "note": "real-tau inequality failing at the "
-                                     "top of the sampled range"}
-    return result
+    return {"phi": phi.label,
+            **functions.check_phi_composition(phi, ns.n_lo, ns.n_hi,
+                                              ns.grid)}
 
 
 def _cmd_verify_crossover(ns):
     from . import functions
 
     _check_at_least("--grid", ns.grid, 2)
-    report = functions.log_over_x_crossover(ns.grid, ns.x_hi)
-    result = {"x0": report.x0, "ok": report.decreasing_ok,
-              "grid": ns.grid, "x_hi": ns.x_hi}
-    if not report.decreasing_ok:
-        result["witness"] = {"x": report.violation_x}
-    return result
+    return {"grid": ns.grid, "x_hi": ns.x_hi,
+            **functions.log_over_x_crossover(ns.grid, ns.x_hi)}
 
 
 def _cmd_bootstrap(ns):
     from . import bootstrap
 
     state = bootstrap.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
-    trajectory = bootstrap.bootstrap_iterate(state, ns.iters)
-    c1_final, c2_final = trajectory.final
-    return {
-        "c1": c1_final,
-        "c2": c2_final,
-        "c1_fixed_point": trajectory.c1_fixed_point,
-        "trajectory": [list(pt) for pt in trajectory.points],
-    }
+    return bootstrap.bootstrap_iterate(state, ns.iters)
 
 
 def _cmd_compare_exponents(ns):
     from . import bootstrap, functions
 
-    state = bootstrap.BootstrapState(
-        ns.q, ns.d, ns.c1, ns.c2, ns.c3,
-        phi=functions.parse_function_spec(ns.phi),
-        psi=functions.parse_function_spec(ns.psi))
-    report = bootstrap.exponent_compare(state, ns.n)
-    return {
-        "n": report.n,
-        "old_exponent": report.old_exponent,
-        "new_exponent": report.new_exponent,
-        "improved": report.improved,
-        "first_term_dominates": report.first_term_dominates,
-        "c1_shrinks": report.c1_shrinks,
-    }
+    phi = functions.parse_function_spec(ns.phi)
+    psi = functions.parse_function_spec(ns.psi)
+    state = bootstrap.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
+    return bootstrap.exponent_compare(state, phi, psi, ns.n)
 
 
 # keyed by the subcommand, or by the check for verify
@@ -652,7 +594,13 @@ def _emit(ns, result, stdout) -> None:
             "config": _config_echo(ns),
             "result": result,
         }
-        stdout.write(json.dumps(envelope, sort_keys=True, indent=2) + "\n")
+        try:
+            text = json.dumps(envelope, sort_keys=True, indent=2,
+                              allow_nan=False)
+        except ValueError:  # JSON has no inf or nan
+            raise InputError(
+                "the result holds a number that is not finite") from None
+        stdout.write(text + "\n")
     elif fmt == "csv":  # argparse offers csv to table handlers only
         rows = result["rows"]  # never empty: every table has n >= 1
         stdout.write(",".join(rows[0]) + "\n")  # the keys, in order

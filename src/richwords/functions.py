@@ -18,9 +18,10 @@ forms
     f''(x) = f(x) * (g**2 + h - g) / x**2
                                     h = -c/(ln x)**2 + u v (v-1) (ln x)**(v-2)
 
-Checks sample log-spaced grids and report the first violation found; a
-clean pass means "verified on the sampled range", never a proof.  A
-report carries its verdict and witness only, not the inputs it was given.
+Checks sample log-spaced grids; a clean pass means "verified on the
+sampled range", never a proof.  Each check returns the result dict the
+CLI prints: its verdict under "ok" and, only when the verdict is False,
+a "witness" dict.  A result carries no input the check was given.
 """
 
 from __future__ import annotations
@@ -33,11 +34,6 @@ from .errors import InputError
 __all__ = [
     "FunctionSpec",
     "ExponentFunction",
-    "DeltaReport",
-    "PsiFamilyReport",
-    "DConditionReport",
-    "PhiCompositionReport",
-    "CrossoverReport",
     "log_grid",
     "check_delta",
     "check_psi_family",
@@ -58,6 +54,10 @@ __all__ = [
 # e**2, so that is where their domain floor sits unless the caller says
 # otherwise.
 DEFAULT_LOG_DOMAIN_MIN = 8.0
+
+
+class _NotFinite(InputError):
+    """A value that overflows or is nan, unlike one that underflows."""
 
 
 @dataclass(frozen=True)
@@ -110,17 +110,20 @@ class FunctionSpec:
     def _check_finite(self, x: float, *values: float) -> None:
         # an overflow to inf times an underflow to 0 gives nan
         if not all(map(math.isfinite, values)):
-            raise InputError(f"{self.label} is not finite at x={x!r}")
+            raise _NotFinite(f"{self.label} is not finite at x={x!r}")
 
     def value(self, x: float) -> float:
         self._check_domain(x)
-        out = self.a * x ** self.b
-        if self.c or self.u:
-            big_l = math.log(x)
-            if self.c:
-                out *= big_l ** self.c
-            if self.u:
-                out *= math.exp(self.u * big_l ** self.v)
+        try:
+            out = self.a * x ** self.b
+            if self.c or self.u:
+                big_l = math.log(x)
+                if self.c:
+                    out *= big_l ** self.c
+                if self.u:
+                    out *= math.exp(self.u * big_l ** self.v)
+        except OverflowError:  # float ** and math.exp raise, * gives inf
+            out = math.inf
         self._check_finite(x, out)
         # every member is positive when a > 0, so 0.0 is an underflow
         if out == 0.0:
@@ -304,20 +307,12 @@ def log_grid(x_lo: float, x_hi: float, n: int) -> list[float]:
     return pts
 
 
-@dataclass(frozen=True)
-class DeltaReport:
-    """Outcome of sampling f' > 0 and f'' < 0 on a log grid."""
-
-    ok: bool
-    violation_x: float | None = None
-    violation_kind: str | None = None  # "d1" or "d2"
-
-
-def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> DeltaReport:
+def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> dict:
     """Sample whether f is strictly increasing and strictly concave.
 
     f is any object with d012(x) and domain_floor (a FunctionSpec or an
-    ExponentFunction).  The verdict covers the sampled points only.
+    ExponentFunction).  The witness is {"x", "kind"} at the first sample
+    where f' > 0 (kind "d1") or f'' < 0 ("d2") fails.
     """
     if x_lo < f.domain_floor:
         raise InputError(
@@ -326,32 +321,34 @@ def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> DeltaReport:
     for x in log_grid(x_lo, x_hi, grid_n):
         _, d1, d2 = f.d012(x)
         if not d1 > 0.0:
-            return DeltaReport(False, x, "d1")
+            return {"ok": False, "witness": {"x": x, "kind": "d1"}}
         if not d2 < 0.0:
-            return DeltaReport(False, x, "d2")
-    return DeltaReport(True)
-
-
-@dataclass(frozen=True)
-class PsiFamilyReport:
-    psi_leq_x_ok: bool
-    psi_violation_x: float | None
-    combined_delta: DeltaReport
-
-    @property
-    def ok(self) -> bool:
-        return self.psi_leq_x_ok and self.combined_delta.ok
+            return {"ok": False, "witness": {"x": x, "kind": "d2"}}
+    return {"ok": True}
 
 
 def check_psi_family(exponent: ExponentFunction, x_lo: float, x_hi: float,
-                     grid_n: int = 512) -> PsiFamilyReport:
+                     grid_n: int = 512) -> dict:
     """Sample the admissibility of exponent's psi relative to its phi:
-    psi(x) <= x, and c1*x/psi(x) + c2*(x/phi(x))*ln(phi(x)) increasing
-    and concave, both on the same grid."""
+    psi(x) <= x ("psi_leq_x_ok"), and c1*x/psi(x) +
+    c2*(x/phi(x))*ln(phi(x)) increasing and concave
+    ("combined_concave_increasing"), both on the same grid.  The witness
+    holds "psi_leq_x_fails_at", and "combined_fails_at" and "kind" as in
+    check_delta, for the parts that fail."""
     delta = check_delta(exponent, x_lo, x_hi, grid_n)  # checks the floor
-    psi_violation = next((x for x in log_grid(x_lo, x_hi, grid_n)
-                          if exponent.psi.value(x) > x), None)
-    return PsiFamilyReport(psi_violation is None, psi_violation, delta)
+    psi_x = next((x for x in log_grid(x_lo, x_hi, grid_n)
+                  if exponent.psi.value(x) > x), None)
+    result = {"ok": delta["ok"] and psi_x is None,
+              "psi_leq_x_ok": psi_x is None,
+              "combined_concave_increasing": delta["ok"]}
+    if not result["ok"]:
+        witness = result["witness"] = {}
+        if psi_x is not None:
+            witness["psi_leq_x_fails_at"] = psi_x
+        if not delta["ok"]:
+            witness["combined_fails_at"] = delta["witness"]["x"]
+            witness["kind"] = delta["witness"]["kind"]
+    return result
 
 
 def _threshold(grid: list[float], last_fail: int | None
@@ -364,23 +361,15 @@ def _threshold(grid: list[float], last_fail: int | None
     return grid[last_fail], True
 
 
-@dataclass(frozen=True)
-class DConditionReport:
+def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
+                      n_lo: float, n_hi: float, grid_n: int = 1024) -> dict:
     """Grid scan of 2*psi(phi(n)/2) >= d*psi(n).
 
-    n0 is the largest sampled point that still fails (every later sample
-    holds), or the low end of the grid when no sample fails.  If the scan
-    fails at the top of the grid there is no n0 to report.
+    "failures" counts the failing samples.  n0 is the largest sampled
+    point that still fails (every later sample holds), or the low end of
+    the grid when no sample fails.  "ok" is False when the top of the
+    grid fails, and then there is no n0 to report.
     """
-
-    n0: float | None
-    holds_at_top: bool
-    failures: int
-
-
-def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
-                      n_lo: float, n_hi: float,
-                      grid_n: int = 1024) -> DConditionReport:
     if not 1.0 < d < math.inf:
         raise InputError(f"d must exceed 1 and be finite, got {d!r}")
     grid = log_grid(n_lo, n_hi, grid_n)
@@ -397,28 +386,22 @@ def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
         if not lhs >= rhs:
             last_fail = idx
             failures += 1
-    return DConditionReport(*_threshold(grid, last_fail), failures)
-
-
-@dataclass(frozen=True)
-class PhiCompositionReport:
-    """Grid scan of tau(phi(n)) * ln(phi(phi(n))) <= ln(phi(n)) with
-    tau(x) = x/phi(x), reported for the real-valued tau and for the
-    integer ceiling variant side by side (they can genuinely disagree)."""
-
-    real_tau_n0: float | None
-    real_tau_holds_at_top: bool
-    ceil_tau_n0: float | None
-    ceil_tau_holds_at_top: bool
-    variants_disagree: bool
-
-    @property
-    def ok(self) -> bool:
-        return self.real_tau_holds_at_top
+    n0, ok = _threshold(grid, last_fail)
+    result = {"ok": ok, "n0": n0, "failures": failures}
+    if not ok:
+        result["witness"] = {"n": grid[-1],
+                             "note": "inequality still failing at the top "
+                                     "of the sampled range"}
+    return result
 
 
 def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
-                          grid_n: int = 1024) -> PhiCompositionReport:
+                          grid_n: int = 1024) -> dict:
+    """Grid scan of tau(phi(n)) * ln(phi(phi(n))) <= ln(phi(n)) with
+    tau(x) = x/phi(x), for the real-valued tau and for the integer
+    ceiling variant side by side (they can genuinely disagree).  Each
+    variant's n0 and holds_at_top read as check_d_condition's n0 and
+    "ok"; the verdict "ok" is the real-tau one."""
     grid = log_grid(n_lo, n_hi, grid_n)
     real_fail = ceil_fail = None
     disagree = False
@@ -442,25 +425,24 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
             real_fail = idx
         if not ceil_ok:
             ceil_fail = idx
-    return PhiCompositionReport(*_threshold(grid, real_fail),
-                                *_threshold(grid, ceil_fail), disagree)
+    real_n0, real_top = _threshold(grid, real_fail)
+    ceil_n0, ceil_top = _threshold(grid, ceil_fail)
+    result = {"ok": real_top, "real_tau_n0": real_n0,
+              "real_tau_holds_at_top": real_top, "ceil_tau_n0": ceil_n0,
+              "ceil_tau_holds_at_top": ceil_top,
+              "variants_disagree": disagree}
+    if not real_top:
+        result["witness"] = {"n": grid[-1],
+                             "note": "real-tau inequality failing at the "
+                                     "top of the sampled range"}
+    return result
 
 
-@dataclass(frozen=True)
-class CrossoverReport:
-    """Where ln(x)/x turns decreasing, with a grid confirmation."""
-
-    x0: float
-    decreasing_ok: bool
-    violation_x: float | None = None
-
-
-def log_over_x_crossover(grid_n: int = 1000,
-                         x_hi: float = 1e6) -> CrossoverReport:
+def log_over_x_crossover(grid_n: int = 1000, x_hi: float = 1e6) -> dict:
     """ln(x)/x peaks at x = e and is strictly decreasing beyond.
 
     Returns x0 = e and verifies the strict decrease on a log grid over
-    (e, x_hi]."""
+    (e, x_hi]; the witness is the first sample that does not decrease."""
     x0 = math.e
     if x_hi <= x0:
         raise InputError(f"x_hi must exceed e, got {x_hi!r}")
@@ -469,6 +451,6 @@ def log_over_x_crossover(grid_n: int = 1000,
     for x in grid[1:]:
         cur = math.log(x) / x
         if not cur < prev:
-            return CrossoverReport(x0, False, x)
+            return {"x0": x0, "ok": False, "witness": {"x": x}}
         prev = cur
-    return CrossoverReport(x0, True)
+    return {"x0": x0, "ok": True}

@@ -10,82 +10,57 @@ once in the prefix it closes, which verify_unioccurrence() can confirm.
 The factorization is computed from a single left-to-right eertree pass
 that records the longest-palindromic-suffix length of every prefix; the
 peel then only ever looks those lengths up, because each peel step leaves
-a prefix of the original word.
+a prefix of the original word.  A word is passed as its tuple of letters
+and its alphabet size q, and the factorization is returned as the tuple
+of part boundaries.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import math
 
 from .eertree import Eertree
 from .errors import InputError
-from .words import Word
 
 __all__ = [
-    "UpsFactorization",
     "ups_factorize",
     "luf",
     "verify_unioccurrence",
     "max_luf_table",
-    "LufBoundRow",
-    "LufBoundReport",
     "compare_luf_bound",
 ]
 
 
-@dataclass(frozen=True)
-class UpsFactorization:
-    """Result of the suffix peel.
+def ups_factorize(letters, q: int) -> tuple[int, ...]:
+    """Peel longest palindromic suffixes off the word letters over the
+    alphabet {0, ..., q-1}; defined for any non-empty word.
 
-    boundaries is the increasing tuple 0 = b_0 < b_1 < ... < b_p = |w|;
-    part i (left to right) is word.letters[b_{i-1}:b_i], and the rightmost
+    Returns the increasing boundaries 0 = b_0 < b_1 < ... < b_p = |w|;
+    part i (left to right) is letters[b_{i-1}:b_i], and the rightmost
     part is the longest palindromic suffix of the whole word.
     """
-
-    word: Word
-    boundaries: tuple[int, ...]
-
-    @property
-    def p(self) -> int:
-        return len(self.boundaries) - 1
-
-    @property
-    def parts(self) -> tuple[tuple[int, ...], ...]:
-        letters = self.word.letters
-        bounds = self.boundaries
-        return tuple(
-            letters[bounds[i] : bounds[i + 1]] for i in range(len(bounds) - 1)
-        )
-
-
-def _prefix_pal_suffix_lengths(word: Word) -> list[int]:
+    # the tree checks q and each letter, before the word's length is
+    tree = Eertree(q)
     # lengths[k] = longest palindromic suffix length of the k-letter prefix
-    tree = Eertree(word.alphabet.q)
     lengths = [0]
-    for a in word.letters:
+    for a in letters:
         tree.push(a)
         lengths.append(tree.longest_pal_suffix_length())
-    return lengths
-
-
-def ups_factorize(word: Word) -> UpsFactorization:
-    """Peel longest palindromic suffixes; defined for any non-empty word."""
-    n = len(word)
+    n = len(tree)
     if n == 0:
         raise InputError("the empty word has no suffix factorization")
-    lengths = _prefix_pal_suffix_lengths(word)
     cuts = [n]
     m = n
     while m > 0:
         m -= lengths[m]
         cuts.append(m)
     cuts.reverse()
-    return UpsFactorization(word, tuple(cuts))
+    return tuple(cuts)
 
 
-def luf(word: Word) -> int:
-    """Number of parts in the longest-palindromic-suffix peel of word."""
-    return ups_factorize(word).p
+def luf(letters, q: int) -> int:
+    """Number of parts in the longest-palindromic-suffix peel of letters."""
+    return len(ups_factorize(letters, q)) - 1
 
 
 def _occurrences(haystack: tuple[int, ...], needle: tuple[int, ...]) -> int:
@@ -98,20 +73,16 @@ def _occurrences(haystack: tuple[int, ...], needle: tuple[int, ...]) -> int:
     return count
 
 
-def verify_unioccurrence(factorization: UpsFactorization) -> bool:
-    """Check the two properties the peel has on rich words: the parts are
-    pairwise distinct, and each part occurs exactly once in the prefix of
-    the word that ends with it."""
-    parts = factorization.parts
-    if len(set(parts)) != len(parts):
-        return False
-    letters = factorization.word.letters
-    bounds = factorization.boundaries
-    for i, part in enumerate(parts):
-        prefix = letters[: bounds[i + 1]]
-        if _occurrences(prefix, part) != 1:
-            return False
-    return True
+def verify_unioccurrence(letters, boundaries) -> bool:
+    """Check the two properties the peel (boundaries, as ups_factorize
+    returns them) has on rich words: the parts are pairwise distinct, and
+    each part occurs exactly once in the prefix of the word that ends
+    with it."""
+    letters = tuple(letters)
+    parts = [letters[b0:b1] for b0, b1 in zip(boundaries, boundaries[1:])]
+    return len(set(parts)) == len(parts) and all(
+        _occurrences(letters[:end], part) == 1
+        for part, end in zip(parts, boundaries[1:]))
 
 
 def max_luf_table(q: int, n_max: int) -> dict[int, int]:
@@ -122,48 +93,36 @@ def max_luf_table(q: int, n_max: int) -> dict[int, int]:
     return {n: entry.max_luf for n, entry in sorted(table.entries.items())}
 
 
-@dataclass(frozen=True)
-class LufBoundRow:
-    n: int
-    max_luf: int
-    bound: float | None  # n / phi(n), None where phi is not evaluable
-    holds: bool | None
-
-
-@dataclass(frozen=True)
-class LufBoundReport:
-    rows: tuple[LufBoundRow, ...]
-
-    @property
-    def evaluated_rows(self) -> tuple[LufBoundRow, ...]:
-        return tuple(r for r in self.rows if r.bound is not None)
-
-    @property
-    def all_hold(self) -> bool:
-        return all(r.holds for r in self.evaluated_rows)
-
-    @property
-    def first_failure_n(self) -> int | None:
-        for r in self.evaluated_rows:
-            if not r.holds:
-                return r.n
-        return None
-
-
-def compare_luf_bound(table: dict[int, int], phi) -> LufBoundReport:
+def compare_luf_bound(table: dict[int, int], phi) -> dict:
     """Compare observed maximum peel lengths against n / phi(n).
 
-    phi is a function spec from the analytic catalogue.  Rows where n is
-    below phi's evaluable domain are reported with bound None and excluded
-    from the verdict.  This is an observational report: a failing row is a
-    fact about phi at small n, not an error.
+    phi is a function spec from the analytic catalogue.  Returns {"rows":
+    [{"n", "max_luf", "bound", "holds"}, ...], "all_hold",
+    "first_failure_n"}.  A row where n / phi(n) is not a finite number,
+    because n is below phi's domain or phi(n) is near 0, has bound and
+    holds None and no part in the verdict.  Raises InputError where
+    phi(n) is not finite, and where no row has a bound (all_hold would
+    be vacuous).  A failing row is a fact about phi at small n, not an
+    error.
     """
+    from .functions import _NotFinite
+
     rows = []
     for n, m in sorted(table.items()):
         try:
             bound = n / phi.value(float(n))
-        except InputError:
-            rows.append(LufBoundRow(n, m, None, None))
-            continue
-        rows.append(LufBoundRow(n, m, bound, m <= bound))
-    return LufBoundReport(tuple(rows))
+        except _NotFinite:
+            raise
+        except InputError:  # n below phi's domain, or phi(n) underflows
+            bound = math.inf
+        bound = bound if math.isfinite(bound) else None
+        rows.append({"n": n, "max_luf": m, "bound": bound,
+                     "holds": None if bound is None else m <= bound})
+    if all(r["bound"] is None for r in rows):
+        raise InputError(
+            f"--phi {phi.label} cannot be evaluated at any n in "
+            f"1..{max(table, default=0)} (its domain floor is "
+            f"{phi.domain_floor:g})")
+    failures = [r["n"] for r in rows if r["holds"] is False]
+    return {"rows": rows, "all_hold": not failures,
+            "first_failure_n": failures[0] if failures else None}

@@ -24,7 +24,6 @@ from richwords import (BootstrapState, Eertree, EnumerationConfig,
                        sqrt_spec,
                        ups_factorize, verify_unioccurrence, x_over_ln_spec)
 from richwords.bounds import EXPONENT_SLACK
-from richwords.words import Alphabet, Word
 
 from . import oracles
 
@@ -91,18 +90,19 @@ def test_criterion_03_ups_suite_on_rich_words():
             if not oracles.is_rich(letters):
                 continue
             checked += 1
-            word = Word(letters, Alphabet(2))
-            f = ups_factorize(word)
-            flat = tuple(x for part in f.parts for x in part)
+            boundaries = ups_factorize(letters, 2)
+            parts = [letters[b0:b1]
+                     for b0, b1 in zip(boundaries, boundaries[1:])]
+            flat = tuple(x for part in parts for x in part)
             if flat != letters:
                 ok = False
-            if any(part != part[::-1] for part in f.parts):
+            if any(part != part[::-1] for part in parts):
                 ok = False
-            if list(f.parts) != oracles.peel(letters):
+            if parts != oracles.peel(letters):
                 ok = False
-            if len(set(f.parts)) != len(f.parts):
+            if len(set(parts)) != len(parts):
                 ok = False
-            if not verify_unioccurrence(f):
+            if not verify_unioccurrence(letters, boundaries):
                 ok = False
     _report(3, "palindromic-suffix factorization verified on all "
                f"{checked} rich binary words n<=12 (concatenation, "
@@ -225,8 +225,8 @@ def test_criterion_08_d_condition_threshold_bracket():
                             1.5, 1e2, 1e8, grid_n=10_000)
     elapsed = time.perf_counter() - t0
     step = (1e8 / 1e2) ** (1.0 / 9_999)
-    ok = (rep.holds_at_top and rep.n0 is not None
-          and rep.n0 <= 2 ** 20 <= rep.n0 * step
+    ok = (rep["ok"] and rep["n0"] is not None
+          and rep["n0"] <= 2 ** 20 <= rep["n0"] * step
           and elapsed < 5.0)
     _report(8, "threshold for 2*psi(phi(n)/2) >= 1.5*psi(n) brackets "
                f"n0 = 2^20 within one grid step ({elapsed:.2f}s < 5s)", ok)
@@ -238,8 +238,8 @@ def test_criterion_09_bootstrap_map():
     ok = c1p == 0.55
     ok = ok and abs(c2p - (1.1 + 1.0 / math.log(2))) < 1e-12
     traj = bootstrap_iterate(state, 60)
-    ok = ok and abs(traj.final[0] - 0.1) < 1e-9
-    c2s = [c2 for _, c2 in traj.points]
+    ok = ok and abs(traj["c1"] - 0.1) < 1e-9
+    c2s = [c2 for _, c2 in traj["trajectory"]]
     ok = ok and all(b > a for a, b in zip(c2s, c2s[1:]))
     _report(9, "constant map: one step gives (0.55, 1.1 + 1/ln 2); 60 "
                "iterations contract c1 to 0.1 while c2 increases "
@@ -248,6 +248,6 @@ def test_criterion_09_bootstrap_map():
 
 def test_criterion_10_crossover_report():
     rep = log_over_x_crossover(grid_n=1000, x_hi=1e6)
-    ok = rep.x0 == math.e and rep.decreasing_ok
+    ok = rep["x0"] == math.e and rep["ok"]
     _report(10, "ln(x)/x peaks at x = e and is strictly decreasing on "
                 "the sampled range out to 1e6", ok)

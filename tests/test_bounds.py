@@ -317,8 +317,8 @@ def test_psi_above_identity_inside_the_hull_is_refused():
     with pytest.raises(HypothesisNotVerifiedError) as exc:
         OmegaParams(c1=0.1, c2=10.0, phi=x_over_ln_spec(),
                     psi=FunctionSpec(0.8, 0.0, c=3.0), x_lo=8.0, x_hi=50.0)
-    assert not exc.value.report.psi_leq_x_ok
-    assert 8.0 < exc.value.report.psi_violation_x < 50.0
+    assert not exc.value.report["psi_leq_x_ok"]
+    assert 8.0 < exc.value.report["witness"]["psi_leq_x_fails_at"] < 50.0
 
 
 def test_construction_always_verifies(psi_family_calls):

@@ -696,6 +696,141 @@ def test_non_finite_input_is_exit_one(argv):
     assert "error:" in err and "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv, x", [
+    (("verify", "delta", "--fn", "power:400", "--x-lo", "10", "--x-hi",
+      "1e6"), "10.0"),
+    (("verify", "delta", "--fn", "exp-sqrt-ln:1000", "--x-lo", "10",
+      "--x-hi", "1e6"), "10.0"),
+    (("verify", "d-condition", "--phi", "power:400", "--psi", "sqrt",
+      "--d", "1.5"), "100.0"),
+    # a row where phi overflows would be null and fall out of all_hold
+    (("maxluf", "--q", "2", "--n", "10", "--phi", "1,400,0,0,0"), "6.0"),
+    (("bound-recurrence", "--q", "2", "--seed-n", "3", "--n-max", "6",
+      "--tau", "phi", "--phi", "power:400"), "6.0"),
+])
+def test_overflowing_function_is_named(argv, x):
+    # x**b and math.exp raise OverflowError instead of returning inf
+    code, out, err = _invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: ")
+    assert f" is not finite at x={x}\n" in err
+
+
+def _reject_constant(name):
+    raise ValueError(f"stdout holds {name}, which is not JSON")
+
+
+def test_maxluf_rows_where_n_over_phi_overflows_are_null():
+    # phi(6) = 6**-400 is subnormal, so 6/phi(6) overflows to inf
+    code, out, err = _invoke("maxluf", "--q", "2", "--n", "7",
+                             "--phi", "1,-400,0,0,0")
+    assert code == 0, err
+    rows = json.loads(out, parse_constant=_reject_constant)["result"]["rows"]
+    assert [(r["bound"], r["holds"]) for r in rows[5:]] == [(None, None)] * 2
+    assert all(r["holds"] for r in rows[:5])
+
+
+def test_result_that_is_not_finite_is_exit_one():
+    # psi(1e10) = 1e-300, so n/psi(n) and both exponents are inf
+    code, out, err = _invoke("compare-exponents", "--q", "2", "--d", "2",
+                             "--c1", "1", "--c2", "1", "--c3", "0.1",
+                             "--phi", "sqrt", "--psi", "1,-30,0,0,0",
+                             "--n", "1e10")
+    assert (code, out) == (1, "")
+    assert "error: the result holds a number that is not finite\n" in err
+
+
+def test_bootstrap_overflow_names_the_step():
+    code, out, err = _invoke("bootstrap", "--q", "2", "--d", "1.5",
+                             "--c1", "1", "--c2", "1", "--c3", "1",
+                             "--iters", "2000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: c2 overflows at step 1023\n")
+
+
+def test_alphabet_is_checked_before_the_empty_word():
+    code, out, err = _invoke("ups", "", "--q", "1")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: alphabet size must be an integer >= 2, "
+                          "got 1\n")
+    code, out, err = _invoke("ups", "", "--q", "2")
+    assert (code, out) == (1, "")
+    assert "the empty word has no suffix factorization" in err
+
+
+@pytest.mark.parametrize("argv, code", [
+    (("check", "zz"), 0),  # q defaults to the letters present
+    (("check", ""), 0),  # and is at least 2
+    (("check", "zz", "--q", "25"), 1),
+    (("ups", "zz"), 0),
+    (("ups", "abca", "--q", "2"), 1),
+])
+def test_default_alphabet_holds_the_word(argv, code):
+    assert _invoke(*argv)[0] == code
+
+
+_CONSTANTS = ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1", "--c3", "0.1")
+
+
+@pytest.mark.parametrize("argv, code, keys, witness", [
+    (("check", "abacaba"), 0, {"word", "rich", "palindromes"}, None),
+    (("ups", "aabbab"), 0,
+     {"word", "parts", "p", "boundaries", "unioccurrent"}, None),
+    (("maxluf", "--q", "2", "--n", "4"), 0, {"q", "rows"}, None),
+    (("maxluf", "--q", "2", "--n", "4", "--phi", "identity"), 0,
+     {"q", "phi", "rows", "all_hold", "first_failure_n"}, None),
+    (("verify", "composition-bound", "--n-max", "20"), 0,
+     {"n_max", "ok", "checked"}, None),
+    (("verify", "jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "100",
+      "--trials", "5"), 0, {"fn", "ok", "trials_run"}, None),
+    (("verify", "product-bound", "--phi", "identity", "--psi", "identity",
+      "--trials", "5"), 0, {"ok", "trials_run"}, None),
+    (("verify", "p-monotonicity", "--phi", "identity", "--psi", "identity",
+      "--grid", "5"), 0, {"ok", "checked"}, None),
+    (("verify", "delta", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "100"), 0,
+     {"fn", "ok", "x_lo", "x_hi", "grid"}, None),
+    (("verify", "delta", "--fn", "power:2", "--x-lo", "1", "--x-hi", "100"),
+     2, {"fn", "ok", "x_lo", "x_hi", "grid", "witness"}, {"x", "kind"}),
+    (("verify", "psi-family", "--phi", "x-over-lnx", "--psi", "ln",
+      "--x-lo", "8", "--x-hi", "1e4"), 0,
+     {"phi", "psi", "ok", "psi_leq_x_ok", "combined_concave_increasing"},
+     None),
+    (("verify", "psi-family", "--phi", "power:2", "--psi", "power:2",
+      "--x-lo", "8", "--x-hi", "1e4"), 2,
+     {"phi", "psi", "ok", "psi_leq_x_ok", "combined_concave_increasing",
+      "witness"}, {"psi_leq_x_fails_at", "combined_fails_at", "kind"}),
+    (("verify", "d-condition", "--phi", "power:0.8", "--psi", "ln@2",
+      "--d", "1.5", "--grid", "100"), 0,
+     {"phi", "psi", "d", "ok", "n0", "failures"}, None),
+    (("verify", "d-condition", "--phi", "power:0.9", "--psi", "const:3",
+      "--d", "2.5", "--grid", "64"), 2,
+     {"phi", "psi", "d", "ok", "n0", "failures", "witness"}, {"n", "note"}),
+    (("verify", "phi-composition", "--phi", "identity", "--grid", "64"), 0,
+     {"phi", "ok", "real_tau_n0", "real_tau_holds_at_top", "ceil_tau_n0",
+      "ceil_tau_holds_at_top", "variants_disagree"}, None),
+    (("verify", "phi-composition", "--phi", "sqrt", "--grid", "64"), 2,
+     {"phi", "ok", "real_tau_n0", "real_tau_holds_at_top", "ceil_tau_n0",
+      "ceil_tau_holds_at_top", "variants_disagree", "witness"},
+     {"n", "note"}),
+    (("verify", "crossover"), 0, {"x0", "ok", "grid", "x_hi"}, None),
+    (("verify", "crossover", "--x-hi", "2.7183"), 2,
+     {"x0", "ok", "grid", "x_hi", "witness"}, {"x"}),
+    (("bootstrap", *_CONSTANTS, "--iters", "2"), 0,
+     {"c1", "c2", "c1_fixed_point", "trajectory"}, None),
+    (("compare-exponents", *_CONSTANTS, "--phi", "power:0.8", "--psi",
+      "ln@2", "--n", "1e6"), 0,
+     {"n", "old_exponent", "new_exponent", "improved",
+      "first_term_dominates", "c1_shrinks"}, None),
+])
+def test_result_keys(argv, code, keys, witness):
+    got, out, err = _invoke(*argv)
+    assert got == code, err
+    result = _result(out)
+    assert set(result) == keys
+    if witness is not None:
+        assert set(result["witness"]) == witness
+
+
 def test_verify_psi_family():
     code, out, _ = _invoke("verify", "psi-family", "--phi", "identity",
                            "--psi", "identity", "--x-lo", "8",

@@ -171,29 +171,29 @@ def test_log_grid_degenerate():
 
 def test_delta_sqrt_ok():
     rep = check_delta(sqrt_spec(), 1.0, 1e6)
-    assert rep.ok
-    assert rep.violation_x is None
+    assert rep["ok"]
+    assert "witness" not in rep
 
 
 def test_delta_x_squared_fails_concavity():
     rep = check_delta(power_spec(2.0), 1.0, 100.0)
-    assert not rep.ok
-    assert rep.violation_kind == "d2"
+    assert not rep["ok"]
+    assert rep["witness"]["kind"] == "d2"
 
 
 def test_delta_decreasing_fails():
     rep = check_delta(FunctionSpec(a=1.0, b=-0.5, domain_min=1.0), 1.0, 50.0)
-    assert not rep.ok
-    assert rep.violation_kind == "d1"
+    assert not rep["ok"]
+    assert rep["witness"]["kind"] == "d1"
 
 
 def test_delta_x_over_lnx_range_sensitive():
     # below e^2 the function still decreases; past 8 it is concave
     # increasing all the way out
     bad = check_delta(x_over_ln_spec(domain_min=2.0), 2.0, 10.0)
-    assert not bad.ok
+    assert not bad["ok"]
     good = check_delta(x_over_ln_spec(), 8.0, 1e6)
-    assert good.ok
+    assert good["ok"]
 
 
 def test_delta_requires_domain():
@@ -204,36 +204,36 @@ def test_delta_requires_domain():
 def test_psi_family_good_pair():
     rep = check_psi_family(ExponentFunction(identity_spec(), identity_spec()),
                            8.0, 1e6)
-    assert rep.ok
-    assert rep.psi_leq_x_ok
-    assert rep.combined_delta.ok
+    assert rep["ok"]
+    assert rep["psi_leq_x_ok"]
+    assert rep["combined_concave_increasing"]
 
 
 def test_psi_family_rejects_psi_above_identity():
     rep = check_psi_family(ExponentFunction(identity_spec(), power_spec(2.0)),
                            8.0, 1e4)
-    assert not rep.ok
-    assert not rep.psi_leq_x_ok
-    assert rep.psi_violation_x is not None
+    assert not rep["ok"]
+    assert not rep["psi_leq_x_ok"]
+    assert rep["witness"]["psi_leq_x_fails_at"] is not None
 
 
 def test_d_condition_closed_form_bracket():
     # 2*ln(n^0.8 / 2) >= 1.5*ln(n) fails iff n^0.1 < 4, i.e. below 2^20
     rep = check_d_condition(power_spec(0.8), ln_spec(domain_min=2.0),
                             1.5, 1e2, 1e8, grid_n=10_000)
-    assert rep.holds_at_top
+    assert rep["ok"]
     step = (1e8 / 1e2) ** (1.0 / 9_999)
-    assert rep.n0 <= 2 ** 20 <= rep.n0 * step
+    assert rep["n0"] <= 2 ** 20 <= rep["n0"] * step
 
 
 def test_d_condition_constant_psi():
     # psi constant: 2*c >= d*c holds iff d <= 2
     c = constant_spec(3.0)
     ok = check_d_condition(power_spec(0.9), c, 1.5, 10.0, 1e6, grid_n=64)
-    assert ok.holds_at_top and ok.n0 == 10.0
+    assert ok["ok"] and ok["n0"] == 10.0
     bad = check_d_condition(power_spec(0.9), c, 2.5, 10.0, 1e6, grid_n=64)
-    assert not bad.holds_at_top
-    assert bad.n0 is None
+    assert not bad["ok"]
+    assert bad["n0"] is None
 
 
 def test_d_condition_requires_d_above_one():
@@ -251,30 +251,30 @@ def test_d_condition_respects_psi_domain():
 
 def test_phi_composition_identity_holds():
     rep = check_phi_composition(identity_spec(), 1e2, 1e8, grid_n=128)
-    assert rep.ok
-    assert rep.real_tau_holds_at_top
+    assert rep["ok"]
+    assert rep["real_tau_holds_at_top"]
 
 
 def test_phi_composition_sqrt_fails_beyond_16():
     # tau(sqrt n)*ln(n^(1/4)) <= ln(sqrt n) iff sqrt(n) <= 2 ... fails for
     # any n in this range, under both tau variants
     rep = check_phi_composition(sqrt_spec(), 1e2, 1e8, grid_n=128)
-    assert not rep.ok
-    assert not rep.real_tau_holds_at_top
-    assert not rep.ceil_tau_holds_at_top
+    assert not rep["ok"]
+    assert not rep["real_tau_holds_at_top"]
+    assert not rep["ceil_tau_holds_at_top"]
 
 
 def test_phi_composition_x_over_lnx_observational():
     rep = check_phi_composition(x_over_ln_spec(), 1e2, 1e12, grid_n=256)
     # large-n failure is expected; the report records both variants
-    assert isinstance(rep.variants_disagree, bool)
-    assert not rep.real_tau_holds_at_top
+    assert isinstance(rep["variants_disagree"], bool)
+    assert not rep["real_tau_holds_at_top"]
 
 
 def test_crossover_report():
     rep = log_over_x_crossover()
-    assert rep.x0 == math.e
-    assert rep.decreasing_ok
+    assert rep["x0"] == math.e
+    assert rep["ok"]
     assert math.log(3.0) / 3.0 > math.log(4.0) / 4.0  # sanity anchor
 
 
@@ -282,4 +282,4 @@ def test_crossover_report():
 @given(st.floats(0.1, 0.95), st.floats(1.5, 30.0))
 def test_powers_below_one_pass_delta(b, x_hi):
     rep = check_delta(power_spec(b), 1.0, max(x_hi, 1.5))
-    assert rep.ok
+    assert rep["ok"]

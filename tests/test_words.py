@@ -4,31 +4,32 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 
-from richwords import (Alphabet, InputError, Word, letters_from_text,
-                       text_from_letters)
+from richwords import (InputError, letters_from_text, text_from_letters,
+                       ups_factorize)
 
 from . import oracles
 
 
 def test_alphabet_validation():
-    assert Alphabet(2).q == 2
-    with pytest.raises(InputError):
-        Alphabet(1)
-    with pytest.raises(InputError):
-        Alphabet(0)
+    # a word's alphabet is checked where it meets an Eertree
+    assert ups_factorize((0,), 2) == (0, 1)
+    for q in (1, 0, 2.0):
+        with pytest.raises(InputError,
+                           match="alphabet size must be an integer >= 2"):
+            ups_factorize((0,), q)
 
 
 def test_word_from_text_roundtrip():
-    w = Word.from_text("abca")
-    assert w.letters == (0, 1, 2, 0)
-    assert w.alphabet.q == 3
-    assert text_from_letters(w.letters) == "abca"
-    assert len(w) == 4
+    letters = letters_from_text("abca")
+    assert letters == (0, 1, 2, 0)
+    assert text_from_letters(letters) == "abca"
+    assert len(letters) == 4
 
 
 def test_word_letter_out_of_range():
-    with pytest.raises(InputError):
-        Word((0, 5), Alphabet(2))
+    with pytest.raises(InputError,
+                       match="letter 5 outside alphabet of size 2"):
+        ups_factorize((0, 5), 2)
 
 
 def test_letters_text_helpers():
