@@ -13,8 +13,7 @@ import argparse
 import math
 import sys
 
-from richwords import (EnumerationConfig, count_rich, recurrence_bound,
-                       seed_table_from_counts)
+from richwords import count_rich, recurrence_bound, seed_table_from_counts
 
 
 def main() -> int:
@@ -28,9 +27,8 @@ def main() -> int:
     if args.seed_n > args.exact_n:
         ap.error("--seed-n cannot exceed --exact-n")
 
-    table = count_rich(args.q, args.exact_n,
-                       EnumerationConfig(with_max_luf=False))
-    counts = {n: e.count for n, e in table.entries.items()}
+    table = count_rich(args.q, args.exact_n, with_max_luf=False)
+    counts = {n: count for n, (count, _) in table.items()}
 
     seeds = seed_table_from_counts(
         {n: counts[n] for n in range(1, args.seed_n + 1)}, args.q)

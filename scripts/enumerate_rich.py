@@ -10,7 +10,7 @@ import argparse
 import math
 import sys
 
-from richwords import EnumerationConfig, count_rich, save_cache
+from richwords import count_rich, save_cache
 
 
 def main() -> int:
@@ -21,22 +21,21 @@ def main() -> int:
     ap.add_argument("--cache", help="write the table here as line JSON")
     args = ap.parse_args()
 
-    config = EnumerationConfig(workers=args.workers)
-    table = count_rich(args.q, args.n, config)
+    table = count_rich(args.q, args.n, workers=args.workers)
 
     print(f"{'n':>4} {'count':>14} {'count/prev':>10} "
           f"{'log_q':>8} {'max_luf':>7}")
     prev = None
     for n in range(1, args.n + 1):
-        entry = table.entries[n]
-        ratio = f"{entry.count / prev:.4f}" if prev else "-"
-        log_q = math.log(entry.count, args.q)
-        print(f"{n:>4} {entry.count:>14} {ratio:>10} "
-              f"{log_q:>8.3f} {entry.max_luf:>7}")
-        prev = entry.count
+        count, max_luf = table[n]
+        ratio = f"{count / prev:.4f}" if prev else "-"
+        log_q = math.log(count, args.q)
+        print(f"{n:>4} {count:>14} {ratio:>10} "
+              f"{log_q:>8.3f} {max_luf:>7}")
+        prev = count
 
     if args.cache:
-        save_cache(table, args.cache)
+        save_cache(table, args.q, args.cache)
         print(f"saved -> {args.cache}", file=sys.stderr)
     return 0
 

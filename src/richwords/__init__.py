@@ -25,7 +25,6 @@ _HOMES = {
     "CacheQMismatchError": "errors",
     "CacheVersionError": "errors",
     "Eertree": "eertree",
-    "EnumerationConfig": "enumeration",
     "ExponentFunction": "functions",
     "FunctionSpec": "functions",
     "HypothesisNotVerifiedError": "errors",
@@ -34,8 +33,6 @@ _HOMES = {
     "OmegaParams": "bounds",
     "PRECISION_BITS": "logvalue",
     "ROUND_UP": "logvalue",
-    "RichCountTable": "enumeration",
-    "RichEntry": "enumeration",
     "RichwordsError": "errors",
     "SeedGapError": "errors",
     "StateError": "errors",

@@ -96,6 +96,10 @@ def exponent_compare(state: BootstrapState, phi: FunctionSpec,
     old_exponent = term1 + term2
     c1_new, c2_new = bootstrap_step(state)
     new_exponent = c1_new * n / psi_n + (c2_new / state.c2) * term2
+    for name, value in (("old_exponent", old_exponent),
+                        ("new_exponent", new_exponent)):
+        if not math.isfinite(value):
+            raise InputError(f"{name} is not finite at n={n!r}")
     return {"n": n, "old_exponent": old_exponent,
             "new_exponent": new_exponent,
             "improved": new_exponent < old_exponent,

@@ -93,10 +93,9 @@ def build_parser() -> _Parser:
     p.add_argument("--symmetric", action="store_true",
                    help="label the table's provenance as symmetric; every "
                         "count walks canonical words only and rescales")
-    p.add_argument("--workers", type=int,
-                   default=enumeration.EnumerationConfig.workers)
-    p.add_argument("--shard-depth", type=int,
-                   default=enumeration.EnumerationConfig.shard_depth)
+    p.add_argument("--workers", type=int, default=1)
+    # the cut is not a flag, but the config echo still records it
+    p.set_defaults(shard_depth=enumeration.SHARD_DEPTH)
     p.add_argument("--budget", type=int,
                    default=enumeration.DEFAULT_NODE_BUDGET,
                    help="abort after visiting this many search nodes")
@@ -247,12 +246,9 @@ def _config_echo(ns) -> dict:
     return cfg
 
 
-def _table_rows(table: enumeration.RichCountTable) -> list[dict]:
-    return [
-        {"n": n, "count": str(table.entries[n].count),
-         "max_luf": table.entries[n].max_luf}
-        for n in sorted(table.entries)
-    ]
+def _table_rows(table: dict) -> list[dict]:
+    return [{"n": n, "count": str(count), "max_luf": max_luf}
+            for n, (count, max_luf) in sorted(table.items())]
 
 
 def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
@@ -280,46 +276,38 @@ def _cmd_check(ns):
     }
 
 
-def _load_count_table(ns) -> enumeration.RichCountTable:
+def _load_count_table(ns) -> dict:
     # a flag left at its default cannot be told from one not given
-    config = enumeration.EnumerationConfig()
     given = {"--symmetric": ns.symmetric,
              "--save-cache": ns.save_cache is not None,
-             "--workers": ns.workers != config.workers,
-             "--shard-depth": ns.shard_depth != config.shard_depth,
-             "--budget": ns.budget != config.node_budget,
+             "--workers": ns.workers != 1,
+             "--budget": ns.budget != enumeration.DEFAULT_NODE_BUDGET,
              "--no-max-luf": ns.no_max_luf}
     flags = [flag for flag, on in given.items() if on]
     if flags:
         raise InputError("--load-cache cannot be combined with enumeration "
                          f"flags: {', '.join(flags)}")
-    table = enumeration.load_cache(_cache_path(ns.load_cache),
-                                   expected_q=ns.q)
+    table = enumeration.load_cache(_cache_path(ns.load_cache), ns.q)
     for n in range(1, ns.n + 1):
-        if n not in table.entries:
+        if n not in table:
             raise InputError(f"cache {ns.load_cache} has no row n={n} "
                              f"(rows 1..{ns.n} requested)")
-    table.entries = {n: table.entries[n] for n in range(1, ns.n + 1)}
-    return table
+    return {n: table[n] for n in range(1, ns.n + 1)}
 
 
 def _cmd_count(ns):
-    _check_at_least("--n", ns.n, 1)
+    _check_range("--n", ns.n, 1)
     if ns.load_cache:
         table = _load_count_table(ns)
     else:
-        _check_at_least("--budget", ns.budget, 1)
-        config = enumeration.EnumerationConfig(
-            workers=ns.workers,
-            with_max_luf=not ns.no_max_luf,
-            node_budget=ns.budget,
-            shard_depth=ns.shard_depth)
-        table = enumeration.count_rich(ns.q, ns.n, config)
-        if ns.symmetric:  # a label only: the walk is the same
-            table.provenance["symmetric"] = True
-        if ns.save_cache:
-            enumeration.save_cache(table, _cache_path(ns.save_cache))
-    return {"q": table.q, "rows": _table_rows(table)}
+        _check_range("--budget", ns.budget, 1)
+        table = enumeration.count_rich(ns.q, ns.n, workers=ns.workers,
+                                       with_max_luf=not ns.no_max_luf,
+                                       node_budget=ns.budget)
+        if ns.save_cache:  # --symmetric is a label only: the same walk
+            enumeration.save_cache(table, ns.q, _cache_path(ns.save_cache),
+                                   symmetric=ns.symmetric)
+    return {"q": ns.q, "rows": _table_rows(table)}
 
 
 def _cmd_ups(ns):
@@ -341,7 +329,7 @@ def _cmd_ups(ns):
 def _cmd_maxluf(ns):
     from . import ups
 
-    _check_at_least("--n", ns.n, 1)
+    _check_range("--n", ns.n, 1)
     table = ups.max_luf_table(ns.q, ns.n)
     if ns.phi:
         from . import functions
@@ -375,8 +363,18 @@ def _parse_tau(ns):
         from . import functions
 
         phi = functions.parse_function_spec(ns.phi)
-        return (lambda n: math.ceil(n / phi.value(float(n)))), \
-            f"ceil(n/phi), phi={phi.label}"
+
+        def tau(n):
+            try:
+                ratio = n / phi.value(float(n))
+            except InputError as exc:
+                raise InputError(f"--phi at row n={n}: {exc}") from None
+            if not math.isfinite(ratio):
+                raise InputError(f"--phi {phi.label}: n/phi(n) is not "
+                                 f"finite at row n={n}")
+            return math.ceil(ratio)
+
+        return tau, f"ceil(n/phi), phi={phi.label}"
     raise InputError(f"unknown tau form {text!r}")
 
 
@@ -384,20 +382,17 @@ def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
     # flags are checked before the seeds are enumerated
-    _check_at_least("--n-max", ns.n_max, 1)
+    _check_range("--n-max", ns.n_max, 1)
     if ns.seed_n is not None:
-        _check_at_least("--seed-n", ns.seed_n, 1)
+        _check_range("--seed-n", ns.seed_n, 1)
     tau, tau_label = _parse_tau(ns)
     if ns.seeds_cache:
-        cache = enumeration.load_cache(_cache_path(ns.seeds_cache),
-                                       expected_q=ns.q)
-        counts = {n: e.count for n, e in cache.entries.items()}
+        table = enumeration.load_cache(_cache_path(ns.seeds_cache), ns.q)
     else:
         # rows 1..n_max read no seed above n_max
-        table = enumeration.count_rich(
-            ns.q, min(ns.seed_n, ns.n_max),
-            enumeration.EnumerationConfig(with_max_luf=False))
-        counts = {n: e.count for n, e in table.entries.items()}
+        table = enumeration.count_rich(ns.q, min(ns.seed_n, ns.n_max),
+                                       with_max_luf=False)
+    counts = {n: count for n, (count, _) in table.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)
     table = bounds.recurrence_bound(seeds, tau, ns.n_max)
     rows = [{"n": n,
@@ -412,7 +407,7 @@ def _cmd_bound_recurrence(ns):
 
 
 def _cmd_verify_composition_bound(ns):
-    _check_at_least("--n-max", ns.n_max, 1)
+    _check_range("--n-max", ns.n_max, 1)
     failures = bounds.composition_bound_sweep(ns.n_max)
     result = {"n_max": ns.n_max, "ok": not failures,
               "checked": ns.n_max * (ns.n_max + 1) // 2}
@@ -421,17 +416,26 @@ def _cmd_verify_composition_bound(ns):
     return result
 
 
-def _check_at_least(flag: str, value: int, least: int) -> None:
-    # a smaller value would give a vacuous or silently clamped verdict
+# the largest --grid of a one-dimensional scan; at it each scan took
+# under 10 s and 60 MB (one core of a 2-core machine, Python 3.11)
+_GRID_MAX = 10**6
+
+
+def _check_range(flag: str, value: int, least: int,
+                 most: int | None = None) -> None:
+    # a smaller value would give a vacuous or silently clamped verdict, a
+    # larger one a run of minutes or one that exhausts memory
     if value < least:
         raise InputError(f"{flag} must be >= {least}, got {value}")
+    if most is not None and value > most:
+        raise InputError(f"{flag} must be <= {most}, got {value}")
 
 
 def _cmd_verify_jensen(ns):
     from . import functions
 
-    _check_at_least("--trials", ns.trials, 1)
-    _check_at_least("--points", ns.points, 2)
+    _check_range("--trials", ns.trials, 1, 10**4)
+    _check_range("--points", ns.points, 2, 10**3)
     fn = functions.parse_function_spec(ns.fn)
     rng = random.Random(ns.seed)
     lo = max(ns.x_lo, fn.domain_floor)
@@ -449,8 +453,8 @@ def _cmd_verify_jensen(ns):
 def _cmd_verify_product_bound(ns):
     from . import functions
 
-    _check_at_least("--trials", ns.trials, 1)
-    _check_at_least("--n-max", ns.n_max, 2)
+    _check_range("--trials", ns.trials, 1, 2000)
+    _check_range("--n-max", ns.n_max, 2, 10**4)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     floor = functions.ExponentFunction(phi, psi).domain_floor
@@ -479,8 +483,9 @@ def _cmd_verify_product_bound(ns):
 def _cmd_verify_p_monotonicity(ns):
     from . import functions
 
-    _check_at_least("--p-max", ns.p_max, 1)
-    _check_at_least("--grid", ns.grid, 2)
+    # up to 10**6 (n, p) pairs
+    _check_range("--p-max", ns.p_max, 1, 100)
+    _check_range("--grid", ns.grid, 2, 10**4)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     pairs = []
@@ -501,7 +506,7 @@ def _cmd_verify_p_monotonicity(ns):
 def _cmd_verify_delta(ns):
     from . import functions
 
-    _check_at_least("--grid", ns.grid, 2)
+    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     fn = functions.parse_function_spec(ns.fn)
     return {"fn": fn.label, "x_lo": ns.x_lo, "x_hi": ns.x_hi,
             "grid": ns.grid,
@@ -511,7 +516,7 @@ def _cmd_verify_delta(ns):
 def _cmd_verify_psi_family(ns):
     from . import functions
 
-    _check_at_least("--grid", ns.grid, 2)
+    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     return {"phi": phi.label, "psi": psi.label,
@@ -523,7 +528,7 @@ def _cmd_verify_psi_family(ns):
 def _cmd_verify_d_condition(ns):
     from . import functions
 
-    _check_at_least("--grid", ns.grid, 2)
+    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     return {"phi": phi.label, "psi": psi.label, "d": ns.d,
@@ -534,7 +539,7 @@ def _cmd_verify_d_condition(ns):
 def _cmd_verify_phi_composition(ns):
     from . import functions
 
-    _check_at_least("--grid", ns.grid, 2)
+    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     phi = functions.parse_function_spec(ns.phi)
     return {"phi": phi.label,
             **functions.check_phi_composition(phi, ns.n_lo, ns.n_hi,
@@ -544,7 +549,7 @@ def _cmd_verify_phi_composition(ns):
 def _cmd_verify_crossover(ns):
     from . import functions
 
-    _check_at_least("--grid", ns.grid, 2)
+    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     return {"grid": ns.grid, "x_hi": ns.x_hi,
             **functions.log_over_x_crossover(ns.grid, ns.x_hi)}
 

@@ -42,12 +42,16 @@ rich words are counted per (length n, used k) and weighted by
 math.perm(q, k).
 
 With workers > 1 each of `tasks` pool tasks walks from the root but
-descends only into every tasks-th rich word of length `cut`, where tasks
-is `workers` capped at q**cut, the most words a cut can hold.  Rows up
-to the cut are alike in every shard and rows below add up; the node
-count follows from the merged table, so neither the counts nor the
-budget verdict depend on the worker count.  The pool starts at most one
-process per CPU this process may run on.
+descends only into every tasks-th rich word of length `cut`, which is
+SHARD_DEPTH (8) clamped to n_max - 1, and tasks is `workers` capped at
+q**cut, the most words a cut can hold.  Rows up to the cut are alike in
+every shard and rows below add up; the node count follows from the
+merged table, so neither the counts nor the budget verdict depend on the
+worker count.  The pool starts at most one process per CPU this process
+may run on.
+
+count_rich returns {n: (count, max_luf)}; save_cache and load_cache
+write and read that table as line-delimited JSON.
 
 Optionally the walk tracks the maximum number of parts in the
 longest-palindromic-suffix peel among rich words of each length.  Peeling
@@ -63,7 +67,6 @@ import json
 import math
 import os
 import sys
-from dataclasses import dataclass, field
 
 from .errors import (
     BudgetExceededError,
@@ -76,6 +79,8 @@ from .version import TOOL_VERSION
 
 CACHE_SCHEMA_VERSION = 1
 DEFAULT_NODE_BUDGET = 10**9
+# the word length a sharded walk hands out, clamped to n_max - 1
+SHARD_DEPTH = 8
 
 
 def __getattr__(name):
@@ -86,29 +91,6 @@ def __getattr__(name):
 
     globals()[name] = ProcessPoolExecutor  # later lookups skip this hook
     return ProcessPoolExecutor
-
-
-@dataclass
-class EnumerationConfig:
-    """Knobs for the search; the defaults suit test-sized runs."""
-
-    workers: int = 1
-    with_max_luf: bool = True
-    node_budget: int = DEFAULT_NODE_BUDGET
-    shard_depth: int = 8
-
-
-@dataclass(frozen=True)
-class RichEntry:
-    count: int
-    max_luf: int | None
-
-
-@dataclass
-class RichCountTable:
-    q: int
-    entries: dict[int, RichEntry] = field(default_factory=dict)
-    provenance: dict = field(default_factory=dict)
 
 
 def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
@@ -241,17 +223,15 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
     return counts, maxluf
 
 
-def _validate_args(q, n_max, config):
+def _validate_args(q, n_max, workers, node_budget):
     if not isinstance(q, int) or q < 2:
         raise InputError(f"alphabet size must be an integer >= 2, got {q!r}")
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
-    if config.node_budget < 1:
+    if node_budget < 1:
         raise InputError("node budget must be positive")
-    if config.workers < 1:
-        raise InputError(f"workers must be >= 1, got {config.workers}")
-    if config.shard_depth < 1:
-        raise InputError(f"shard depth must be >= 1, got {config.shard_depth}")
+    if workers < 1:
+        raise InputError(f"workers must be >= 1, got {workers}")
 
 
 def _usable_cpus() -> int:
@@ -260,23 +240,24 @@ def _usable_cpus() -> int:
     return os.cpu_count() or 1
 
 
-def count_rich(q: int, n_max: int,
-               config: EnumerationConfig | None = None) -> RichCountTable:
+def count_rich(q: int, n_max: int, *, workers: int = 1,
+               with_max_luf: bool = True,
+               node_budget: int = DEFAULT_NODE_BUDGET
+               ) -> dict[int, tuple[int, int | None]]:
     """Count rich words of every length 1..n_max over q letters.
 
+    Returns {n: (count, max_luf)}, with max_luf None unless tracked.
     Walks canonical words only and rescales (see the module docstring);
     the node budget counts canonical push attempts.
     """
-    config = config or EnumerationConfig()
-    _validate_args(q, n_max, config)
+    _validate_args(q, n_max, workers, node_budget)
     # cut 0 never matches a word length, so a serial run descends fully;
     # n_max - 1 is the deepest cut that still leaves subtrees to hand out
-    cut = min(config.shard_depth, n_max - 1) if config.workers > 1 else 0
+    cut = min(SHARD_DEPTH, n_max - 1) if workers > 1 else 0
     # no more strides than the q**cut words a cut can hold at most
-    tasks = min(config.workers, q ** cut)
+    tasks = min(workers, q ** cut)
     shard = functools.partial(_walk_shard, q, n_max, cut, tasks,
-                              with_max_luf=config.with_max_luf,
-                              limit=config.node_budget)
+                              with_max_luf=with_max_luf, limit=node_budget)
     if cut:
         # through the module, so that a patched ProcessPoolExecutor is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
@@ -297,18 +278,13 @@ def count_rich(q: int, n_max: int,
     # the root tries one letter, a rich word with k letters k + 1 (or q)
     nodes = 1 + sum(c * (k + 1 if k < q else q)
                     for row in counts[:n_max] for k, c in enumerate(row))
-    if nodes > config.node_budget:
-        raise BudgetExceededError(nodes, config.node_budget)
+    if nodes > node_budget:
+        raise BudgetExceededError(nodes, node_budget)
 
     weights = [math.perm(q, k) for k in range(min(q, n_max) + 1)]
-    entries = {
-        n: RichEntry(sum(c * w for c, w in zip(counts[n], weights)),
-                     maxluf[n] if maxluf is not None else None)
-        for n in range(1, n_max + 1)
-    }
-    # `count --symmetric` sets the label to true; the walk is the same
-    provenance = {"symmetric": False, "tool_version": TOOL_VERSION}
-    return RichCountTable(q, entries, provenance)
+    return {n: (sum(c * w for c, w in zip(counts[n], weights)),
+                maxluf[n] if maxluf is not None else None)
+            for n in range(1, n_max + 1)}
 
 
 # -- cache I/O ------------------------------------------------------------
@@ -321,21 +297,25 @@ def count_rich(q: int, n_max: int,
 # JSON reader bit-exactly.
 
 
-def save_cache(table: RichCountTable, path: str | os.PathLike) -> None:
+def save_cache(table: dict[int, tuple[int, int | None]], q: int,
+               path: str | os.PathLike, *, symmetric: bool = False) -> None:
+    """Write a count_rich table over q letters; `symmetric` only labels
+    the header's provenance (`count --symmetric` walks the same words)."""
+    provenance = {"symmetric": symmetric, "tool_version": TOOL_VERSION}
     lines = [json.dumps({
         "schema_version": CACHE_SCHEMA_VERSION,
         "tool_version": TOOL_VERSION,
-        "q": table.q,
-        "provenance": table.provenance,
+        "q": q,
+        "provenance": provenance,
     }, sort_keys=True)]
-    for n in sorted(table.entries):
-        entry = table.entries[n]
+    for n in sorted(table):
+        count, max_luf = table[n]
         lines.append(json.dumps({
             "schema_version": CACHE_SCHEMA_VERSION,
-            "q": table.q,
+            "q": q,
             "n": n,
-            "count": str(entry.count),
-            "max_luf": entry.max_luf,
+            "count": str(count),
+            "max_luf": max_luf,
         }, sort_keys=True))
     with open(path, "w", encoding="ascii") as fh:
         fh.write("\n".join(lines) + "\n")
@@ -369,7 +349,9 @@ def _cache_line(raw: str, lineno: int) -> dict:
 
 
 def load_cache(path: str | os.PathLike,
-               expected_q: int | None = None) -> RichCountTable:
+               q: int) -> dict[int, tuple[int, int | None]]:
+    """The table a cache of counts over q letters holds, in the shape
+    count_rich returns; raises a CacheError on any other file."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.read().splitlines()
@@ -384,14 +366,15 @@ def load_cache(path: str | os.PathLike,
         if key not in header:
             raise CacheFormatError(f"header is missing {key!r}")
     _check_schema(header["schema_version"], "header")
-    q = header["q"]
-    if not _is_int(q) or q < 2:
-        raise CacheFormatError(f"header q={q!r} is not a valid alphabet size")
-    if expected_q is not None and q != expected_q:
+    cache_q = header["q"]
+    if not _is_int(cache_q) or cache_q < 2:
+        raise CacheFormatError(
+            f"header q={cache_q!r} is not a valid alphabet size")
+    if cache_q != q:
         raise CacheQMismatchError(
-            f"cache holds q={q}, but q={expected_q} was requested")
+            f"cache holds q={cache_q}, but q={q} was requested")
 
-    entries: dict[int, RichEntry] = {}
+    table = {}
     for lineno, raw in enumerate(raw_lines[1:], start=2):
         rec = _cache_line(raw, lineno)
         for key in ("schema_version", "q", "n", "count", "max_luf"):
@@ -402,7 +385,7 @@ def load_cache(path: str | os.PathLike,
             raise CacheFormatError(
                 f"line {lineno}: record q={rec['q']!r} disagrees with header")
         n = rec["n"]
-        if not _is_int(n) or n < 1 or n in entries:
+        if not _is_int(n) or n < 1 or n in table:
             raise CacheFormatError(f"line {lineno}: bad or duplicate n={n!r}")
         count_text = rec["count"]
         # isdigit() alone accepts non-ASCII digits such as "²"
@@ -417,9 +400,8 @@ def load_cache(path: str | os.PathLike,
         max_luf = rec["max_luf"]
         if max_luf is not None and (not _is_int(max_luf) or max_luf < 0):
             raise CacheFormatError(f"line {lineno}: bad max_luf={max_luf!r}")
-        entries[n] = RichEntry(count, max_luf)
+        table[n] = (count, max_luf)
 
-    provenance = header.get("provenance", {})
-    if not isinstance(provenance, dict):
+    if not isinstance(header.get("provenance", {}), dict):
         raise CacheFormatError("header provenance must be an object")
-    return RichCountTable(q, entries, provenance)
+    return table

@@ -89,8 +89,7 @@ def max_luf_table(q: int, n_max: int) -> dict[int, int]:
     """Maximum peel length over all rich words of each length 1..n_max."""
     from .enumeration import count_rich
 
-    table = count_rich(q, n_max)
-    return {n: entry.max_luf for n, entry in sorted(table.entries.items())}
+    return {n: m for n, (_, m) in sorted(count_rich(q, n_max).items())}
 
 
 def compare_luf_bound(table: dict[int, int], phi) -> dict:

@@ -13,16 +13,15 @@ import time
 
 import mpmath
 
-from richwords import (BootstrapState, Eertree, EnumerationConfig,
-                       ExponentFunction, FunctionSpec, OmegaParams,
-                       bootstrap_iterate,
+from richwords import (BootstrapState, Eertree, ExponentFunction,
+                       FunctionSpec, OmegaParams, bootstrap_iterate,
                        bootstrap_step, check_d_condition, check_jensen,
                        check_p_monotonicity, check_product_bound,
-                       composition_bound_sweep, count_rich, identity_spec,
-                       ln_spec, log_over_x_crossover, power_spec,
-                       recurrence_bound, save_cache, seed_table_from_counts,
-                       sqrt_spec,
-                       ups_factorize, verify_unioccurrence, x_over_ln_spec)
+                       composition_bound_sweep, count_rich, enumeration,
+                       identity_spec, ln_spec, log_over_x_crossover,
+                       power_spec, recurrence_bound, save_cache,
+                       seed_table_from_counts, sqrt_spec, ups_factorize,
+                       verify_unioccurrence, x_over_ln_spec)
 from richwords.bounds import EXPONENT_SLACK
 
 from . import oracles
@@ -58,20 +57,20 @@ def test_criterion_01_eertree_matches_naive_counting():
                f"n<=14 and ternary n<=9 ({elapsed:.1f}s < 120s)", ok)
 
 
-def test_criterion_02_exact_counts_and_determinism(tmp_path):
+def test_criterion_02_exact_counts_and_determinism(monkeypatch, tmp_path):
     t0 = time.perf_counter()
     expected = [2, 4, 8, 16, 32, 64, 128, 252, 488, 932]
 
     table = count_rich(2, 10)
-    got = [table.entries[n].count for n in range(1, 11)]
+    got = [table[n][0] for n in range(1, 11)]
 
     brute = oracles.rich_counts_brute(2, 10)
     naive = [brute[n] for n in range(1, 11)]
 
     a, b = tmp_path / "w1.jsonl", tmp_path / "w3.jsonl"
-    save_cache(count_rich(2, 10, EnumerationConfig(workers=1)), a)
-    save_cache(count_rich(2, 10, EnumerationConfig(workers=3,
-                                                   shard_depth=4)), b)
+    save_cache(count_rich(2, 10, workers=1), 2, a)
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 4)
+    save_cache(count_rich(2, 10, workers=3), 2, b)
     byte_identical = a.read_bytes() == b.read_bytes()
 
     elapsed = time.perf_counter() - t0
@@ -121,8 +120,8 @@ def test_criterion_04_composition_bound_sweep():
 
 def test_criterion_05_recurrence_dominates_exact_counts():
     t0 = time.perf_counter()
-    table = count_rich(2, 20, EnumerationConfig(with_max_luf=False))
-    counts = {n: e.count for n, e in table.entries.items()}
+    table = count_rich(2, 20, with_max_luf=False)
+    counts = {n: count for n, (count, _) in table.items()}
 
     seeds = seed_table_from_counts({n: counts[n] for n in range(1, 11)}, 2)
     bound = recurrence_bound(seeds, lambda n: n, 20)

@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (EnumerationConfig, FunctionSpec,
-                       HypothesisNotVerifiedError, InputError, OmegaParams,
+from richwords import (FunctionSpec, HypothesisNotVerifiedError,
+                       InputError, OmegaParams,
                        SeedGapError, check_jensen, check_p_monotonicity,
                        check_product_bound, composition_bound_sweep,
                        count_rich, identity_spec, power_spec,
@@ -101,8 +101,8 @@ def _identity_params(x_lo=1.0, x_hi=61.0):
 
 
 def _counts(q, n):
-    table = count_rich(q, n, EnumerationConfig(with_max_luf=False))
-    return {m: e.count for m, e in table.entries.items()}
+    table = count_rich(q, n, with_max_luf=False)
+    return {m: count for m, (count, _) in table.items()}
 
 
 def test_seed_table_roundtrip():

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from richwords import count_rich
+from richwords import TOOL_VERSION, count_rich, enumeration
 from richwords.cli import run
 
 from . import oracles
@@ -58,26 +58,27 @@ def test_count_csv_format():
     assert lines[-1] == "4,16,3"
 
 
-def test_count_deterministic_across_workers():
+def test_count_deterministic_across_workers(monkeypatch):
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
     _, out1, _ = _invoke("count", "--q", "2", "--n", "9")
-    _, out2, _ = _invoke("count", "--q", "2", "--n", "9",
-                         "--workers", "2", "--shard-depth", "3")
+    _, out2, _ = _invoke("count", "--q", "2", "--n", "9", "--workers", "2")
     r1, r2 = json.loads(out1), json.loads(out2)
     assert r1["result"] == r2["result"]
 
 
-def test_count_symmetric_sharded_same_bytes():
+def test_count_symmetric_sharded_same_bytes(monkeypatch):
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 2)
     args = ("count", "--q", "3", "--n", "7", "--symmetric", "--format", "csv")
     _, serial, _ = _invoke(*args)
-    code, sharded, _ = _invoke(*args, "--workers", "2", "--shard-depth", "2")
+    code, sharded, _ = _invoke(*args, "--workers", "2")
     assert code == 0
     assert sharded == serial
 
 
-def test_count_symmetric_sharded_budget_is_exit_one():
+def test_count_symmetric_sharded_budget_is_exit_one(monkeypatch):
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
     code, out, err = _invoke("count", "--q", "2", "--n", "14", "--symmetric",
-                             "--workers", "2", "--shard-depth", "3",
-                             "--budget", "200")
+                             "--workers", "2", "--budget", "200")
     assert code == 1
     assert out == ""
     assert "budget" in err
@@ -85,11 +86,12 @@ def test_count_symmetric_sharded_budget_is_exit_one():
 
 @pytest.mark.parametrize("q, n", [(2, 9), (3, 7), (4, 6)])
 @pytest.mark.parametrize("workers", ["1", "2"])
-def test_count_symmetric_only_labels_the_table(tmp_path, q, n, workers):
+def test_count_symmetric_only_labels_the_table(monkeypatch, tmp_path, q, n,
+                                               workers):
     # --symmetric runs the same walk: the same rows on stdout, and a cache
     # that differs only by the header's "symmetric": true
-    argv = ("count", "--q", str(q), "--n", str(n), "--workers", workers,
-            "--shard-depth", "3")
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
+    argv = ("count", "--q", str(q), "--n", str(n), "--workers", workers)
     for fmt in ("csv", "text", "json"):
         _, plain, _ = _invoke(*argv, "--format", fmt)
         code, sym, _ = _invoke(*argv, "--symmetric", "--format", fmt)
@@ -116,8 +118,10 @@ def test_count_symmetric_only_labels_the_table(tmp_path, q, n, workers):
 @pytest.mark.parametrize("flags", [
     ("count", "--q", "2", "--n", "6", "--workers", "-3"),
     ("count", "--q", "2", "--n", "6", "--workers", "0"),
-    ("count", "--q", "2", "--n", "6", "--workers", "2", "--shard-depth", "-4"),
-    ("count", "--q", "2", "--n", "6", "--workers", "2", "--shard-depth", "0"),
+    # the shard cut is a module constant, not a flag
+    ("count", "--q", "2", "--n", "6", "--workers", "2", "--shard-depth", "8"),
+    # a sharded run checks its budget before it starts a pool
+    ("count", "--q", "2", "--n", "6", "--workers", "2", "--budget", "0"),
     # the cache is never opened
     ("count", "--q", "2", "--n", "0"),
     ("count", "--q", "2", "--n", "-2"),
@@ -135,6 +139,8 @@ def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
     for flag, value in zip(flags, flags[1:]):
         if flag in ("--n", "--budget") and int(value) < 1:
             assert f"{flag} must be >= 1, got {value}" in err
+    if "--shard-depth" in flags:
+        assert "usage error: unrecognized arguments: --shard-depth" in err
 
 
 @pytest.mark.parametrize("argv", [
@@ -205,6 +211,57 @@ def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     assert flag in err and "Traceback" not in err
 
 
+_PHI_PSI = ("--phi", "x-over-lnx", "--psi", "ln")
+
+
+@pytest.mark.parametrize("argv, flag, most", [
+    # product-bound once asked rng.sample for up to n - 1 cuts
+    (("product-bound", *_PHI_PSI, "--n-max", "100000000000"), "--n-max",
+     10**4),
+    (("product-bound", *_PHI_PSI, "--trials", "2001"), "--trials", 2000),
+    (("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
+      "--trials", "10001"), "--trials", 10**4),
+    (("jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
+      "--points", "1001"), "--points", 10**3),
+    (("p-monotonicity", *_PHI_PSI, "--p-max", "101"), "--p-max", 100),
+    (("p-monotonicity", *_PHI_PSI, "--grid", "10001"), "--grid", 10**4),
+    (("delta", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
+      "--grid", "1000001"), "--grid", 10**6),
+    (("psi-family", *_PHI_PSI, "--x-lo", "8", "--x-hi", "1e4",
+      "--grid", "1000001"), "--grid", 10**6),
+    (("d-condition", *_PHI_PSI, "--d", "1.5", "--grid", "1000001"),
+     "--grid", 10**6),
+    (("phi-composition", "--phi", "sqrt", "--grid", "3000000"), "--grid",
+     10**6),
+    (("crossover", "--grid", "1000001"), "--grid", 10**6),
+], ids=lambda v: v[0] if isinstance(v, tuple) else None)
+def test_verify_size_past_its_limit_names_the_flag(argv, flag, most):
+    # refused before any work: the values above would run for minutes
+    # or exhaust memory
+    code, out, err = _invoke("verify", *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be <= {most}, got {argv[-1]}\n")
+
+
+@pytest.mark.parametrize("symmetric", [False, True])
+def test_count_cache_bytes_are_pinned(tmp_path, symmetric):
+    # the whole layout: sorted keys, the nested provenance and counts as
+    # decimal strings
+    path = tmp_path / "c.jsonl"
+    flags = ["--symmetric"] if symmetric else []
+    assert _invoke("count", "--q", "2", "--n", "4", *flags,
+                   "--save-cache", str(path))[0] == 0
+    label = "true" if symmetric else "false"
+    assert path.read_text() == (
+        f'{{"provenance": {{"symmetric": {label}, "tool_version": '
+        f'"{TOOL_VERSION}"}}, "q": 2, "schema_version": 1, '
+        f'"tool_version": "{TOOL_VERSION}"}}\n'
+        '{"count": "2", "max_luf": 1, "n": 1, "q": 2, "schema_version": 1}\n'
+        '{"count": "4", "max_luf": 2, "n": 2, "q": 2, "schema_version": 1}\n'
+        '{"count": "8", "max_luf": 2, "n": 3, "q": 2, "schema_version": 1}\n'
+        '{"count": "16", "max_luf": 3, "n": 4, "q": 2, "schema_version": 1}\n')
+
+
 def test_count_byte_identical_reruns():
     _, out1, _ = _invoke("count", "--q", "3", "--n", "5", "--symmetric")
     _, out2, _ = _invoke("count", "--q", "3", "--n", "5", "--symmetric")
@@ -241,7 +298,7 @@ def test_count_load_cache_prints_rows_up_to_n(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [
-    ["--workers", "0"], ["--workers", "2"], ["--shard-depth", "3"],
+    ["--workers", "0"], ["--workers", "2"], ["--symmetric", "--workers", "2"],
     ["--budget", "5"], ["--no-max-luf"], ["--symmetric"],
     ["--save-cache", "other.jsonl"]])
 def test_count_load_cache_with_enumeration_flag_is_exit_one(tmp_path, flags):
@@ -430,9 +487,9 @@ def test_bound_recurrence_enumerates_no_seed_above_n_max(monkeypatch):
     asked = []
     real = enumeration.count_rich
 
-    def recording(q, n_max, config=None):
+    def recording(q, n_max, **kwargs):
         asked.append(n_max)
-        return real(q, n_max, config)
+        return real(q, n_max, **kwargs)
 
     monkeypatch.setattr(enumeration, "count_rich", recording)
     _, wide, _ = _invoke("bound-recurrence", "--q", "2", "--seed-n", "24",
@@ -458,7 +515,7 @@ def test_bound_recurrence_non_integer_tau_is_exit_one(tau):
 def test_bound_recurrence_rows_are_certified(tau, n_max):
     # every printed exponent is at or above the exact log2 B(n) of the
     # integer recurrence, and close to it
-    counts = {n: e.count for n, e in count_rich(2, 10).entries.items()}
+    counts = {n: count for n, (count, _) in count_rich(2, 10).items()}
     cap = (lambda n: n) if tau == "n" else (lambda n: 4)
     exact = oracles.recurrence_table_exact(counts, cap, n_max)
     code, out, _ = _invoke("bound-recurrence", "--q", "2", "--seed-n", "10",
@@ -731,13 +788,27 @@ def test_maxluf_rows_where_n_over_phi_overflows_are_null():
 
 
 def test_result_that_is_not_finite_is_exit_one():
-    # psi(1e10) = 1e-300, so n/psi(n) and both exponents are inf
-    code, out, err = _invoke("compare-exponents", "--q", "2", "--d", "2",
-                             "--c1", "1", "--c2", "1", "--c3", "0.1",
-                             "--phi", "sqrt", "--psi", "1,-30,0,0,0",
-                             "--n", "1e10")
+    # psi(1e10) = 1e-300, so n/psi(n) and both exponents are inf; text
+    # once printed "old_exponent = inf" and exited 0
+    for fmt in ("json", "text"):
+        code, out, err = _invoke("compare-exponents", "--q", "2", "--d", "2",
+                                 "--c1", "1", "--c2", "1", "--c3", "0.1",
+                                 "--phi", "sqrt", "--psi", "1,-30,0,0,0",
+                                 "--n", "1e10", "--format", fmt)
+        assert (code, out) == (1, ""), fmt
+        assert err.startswith(
+            "error: old_exponent is not finite at n=10000000000.0\n"), fmt
+
+
+def test_bound_recurrence_tau_phi_not_finite_names_the_row():
+    # phi(6) = 6**-400 is subnormal, so 6/phi(6) is inf: math.ceil raised
+    # "cannot convert float infinity to integer"
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--seed-n", "3",
+                             "--n-max", "8", "--tau", "phi",
+                             "--phi", "1,-400,0,0,0")
     assert (code, out) == (1, "")
-    assert "error: the result holds a number that is not finite\n" in err
+    assert err.startswith("error: --phi ")
+    assert "n/phi(n) is not finite at row n=6\n" in err
 
 
 def test_bootstrap_overflow_names_the_step():
@@ -904,6 +975,10 @@ def test_csv_unsupported_for_check():
 _Q = (st.integers(2, 4).map(str), st.integers(-1, 1).map(str))
 _INT = (st.integers(1, 10).map(str), st.integers(-2, 0).map(str))
 _SIZE = (st.integers(1, 6).map(str), st.integers(-2, 0).map(str))  # cheap
+# a size flag with an upper limit refuses a value past the largest limit
+# (10**6) before it does any work
+_CAPPED = (_SIZE[0], st.one_of(_SIZE[1], st.sampled_from(["1000001",
+                                                          "100000000000"])))
 _FLOAT = (
     st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1e4, 1e6]).map(repr),
     st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
@@ -939,40 +1014,39 @@ _SURFACE = {
     ("count",): (
         {"--workers": (st.just("1"), st.sampled_from(["-1", "0"]))},
         {"--q": _Q, "--n": _INT},
-        {"--shard-depth": _INT, "--load-cache": _MISSING,
-         "--budget": _BUDGET}),
+        {"--load-cache": _MISSING, "--budget": _BUDGET}),
     ("maxluf",): ({}, {"--q": _Q, "--n": _INT}, {"--phi": _SPEC}),
     ("bound-recurrence",): (
         {}, {"--q": _Q, "--n-max": _INT, "--seed-n": _INT},
         {"--seeds-cache": _MISSING, "--phi": _SPEC, "--tau": _TAU}),
     ("verify", "composition-bound"): ({"--n-max": _INT}, {}, {}),
     ("verify", "jensen"): (
-        {"--trials": _SIZE, "--points": _SIZE},
+        {"--trials": _CAPPED, "--points": _CAPPED},
         {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
         {"--seed": _INT}),
     ("verify", "product-bound"): (
-        {"--trials": _SIZE, "--n-max": _SIZE},
+        {"--trials": _CAPPED, "--n-max": _CAPPED},
         {"--phi": _SPEC, "--psi": _SPEC},
         {"--c1": _FLOAT, "--c2": _FLOAT, "--seed": _INT}),
     ("verify", "p-monotonicity"): (
-        {"--grid": _SIZE, "--p-max": _SIZE, "--n-hi": _INT},
+        {"--grid": _CAPPED, "--p-max": _CAPPED, "--n-hi": _INT},
         {"--phi": _SPEC, "--psi": _SPEC},
         {"--c1": _FLOAT, "--c2": _FLOAT, "--n-lo": _INT}),
     ("verify", "delta"): (
-        {"--grid": _SIZE},
+        {"--grid": _CAPPED},
         {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT}, {}),
     ("verify", "psi-family"): (
-        {"--grid": _SIZE},
+        {"--grid": _CAPPED},
         {"--phi": _SPEC, "--psi": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
         {}),
     ("verify", "d-condition"): (
-        {"--grid": _SIZE},
+        {"--grid": _CAPPED},
         {"--phi": _SPEC, "--psi": _SPEC, "--d": _FLOAT},
         {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
     ("verify", "phi-composition"): (
-        {"--grid": _SIZE}, {"--phi": _SPEC},
+        {"--grid": _CAPPED}, {"--phi": _SPEC},
         {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
-    ("verify", "crossover"): ({"--grid": _SIZE}, {}, {"--x-hi": _FLOAT}),
+    ("verify", "crossover"): ({"--grid": _CAPPED}, {}, {"--x-hi": _FLOAT}),
     ("bootstrap",): (
         {"--iters": _SIZE},
         {"--q": _Q, "--d": _FLOAT, "--c1": _FLOAT, "--c2": _FLOAT,

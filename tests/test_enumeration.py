@@ -8,9 +8,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (BudgetExceededError, CacheError, CacheFormatError,
-                       CacheQMismatchError, CacheVersionError,
-                       EnumerationConfig, InputError, RichEntry, count_rich,
+from richwords import (TOOL_VERSION, BudgetExceededError, CacheError,
+                       CacheFormatError, CacheQMismatchError,
+                       CacheVersionError, InputError, count_rich,
                        enumeration, load_cache, save_cache)
 
 from . import oracles
@@ -24,8 +24,7 @@ def _brute_entries(q):
     entries = {}
     for n in range(1, ORACLE_N[q] + 1):
         rich = [w for w in oracles.all_words(q, n) if oracles.is_rich(w)]
-        entries[n] = RichEntry(len(rich),
-                               max(len(oracles.peel(w)) for w in rich))
+        entries[n] = (len(rich), max(len(oracles.peel(w)) for w in rich))
     return entries
 
 
@@ -62,28 +61,28 @@ def test_counts_against_bruteforce_binary():
     table = count_rich(2, 8)
     brute = oracles.rich_counts_brute(2, 8)
     for n in range(1, 9):
-        assert table.entries[n].count == brute[n]
+        assert table[n][0] == brute[n]
 
 
 def test_counts_against_bruteforce_ternary():
     table = count_rich(3, 5)
     brute = oracles.rich_counts_brute(3, 5)
     for n in range(1, 6):
-        assert table.entries[n].count == brute[n]
+        assert table[n][0] == brute[n]
 
 
 def test_all_short_words_are_rich():
     # every word of length <= 2 is rich, so the counts are q^n there
     table = count_rich(3, 2)
-    assert table.entries[1].count == 3
-    assert table.entries[2].count == 9
+    assert table[1][0] == 3
+    assert table[2][0] == 9
 
 
 def test_submultiplicative_growth():
     table = count_rich(2, 12)
     for n in range(2, 13):
         # appending a letter to a rich word cannot create two rich words
-        assert table.entries[n].count <= 2 * table.entries[n - 1].count
+        assert table[n][0] <= 2 * table[n - 1][0]
 
 
 def test_max_luf_tracked():
@@ -91,15 +90,15 @@ def test_max_luf_tracked():
     brute = {n: max(len(oracles.peel(w)) for w in oracles.all_words(2, n)
                     if oracles.is_rich(w)) for n in range(1, 7)}
     for n in range(1, 7):
-        assert table.entries[n].max_luf == brute[n]
+        assert table[n][1] == brute[n]
 
 
 def test_max_luf_disabled():
-    table = count_rich(2, 5, EnumerationConfig(with_max_luf=False))
-    assert all(table.entries[n].max_luf is None for n in range(1, 6))
+    table = count_rich(2, 5, with_max_luf=False)
+    assert all(table[n][1] is None for n in range(1, 6))
 
 
-def test_symmetric_agrees_with_plain():
+def test_symmetric_agrees_with_plain(monkeypatch):
     # the canonical (symmetric) walk against a plain walk that tries every
     # letter at every node.  Sharded, the cut is mid-tree, at the last
     # level that gets a node (n_max - 2), or at the level below it, which
@@ -109,19 +108,17 @@ def test_symmetric_agrees_with_plain():
         for with_max_luf in (True, False):
             for workers, depth in ((1, 3), (2, 3), (2, n_max - 2),
                                    (2, n_max - 1)):
-                table = count_rich(q, n_max, EnumerationConfig(
-                    workers=workers, shard_depth=depth,
-                    with_max_luf=with_max_luf))
-                assert sorted(table.entries) == sorted(plain)
+                monkeypatch.setattr(enumeration, "SHARD_DEPTH", depth)
+                table = count_rich(q, n_max, workers=workers,
+                                   with_max_luf=with_max_luf)
+                assert sorted(table) == sorted(plain)
                 for n, (expected, luf) in plain.items():
-                    entry = table.entries[n]
                     where = (q, n, with_max_luf, workers, depth)
-                    assert entry.count == expected, where
-                    assert entry.max_luf == (
-                        luf if with_max_luf else None), where
+                    assert table[n] == (
+                        expected, luf if with_max_luf else None), where
 
 
-def test_short_walks_against_plain_dfs(inline_pool):
+def test_short_walks_against_plain_dfs(monkeypatch, inline_pool):
     # the root as the last level, q > n_max, where the walk's tables are
     # narrower than the alphabet, and the shard cut at every level; the
     # last that gets a node is n_max - 2, and n_max - 1 is counted in its
@@ -134,13 +131,11 @@ def test_short_walks_against_plain_dfs(inline_pool):
                             for n, (count, luf) in plain.items()}
                 for workers in (1, 2, 3):
                     for depth in range(1, max(n_max, 2)):
-                        table = count_rich(q, n_max, EnumerationConfig(
-                            workers=workers, shard_depth=depth,
-                            with_max_luf=with_max_luf))
-                        assert {n: (e.count, e.max_luf)
-                                for n, e in table.entries.items()
-                                } == expected, (q, n_max, with_max_luf,
-                                                workers, depth)
+                        monkeypatch.setattr(enumeration, "SHARD_DEPTH", depth)
+                        table = count_rich(q, n_max, workers=workers,
+                                           with_max_luf=with_max_luf)
+                        assert table == expected, (q, n_max, with_max_luf,
+                                                   workers, depth)
 
 
 def test_longest_palindromic_suffix_extends_richly():
@@ -169,12 +164,12 @@ def test_pool_capped_at_usable_cpus(monkeypatch, inline_pool, cpus, workers,
     # serial ones
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
-    table = count_rich(q, n_max, EnumerationConfig(workers=workers,
-                                                   shard_depth=3))
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
+    table = count_rich(q, n_max, workers=workers)
     assert [(p.max_workers, p.tasks) for p in inline_pool] == [
         (min(cpus, tasks), tasks)]
-    assert table.entries == {n: e for n, e in _brute_entries(q).items()
-                             if n <= n_max}
+    assert table == {n: e for n, e in _brute_entries(q).items()
+                     if n <= n_max}
 
 
 @pytest.mark.parametrize("cpu_count, processes", [(2, 2), (None, 1)])
@@ -182,34 +177,34 @@ def test_pool_cap_without_affinity(monkeypatch, inline_pool, cpu_count,
                                    processes):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    count_rich(2, 8, EnumerationConfig(workers=3, shard_depth=4))
+    count_rich(2, 8, workers=3)
     assert [(p.max_workers, p.tasks) for p in inline_pool] == [
         (processes, 3)]
 
 
-def test_parallel_matches_serial():
+def test_parallel_matches_serial(monkeypatch):
     # brute force against serial and sharded walks, with the shard cut at
     # the root, mid-tree and clamped from n_max to n_max - 1
     for q, n_max in ORACLE_N.items():
         brute = _brute_entries(q)
         for workers in (1, 2, 3):
             for depth in (1, 3, n_max):
-                table = count_rich(q, n_max, EnumerationConfig(
-                    workers=workers, shard_depth=depth))
-                assert table.entries == brute, (q, workers, depth)
+                monkeypatch.setattr(enumeration, "SHARD_DEPTH", depth)
+                table = count_rich(q, n_max, workers=workers)
+                assert table == brute, (q, workers, depth)
 
 
-def test_parallel_caches_byte_identical(tmp_path):
+def test_parallel_caches_byte_identical(monkeypatch, tmp_path):
     a, b = tmp_path / "a.jsonl", tmp_path / "b.jsonl"
-    save_cache(count_rich(2, 10, EnumerationConfig(workers=1)), a)
-    save_cache(count_rich(2, 10, EnumerationConfig(workers=3,
-                                                   shard_depth=4)), b)
+    save_cache(count_rich(2, 10, workers=1), 2, a)
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 4)
+    save_cache(count_rich(2, 10, workers=3), 2, b)
     assert a.read_bytes() == b.read_bytes()
 
 
 def test_budget_enforced():
     with pytest.raises(BudgetExceededError) as exc:
-        count_rich(2, 12, EnumerationConfig(node_budget=50))
+        count_rich(2, 12, node_budget=50)
     assert exc.value.budget == 50
     assert exc.value.visited >= 50
 
@@ -220,27 +215,24 @@ EXACT_NODES = {(2, 12): 3683, (3, 9): 2570, (4, 7): 660}
 
 
 @pytest.mark.parametrize("q, n_max", sorted(EXACT_NODES))
-def test_budget_verdict_exact_for_every_worker_count(q, n_max):
+def test_budget_verdict_exact_for_every_worker_count(monkeypatch, q, n_max):
     # the budget is an exact cap on the whole walk, however it is sharded
     nodes = EXACT_NODES[q, n_max]
     plain = oracles.rich_entries_plain_dfs(q, n_max)
     for workers in (1, 2, 3):
         for depth in (1, 3, n_max):
-            def config(budget):
-                return EnumerationConfig(workers=workers, shard_depth=depth,
-                                         node_budget=budget)
-            table = count_rich(q, n_max, config(nodes))
-            assert {n: (e.count, e.max_luf)
-                    for n, e in table.entries.items()} == plain
+            monkeypatch.setattr(enumeration, "SHARD_DEPTH", depth)
+            table = count_rich(q, n_max, workers=workers, node_budget=nodes)
+            assert table == plain
             with pytest.raises(BudgetExceededError) as exc:
-                count_rich(q, n_max, config(nodes - 1))
+                count_rich(q, n_max, workers=workers, node_budget=nodes - 1)
             assert exc.value.budget == nodes - 1, (workers, depth)
 
 
-def test_budget_error_in_parallel_mode():
-    config = EnumerationConfig(workers=2, shard_depth=3, node_budget=200)
+def test_budget_error_in_parallel_mode(monkeypatch):
+    monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
     with pytest.raises(BudgetExceededError):
-        count_rich(2, 14, config)
+        count_rich(2, 14, workers=2, node_budget=200)
 
 
 def test_invalid_args():
@@ -248,38 +240,29 @@ def test_invalid_args():
         count_rich(1, 5)
     with pytest.raises(InputError):
         count_rich(2, 0)
-    with pytest.raises(InputError):
-        count_rich(2, 5, EnumerationConfig(node_budget=0))
-    for config in (EnumerationConfig(workers=0),
-                   EnumerationConfig(workers=-3),
-                   EnumerationConfig(workers=2, shard_depth=0),
-                   EnumerationConfig(workers=2, shard_depth=-4),
-                   EnumerationConfig(shard_depth=-4)):
+    for kwargs in ({"node_budget": 0}, {"workers": 0}, {"workers": -3}):
         with pytest.raises(InputError):
-            count_rich(2, 5, config)
+            count_rich(2, 5, **kwargs)
 
 
 def test_cache_roundtrip(tmp_path):
     path = tmp_path / "counts.jsonl"
     table = count_rich(2, 7)
-    save_cache(table, path)
-    loaded = load_cache(path)
-    assert loaded.q == table.q
-    assert loaded.entries == table.entries
-    assert loaded.provenance == table.provenance
+    for symmetric in (False, True):
+        save_cache(table, 2, path, symmetric=symmetric)
+        assert load_cache(path, 2) == table
 
 
 def test_cache_roundtrip_without_maxluf(tmp_path):
     path = tmp_path / "counts.jsonl"
-    table = count_rich(3, 4, EnumerationConfig(with_max_luf=False))
-    save_cache(table, path)
-    loaded = load_cache(path, expected_q=3)
-    assert loaded.entries == table.entries
+    table = count_rich(3, 4, with_max_luf=False)
+    save_cache(table, 3, path)
+    assert load_cache(path, 3) == table
 
 
 def test_cache_counts_serialized_as_strings(tmp_path):
     path = tmp_path / "counts.jsonl"
-    save_cache(count_rich(2, 5), path)
+    save_cache(count_rich(2, 5), 2, path)
     lines = path.read_text().strip().split("\n")
     header = json.loads(lines[0])
     assert header["schema_version"] == 1
@@ -292,21 +275,21 @@ def test_cache_counts_serialized_as_strings(tmp_path):
 
 def test_cache_q_mismatch(tmp_path):
     path = tmp_path / "counts.jsonl"
-    save_cache(count_rich(2, 4), path)
+    save_cache(count_rich(2, 4), 2, path)
     with pytest.raises(CacheQMismatchError):
-        load_cache(path, expected_q=3)
+        load_cache(path, 3)
 
 
 def test_cache_version_rejected(tmp_path):
     path = tmp_path / "counts.jsonl"
-    save_cache(count_rich(2, 4), path)
+    save_cache(count_rich(2, 4), 2, path)
     lines = path.read_text().split("\n")
     header = json.loads(lines[0])
     header["schema_version"] = 99
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines))
     with pytest.raises(CacheVersionError):
-        load_cache(path)
+        load_cache(path, 2)
 
 
 @pytest.mark.parametrize("mangle", [
@@ -339,32 +322,31 @@ def test_cache_version_rejected(tmp_path):
 ])
 def test_cache_malformed_rejected(tmp_path, mangle):
     path = tmp_path / "counts.jsonl"
-    save_cache(count_rich(2, 4), path)
+    save_cache(count_rich(2, 4), 2, path)
     path.write_bytes(mangle(path.read_text()).encode("latin-1"))
     with pytest.raises(CacheFormatError):
-        load_cache(path)
+        load_cache(path, 2)
 
 
 def test_cache_nondecimal_count_rejected(tmp_path):
     path = tmp_path / "counts.jsonl"
-    save_cache(count_rich(2, 3), path)
+    save_cache(count_rich(2, 3), 2, path)
     path.write_text(path.read_text().replace('"count": "4"',
                                              '"count": "4x"'))
     with pytest.raises(CacheFormatError):
-        load_cache(path)
+        load_cache(path, 2)
 
 
 def _load_or_cache_error(path, data):
     path.write_bytes(data)
     try:
-        table = load_cache(path)
+        table = load_cache(path, 2)
     except CacheError:
         return
-    for n, entry in table.entries.items():
+    for n, (count, max_luf) in table.items():
         assert type(n) is int and n >= 1
-        assert type(entry.count) is int and entry.count >= 0
-        assert entry.max_luf is None or (type(entry.max_luf) is int
-                                          and entry.max_luf >= 0)
+        assert type(count) is int and count >= 0
+        assert max_luf is None or (type(max_luf) is int and max_luf >= 0)
 
 
 # bools and integral floats pass for ints by accident, so they get a third
@@ -404,16 +386,20 @@ def test_cache_loader_fuzz_records(tmp_path_factory, records):
                          ("\n".join(lines) + "\n").encode("ascii"))
 
 
-def test_provenance_records_route():
+def test_provenance_records_route(tmp_path):
     # count --symmetric sets the label; the library always walks the same
-    provenance = count_rich(2, 3).provenance
-    assert provenance["symmetric"] is False
-    assert "date" not in provenance
+    path = tmp_path / "counts.jsonl"
+    for symmetric in (False, True):
+        save_cache(count_rich(2, 3), 2, path, symmetric=symmetric)
+        provenance = json.loads(path.read_text().split("\n")[0])[
+            "provenance"]
+        assert provenance == {"symmetric": symmetric,
+                              "tool_version": TOOL_VERSION}
 
 
 @settings(max_examples=20, deadline=None)
 @given(st.integers(2, 3), st.integers(1, 6))
 def test_counts_match_bruteforce_property(q, n_max):
-    table = count_rich(q, n_max, EnumerationConfig(with_max_luf=False))
-    assert table.entries[n_max].count == sum(
+    table = count_rich(q, n_max, with_max_luf=False)
+    assert table[n_max][0] == sum(
         1 for w in oracles.all_words(q, n_max) if oracles.is_rich(w))
