@@ -296,7 +296,7 @@ def _load_count_table(ns) -> dict:
 
 
 def _cmd_count(ns):
-    _check_range("--n", ns.n, 1)
+    _check_range("--n", ns.n, 1, _WALK_N_MAX)
     if ns.load_cache:
         table = _load_count_table(ns)
     else:
@@ -329,7 +329,7 @@ def _cmd_ups(ns):
 def _cmd_maxluf(ns):
     from . import ups
 
-    _check_range("--n", ns.n, 1)
+    _check_range("--n", ns.n, 1, _WALK_N_MAX)
     table = ups.max_luf_table(ns.q, ns.n)
     if ns.phi:
         from . import functions
@@ -407,7 +407,8 @@ def _cmd_bound_recurrence(ns):
 
 
 def _cmd_verify_composition_bound(ns):
-    _check_range("--n-max", ns.n_max, 1)
+    # 26 s at the limit (one core of a 2-core machine, Python 3.11)
+    _check_range("--n-max", ns.n_max, 1, 1400)
     failures = bounds.composition_bound_sweep(ns.n_max)
     result = {"n_max": ns.n_max, "ok": not failures,
               "checked": ns.n_max * (ns.n_max + 1) // 2}
@@ -419,6 +420,9 @@ def _cmd_verify_composition_bound(ns):
 # the largest --grid of a one-dimensional scan; at it each scan took
 # under 10 s and 60 MB (one core of a 2-core machine, Python 3.11)
 _GRID_MAX = 10**6
+# a count or maxluf walk of 1,000 letters preallocates about 4 * 10**6
+# list slots; none past n = 40 or so finishes within the default budget
+_WALK_N_MAX = 1000
 
 
 def _check_range(flag: str, value: int, least: int,
@@ -557,6 +561,7 @@ def _cmd_verify_crossover(ns):
 def _cmd_bootstrap(ns):
     from . import bootstrap
 
+    _check_range("--iters", ns.iters, 0, 10**5)
     state = bootstrap.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
     return bootstrap.bootstrap_iterate(state, ns.iters)
 

@@ -21,13 +21,13 @@ of a rich word occurs in it only once (Droubay, Justin & Pirillo), so
 a+last+a cannot have occurred before and the push is always rich.  Node
 ids are stored premultiplied by the row width, as their rows' bases.
 
-The recursion enters a frame only for words of length <= n_max - 3 (and
-for the one-letter word when n_max is 2).  A node of length n_max - 2
-still gets its row and its transition, but its children and
-grandchildren, the last two levels, are counted in its parent's loop: no
-node is built for the children, whose direct links are read off their
-suffix links' rows, and the peel lengths of both levels come from the
-direct links.
+The recursion enters a frame only for words of length <= n_max - 3.  A
+node of length n_max - 2 still gets its row and its transition, but its
+children and grandchildren, the last two levels, are counted in its
+parent's loop: no node is built for the children, whose direct links are
+read off their suffix links' rows, and the peel lengths of both levels
+come from the direct links.  A table of one or two rows is the top of a
+three-level walk, so every walk has at least the root's frame.
 
 Only canonical words are walked, those whose letters first appear in the
 order 0, 1, 2, ...: the walk carries `used`, the number of distinct
@@ -42,13 +42,16 @@ rich words are counted per (length n, used k) and weighted by
 math.perm(q, k).
 
 With workers > 1 each of `tasks` pool tasks walks from the root but
-descends only into every tasks-th rich word of length `cut`, which is
-SHARD_DEPTH (8) clamped to n_max - 1, and tasks is `workers` capped at
+enters only every tasks-th frame of a rich word of length `cut`, which
+is SHARD_DEPTH (8) clamped to n_max - 3, the deepest length with a frame
+(below 1, the walk is one serial task), and tasks is `workers` capped at
 q**cut, the most words a cut can hold.  Rows up to the cut are alike in
-every shard and rows below add up; the node count follows from the
-merged table, so neither the counts nor the budget verdict depend on the
-worker count.  The pool starts at most one process per CPU this process
-may run on.
+every shard and rows below add up.  Each frame compares the attempts so
+far with the node budget on entry, and the levels it folds in only add
+to them, so an abort may report a few attempts past the budget; the node
+count follows from the merged table, so neither the counts nor the
+budget verdict depend on the worker count.  The pool starts at most one
+process per CPU this process may run on.
 
 count_rich returns {n: (count, max_luf)}; save_cache and load_cache
 write and read that table as line-delimited JSON.
@@ -79,7 +82,7 @@ from .version import TOOL_VERSION
 
 CACHE_SCHEMA_VERSION = 1
 DEFAULT_NODE_BUDGET = 10**9
-# the word length a sharded walk hands out, clamped to n_max - 1
+# the word length a sharded walk hands out, clamped to n_max - 3
 SHARD_DEPTH = 8
 
 
@@ -94,8 +97,9 @@ def __getattr__(name):
 
 
 def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
-    """Unweighted counts[n][k] and max_luf row (or None) of the walk that
-    descends into the words of length cut numbered offset mod stride."""
+    """Unweighted counts[n][k] and max_luf row (or None) of the walk to
+    n_max >= 3 that enters the words of length cut numbered offset mod
+    stride."""
     # a canonical word shorter than n_max uses fewer than n_max letters
     width = min(q, n_max)
     counts = [[0] * (width + 1) for _ in range(n_max + 1)]
@@ -117,9 +121,14 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
 
     def walk(depth, last, used):
         nonlocal visited, skip
+        if depth == cut:
+            if skip:  # another shard descends into this word
+                skip -= 1
+                return
+            skip = stride - 1
         letters = used + 1 if used < q else q
         visited += letters
-        if visited > limit:
+        if visited > limit:  # the folded levels below only add to visited
             raise BudgetExceededError(visited, limit)
         n = depth + 1
         row = counts[n]
@@ -140,13 +149,6 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
                 parts = luf[n] = luf[n - pal] + 1
                 if parts > maxluf[n]:
                     maxluf[n] = parts
-            if n == n_max:  # the root of a one-letter walk
-                continue
-            if n == cut:
-                if skip:  # another shard descends into this word
-                    skip -= 1
-                    continue
-                skip = stride - 1
             word[depth] = a
             length[node] = pal
             # node's suffix link w; node's direct links are w's, with w
@@ -156,7 +158,7 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
             dl[node:node + width] = dl[w:w + width]
             dl[node + word[depth - length[w]]] = w
             nxt[t] = node
-            if n != n_max - 2:  # shorter, or the root's child at n_max 2
+            if n != n_max - 2:
                 walk(n, node, k)
                 nxt[t] = -1
                 continue
@@ -168,8 +170,6 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
             # would be the grandchild), so its transition need not be set
             letters_c = k + 1 if k < q else q
             visited += letters_c
-            if visited > limit:
-                raise BudgetExceededError(visited, limit)
             j = n - pal - 1
             before_c = word[j] if j >= 0 else -1
             for c in range(letters_c):
@@ -186,11 +186,6 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
                     parts = luf[n_next] = luf[n_next - pal_c] + 1
                     if parts > maxluf[n_next]:
                         maxluf[n_next] = parts
-                if n_next == cut:
-                    if skip:
-                        skip -= 1
-                        continue
-                    skip = stride - 1
                 # the child's direct links are its suffix link wc's, with
                 # wc itself for the letter bc before it
                 if pal_c == 1:
@@ -200,8 +195,6 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
                     bc = word[n - length[wc]]
                 letters_e = kc + 1 if kc < q else q
                 visited += letters_e
-                if visited > limit:
-                    raise BudgetExceededError(visited, limit)
                 j = n - pal_c
                 before_e = word[j] if j >= 0 else -1
                 for e in range(letters_e):
@@ -251,12 +244,13 @@ def count_rich(q: int, n_max: int, *, workers: int = 1,
     the node budget counts canonical push attempts.
     """
     _validate_args(q, n_max, workers, node_budget)
-    # cut 0 never matches a word length, so a serial run descends fully;
-    # n_max - 1 is the deepest cut that still leaves subtrees to hand out
-    cut = min(SHARD_DEPTH, n_max - 1) if workers > 1 else 0
+    # n_max - 3 is the deepest word length with a frame to cut at; cut 0
+    # is the root's frame, which a single task enters with stride 1
+    cut = max(min(SHARD_DEPTH, n_max - 3), 0) if workers > 1 else 0
     # no more strides than the q**cut words a cut can hold at most
     tasks = min(workers, q ** cut)
-    shard = functools.partial(_walk_shard, q, n_max, cut, tasks,
+    # a table of one or two rows is the top of a three-level walk
+    shard = functools.partial(_walk_shard, q, max(n_max, 3), cut, tasks,
                               with_max_luf=with_max_luf, limit=node_budget)
     if cut:
         # through the module, so that a patched ProcessPoolExecutor is used

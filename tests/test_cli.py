@@ -243,6 +243,34 @@ def test_verify_size_past_its_limit_names_the_flag(argv, flag, most):
     assert err.startswith(f"error: {flag} must be <= {most}, got {argv[-1]}\n")
 
 
+@pytest.mark.parametrize("argv, flag, most, work", [
+    # the walk preallocates its lists from --n before the node budget can
+    # stop it
+    (("count", "--q", "2", "--n", "1001"), "--n", 1000,
+     "richwords.enumeration.count_rich"),
+    (("count", "--q", "2", "--n", "1001", "--load-cache", "c.jsonl"), "--n",
+     1000, "richwords.enumeration.load_cache"),
+    (("maxluf", "--q", "2", "--n", "1001"), "--n", 1000,
+     "richwords.ups.max_luf_table"),
+    (("verify", "composition-bound", "--n-max", "1401"), "--n-max", 1400,
+     "richwords.bounds.composition_bound_sweep"),
+    (("bootstrap", "--q", "2", "--d", "2", "--c1", "1", "--c2", "1",
+      "--c3", "0.1", "--iters", "100001"), "--iters", 10**5,
+     "richwords.bootstrap.bootstrap_iterate"),
+], ids=["count", "count-load-cache", "maxluf", "composition-bound",
+        "bootstrap"])
+def test_size_past_its_limit_is_refused_before_any_work(monkeypatch, argv,
+                                                        flag, most, work):
+    def no_work(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(work, no_work)
+    code, out, err = _invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} must be <= {most}, got "
+                          f"{argv[argv.index(flag) + 1]}\n")
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_count_cache_bytes_are_pinned(tmp_path, symmetric):
     # the whole layout: sorted keys, the nested provenance and counts as
@@ -976,7 +1004,8 @@ _Q = (st.integers(2, 4).map(str), st.integers(-1, 1).map(str))
 _INT = (st.integers(1, 10).map(str), st.integers(-2, 0).map(str))
 _SIZE = (st.integers(1, 6).map(str), st.integers(-2, 0).map(str))  # cheap
 # a size flag with an upper limit refuses a value past the largest limit
-# (10**6) before it does any work
+# (10**6) before it does any work; count and maxluf would otherwise
+# preallocate gigabytes for the larger one
 _CAPPED = (_SIZE[0], st.one_of(_SIZE[1], st.sampled_from(["1000001",
                                                           "100000000000"])))
 _FLOAT = (
@@ -1013,13 +1042,13 @@ _SURFACE = {
     ("ups",): ({}, {}, {"--q": _Q}),
     ("count",): (
         {"--workers": (st.just("1"), st.sampled_from(["-1", "0"]))},
-        {"--q": _Q, "--n": _INT},
+        {"--q": _Q, "--n": _CAPPED},
         {"--load-cache": _MISSING, "--budget": _BUDGET}),
-    ("maxluf",): ({}, {"--q": _Q, "--n": _INT}, {"--phi": _SPEC}),
+    ("maxluf",): ({}, {"--q": _Q, "--n": _CAPPED}, {"--phi": _SPEC}),
     ("bound-recurrence",): (
         {}, {"--q": _Q, "--n-max": _INT, "--seed-n": _INT},
         {"--seeds-cache": _MISSING, "--phi": _SPEC, "--tau": _TAU}),
-    ("verify", "composition-bound"): ({"--n-max": _INT}, {}, {}),
+    ("verify", "composition-bound"): ({"--n-max": _CAPPED}, {}, {}),
     ("verify", "jensen"): (
         {"--trials": _CAPPED, "--points": _CAPPED},
         {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
@@ -1048,7 +1077,7 @@ _SURFACE = {
         {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
     ("verify", "crossover"): ({"--grid": _CAPPED}, {}, {"--x-hi": _FLOAT}),
     ("bootstrap",): (
-        {"--iters": _SIZE},
+        {"--iters": _CAPPED},
         {"--q": _Q, "--d": _FLOAT, "--c1": _FLOAT, "--c2": _FLOAT,
          "--c3": _FLOAT}, {}),
     ("compare-exponents",): (

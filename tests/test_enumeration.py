@@ -100,9 +100,9 @@ def test_max_luf_disabled():
 
 def test_symmetric_agrees_with_plain(monkeypatch):
     # the canonical (symmetric) walk against a plain walk that tries every
-    # letter at every node.  Sharded, the cut is mid-tree, at the last
-    # level that gets a node (n_max - 2), or at the level below it, which
-    # the walk counts in its grandparent's frame
+    # letter at every node.  Sharded, the cut is mid-tree, and depths
+    # n_max - 2 and n_max - 1 are clamped to n_max - 3, the last level
+    # that gets a frame
     for q, n_max in ((2, 14), (3, 10), (4, 8), (5, 7)):
         plain = oracles.rich_entries_plain_dfs(q, n_max)
         for with_max_luf in (True, False):
@@ -119,10 +119,10 @@ def test_symmetric_agrees_with_plain(monkeypatch):
 
 
 def test_short_walks_against_plain_dfs(monkeypatch, inline_pool):
-    # the root as the last level, q > n_max, where the walk's tables are
-    # narrower than the alphabet, and the shard cut at every level; the
-    # last that gets a node is n_max - 2, and n_max - 1 is counted in its
-    # grandparent's frame
+    # one- and two-letter tables, the top of a three-level walk, q > n_max,
+    # where the walk's tables are narrower than the alphabet, and the shard
+    # cut at every level; a depth past n_max - 3, the last level that gets
+    # a frame, is clamped to it, and below 1 the walk runs as one task
     for q in range(2, 7):
         for n_max in range(1, 6):
             plain = oracles.rich_entries_plain_dfs(q, n_max)
@@ -154,8 +154,8 @@ def test_longest_palindromic_suffix_extends_richly():
     pytest.param(1, 3, 3, 7, 3, id="1-3"),
     pytest.param(2, 5, 3, 7, 5, id="2-5"),
     pytest.param(4, 3, 3, 7, 3, id="4-3"),
-    # a cut at n_max - 1 = 3 holds at most 2**3 words: 8 strides, not 10**6
-    pytest.param(2, 10**6, 2, 4, 8, id="2-1000000"),
+    # a cut at n_max - 3 = 3 holds at most 2**3 words: 8 strides, not 10**6
+    pytest.param(2, 10**6, 2, 6, 8, id="2-1000000"),
 ])
 def test_pool_capped_at_usable_cpus(monkeypatch, inline_pool, cpus, workers,
                                     q, n_max, tasks):
@@ -184,7 +184,7 @@ def test_pool_cap_without_affinity(monkeypatch, inline_pool, cpu_count,
 
 def test_parallel_matches_serial(monkeypatch):
     # brute force against serial and sharded walks, with the shard cut at
-    # the root, mid-tree and clamped from n_max to n_max - 1
+    # the first level, mid-tree and clamped from n_max to n_max - 3
     for q, n_max in ORACLE_N.items():
         brute = _brute_entries(q)
         for workers in (1, 2, 3):
@@ -210,8 +210,10 @@ def test_budget_enforced():
 
 
 # exact canonical push attempts of the whole walk (the root's one try plus
-# k + 1 tries, or q once k == q, below every rich word shorter than n_max)
-EXACT_NODES = {(2, 12): 3683, (3, 9): 2570, (4, 7): 660}
+# k + 1 tries, or q once k == q, below every rich word shorter than n_max);
+# n_max 1 to 3 are three-level walks that run as one task
+EXACT_NODES = {(2, 1): 1, (2, 2): 3, (2, 3): 7, (3, 1): 1, (3, 2): 3,
+               (3, 3): 8, (2, 12): 3683, (3, 9): 2570, (4, 7): 660}
 
 
 @pytest.mark.parametrize("q, n_max", sorted(EXACT_NODES))
@@ -224,9 +226,20 @@ def test_budget_verdict_exact_for_every_worker_count(monkeypatch, q, n_max):
             monkeypatch.setattr(enumeration, "SHARD_DEPTH", depth)
             table = count_rich(q, n_max, workers=workers, node_budget=nodes)
             assert table == plain
+            if nodes == 1:  # a budget below 1 is refused as input
+                continue
             with pytest.raises(BudgetExceededError) as exc:
                 count_rich(q, n_max, workers=workers, node_budget=nodes - 1)
             assert exc.value.budget == nodes - 1, (workers, depth)
+
+
+def test_budget_aborts_inside_the_walk():
+    # a walk to 60 cannot finish, so the check at a frame's entry raises;
+    # the frame before it may have folded in w + w * w attempts per letter
+    with pytest.raises(BudgetExceededError) as exc:
+        count_rich(2, 60, node_budget=10**4)
+    w = 2  # min(q, n_max)
+    assert 10**4 < exc.value.visited <= 10**4 + w + w * (w + w * w)
 
 
 def test_budget_error_in_parallel_mode(monkeypatch):

@@ -123,9 +123,6 @@ def test_star_import_binds_every_public_name():
     ["scripts/enumerate_rich.py", "--q", "2", "--n", "8"],
     ["scripts/bound_vs_exact.py", "--q", "2", "--exact-n", "10",
      "--seed-n", "6"],
-    ["scripts/bootstrap_trajectory.py", "--d", "2", "--c1", "1", "--c2",
-     "1", "--c3", "0.1", "--iters", "3", "--phi", "power:0.8", "--psi",
-     "ln@2", "--n", "1e6"],
 ], ids=lambda argv: Path(argv[0]).stem)
 def test_script_runs(argv):
     # the scripts import from the package top level
