@@ -30,7 +30,7 @@ _HOMES = {
     "HypothesisNotVerifiedError": "errors",
     "InputError": "errors",
     "LogValue": "logvalue",
-    "OmegaParams": "bounds",
+    "OmegaParams": "functions",
     "PRECISION_BITS": "logvalue",
     "ROUND_UP": "logvalue",
     "RichwordsError": "errors",
@@ -41,10 +41,10 @@ _HOMES = {
     "bootstrap_step": "bootstrap",
     "check_d_condition": "functions",
     "check_delta": "functions",
-    "check_jensen": "bounds",
-    "check_p_monotonicity": "bounds",
+    "check_jensen": "functions",
+    "check_p_monotonicity": "functions",
     "check_phi_composition": "functions",
-    "check_product_bound": "bounds",
+    "check_product_bound": "functions",
     "check_psi_family": "functions",
     "compare_luf_bound": "ups",
     "composition_bound_sweep": "bounds",

@@ -25,58 +25,36 @@ pins a particular choice, because the multiplicative constant inside the
 natural candidate ceil(c*n/ln n) is not determined by the development the
 table is based on.
 
-The rest of the module hosts the companion inequality checks.  The
-composition-count bound sum_{p<=L} C(n-1,p-1) <= (e*n/L)**L is decided in
-floats with an explicit margin, and by exact integers for a pair inside
-the margin, so it needs neither mpmath nor LogValue.  The convexity
-(Jensen) comparison and the product/p-monotonicity checks for the growth
-function Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)) compare
-exponents with a small relative slack and refuse to run (rather than
-answer False) when their concavity precondition cannot be verified.
-OmegaParams verifies it once, over the range of arguments a run fixes
-before its first comparison, and the product and p-monotonicity checks
-refuse an argument outside that range; check_jensen verifies each call's
-own range.
+The module also checks the composition-count bound
+sum_{p<=L} C(n-1,p-1) <= (e*n/L)**L, in floats with an explicit margin
+and by exact integers for a pair inside the margin, so it needs neither
+mpmath nor LogValue.  The sampled checks on the growth function Omega
+live in functions.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
 from functools import reduce
 from operator import add
 from typing import TYPE_CHECKING, Callable
 
-from .errors import HypothesisNotVerifiedError, InputError, SeedGapError
+from .errors import InputError, SeedGapError
 
-# mpmath, functions and logvalue are imported by the functions that use
-# them: cli imports this module, and a count must not pay for mpmath
+# mpmath and logvalue are imported by the functions that use them: cli
+# imports this module, and a count must not pay for mpmath
 if TYPE_CHECKING:
     import mpmath
 
-    from .functions import ExponentFunction, FunctionSpec
     from .logvalue import LogValue
 
 __all__ = [
     "composition_bound_sweep",
-    "OmegaParams",
     "seed_table_from_counts",
     "unconditional",
     "recurrence_bound",
     "exponent_text",
-    "check_product_bound",
-    "check_p_monotonicity",
-    "check_jensen",
-    "EXPONENT_SLACK",
 ]
-
-# relative slack used when comparing exponents of Omega-style quantities
-EXPONENT_SLACK = 1e-9
-
-# log-grid sizes of the concave-increasing precondition checks
-_HYPOTHESIS_GRID_N = 256
-_JENSEN_GRID_N = 128
-
 
 # P/R = sum_{k<=25} 1/k!, a rational within 1/25! below e
 _E_DEN = math.factorial(25)
@@ -115,57 +93,6 @@ def composition_bound_sweep(n_max: int) -> list[tuple[int, int]]:
             if not _composition_pair_holds(lhs, n, L):
                 failures.append((n, L))
     return failures
-
-
-@dataclass
-class OmegaParams:
-    """Parameters of the growth function Omega, verified over [x_lo, x_hi].
-
-    Construction builds exponent, the ExponentFunction of c1, c2, phi and
-    psi, and passes check_psi_family on one log grid over the range (psi
-    below the identity, exponent increasing and concave) or raises
-    HypothesisNotVerifiedError.  exponent_at refuses an argument outside
-    the range.  There is no q: the checks compare exponents, in which q
-    cancels.
-    """
-
-    c1: float
-    c2: float
-    phi: FunctionSpec
-    psi: FunctionSpec
-    x_lo: float
-    x_hi: float
-    exponent: ExponentFunction = field(init=False, repr=False)
-
-    def __post_init__(self):
-        from .functions import ExponentFunction, check_psi_family
-
-        self.exponent = ExponentFunction(self.phi, self.psi, self.c1, self.c2)
-        _require(check_psi_family(self.exponent, self.x_lo, self.x_hi,
-                                  _HYPOTHESIS_GRID_N), "exponent function")
-
-    def exponent_at(self, x: float) -> float:
-        """The exponent at x, refused outside the verified range."""
-        if not self.x_lo <= x <= self.x_hi:
-            raise HypothesisNotVerifiedError(
-                f"exponent function: x={x:g} is outside the verified range "
-                f"[{self.x_lo:g}, {self.x_hi:g}]")
-        return self.exponent.value(x)
-
-
-def _require(report: dict, what: str) -> None:
-    """Raise HypothesisNotVerifiedError, carrying report, unless the
-    sampled precondition held; report is a check_psi_family or a
-    check_delta result."""
-    if report["ok"]:
-        return
-    witness = report["witness"]
-    if "psi_leq_x_fails_at" in witness:
-        reason = f"psi(x) <= x fails at x={witness['psi_leq_x_fails_at']:g}"
-    else:
-        x = witness.get("combined_fails_at", witness.get("x"))
-        reason = f"not concave-increasing near x={x:g} ({witness['kind']})"
-    raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
 
 
 def seed_table_from_counts(counts: dict[int, int], q: int
@@ -269,53 +196,3 @@ def exponent_text(x: mpmath.mpf) -> str:
                            decimal.Decimal(1 << max(-exp, 0)))
     text = f"{shown.normalize(context):f}"
     return text if "." in text else text + ".0"
-
-
-def _exponent_leq(lhs: float, rhs: float) -> bool:
-    return lhs <= rhs + EXPONENT_SLACK * max(abs(lhs), abs(rhs), 1.0)
-
-
-def check_product_bound(n: int, p: int, parts, params: OmegaParams) -> bool:
-    """Check prod_i Omega(ceil(n_i/2)) <= Omega(n/(2p) + 1)**p in exponent
-    space for one composition of n into p parts."""
-    parts = tuple(parts)
-    if len(parts) != p:
-        raise InputError(f"expected {p} parts, got {len(parts)}")
-    if any((not isinstance(x, int)) or x < 1 for x in parts):
-        raise InputError("parts must be positive integers")
-    if sum(parts) != n:
-        raise InputError(f"parts sum to {sum(parts)}, not {n}")
-    lhs = sum(params.exponent_at(float(math.ceil(x / 2))) for x in parts)
-    rhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
-    return _exponent_leq(lhs, rhs)
-
-
-def check_p_monotonicity(n: float, p: int, params: OmegaParams) -> bool:
-    """Check Omega(n/(2p)+1)**p <= Omega(n/(2(p+1))+1)**(p+1) in exponent
-    space."""
-    if not isinstance(p, int) or p < 1:
-        raise InputError(f"p must be a positive integer, got {p!r}")
-    if not n >= 1:
-        raise InputError(f"n must be at least 1, got {n!r}")
-    lhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
-    rhs = (p + 1) * params.exponent_at(n / (2.0 * (p + 1)) + 1.0)
-    return _exponent_leq(lhs, rhs)
-
-
-def check_jensen(f, xs) -> bool:
-    """Check sum f(x_i) <= k * f(mean(xs)) after verifying that f is
-    concave-increasing on [min(xs), max(xs)].
-
-    Raises HypothesisNotVerifiedError when the concavity precondition
-    fails on the sampled range; a False return always means the averaged
-    comparison itself failed.
-    """
-    from .functions import check_delta
-
-    xs = [float(x) for x in xs]
-    if not xs:
-        raise InputError("need at least one sample point")
-    _require(check_delta(f, min(xs), max(xs), _JENSEN_GRID_N), f.label)
-    lhs = sum(f.value(x) for x in xs)
-    rhs = len(xs) * f.value(math.fsum(xs) / len(xs))
-    return _exponent_leq(lhs, rhs)

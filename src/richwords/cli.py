@@ -448,7 +448,7 @@ def _cmd_verify_jensen(ns):
     for trial in range(ns.trials):
         k = rng.randint(2, ns.points)
         xs = [rng.uniform(lo, ns.x_hi) for _ in range(k)]
-        if not bounds.check_jensen(fn, xs):
+        if not functions.check_jensen(fn, xs):
             return {"fn": fn.label, "ok": False, "trials_run": trial + 1,
                     "witness": {"xs": xs}}
     return {"fn": fn.label, "ok": True, "trials_run": ns.trials}
@@ -470,15 +470,15 @@ def _cmd_verify_product_bound(ns):
         raise InputError(f"--n-max must be >= {m}, got {ns.n_max}: a part "
                          f"below {m} halves to below {least}, the least x "
                          f"both specs take (domain floor {floor:g})")
-    params = bounds.OmegaParams(ns.c1, ns.c2, phi, psi, float(least),
-                                ns.n_max / 2 + 1)
+    params = functions.OmegaParams(ns.c1, ns.c2, phi, psi, float(least),
+                                   ns.n_max / 2 + 1)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
         n = rng.randint(max(2, m), ns.n_max)
         p = rng.randint(1, n // m)
         parts = [m - 1 + part for part in
                  _random_composition(rng, n - p * (m - 1), p)]
-        if not bounds.check_product_bound(n, p, parts, params):
+        if not functions.check_product_bound(n, p, parts, params):
             return {"ok": False, "trials_run": trial + 1,
                     "witness": {"n": n, "p": p, "parts": parts}}
     return {"ok": True, "trials_run": ns.trials}
@@ -499,9 +499,10 @@ def _cmd_verify_p_monotonicity(ns):
         pairs += [(n, p) for p in range(1, min(ns.p_max, tau_n) + 1)]
     # the exact hull of the arguments check_p_monotonicity will ask about
     args = [n / (2.0 * k) + 1.0 for n, p in pairs for k in (p, p + 1)]
-    params = bounds.OmegaParams(ns.c1, ns.c2, phi, psi, min(args), max(args))
+    params = functions.OmegaParams(ns.c1, ns.c2, phi, psi, min(args),
+                                   max(args))
     for checked, (n, p) in enumerate(pairs, 1):
-        if not bounds.check_p_monotonicity(float(n), p, params):
+        if not functions.check_p_monotonicity(float(n), p, params):
             return {"ok": False, "checked": checked,
                     "witness": {"n": n, "p": p}}
     return {"ok": True, "checked": len(pairs)}

@@ -44,14 +44,15 @@ math.perm(q, k).
 With workers > 1 each of `tasks` pool tasks walks from the root but
 enters only every tasks-th frame of a rich word of length `cut`, which
 is SHARD_DEPTH (8) clamped to n_max - 3, the deepest length with a frame
-(below 1, the walk is one serial task), and tasks is `workers` capped at
-q**cut, the most words a cut can hold.  Rows up to the cut are alike in
-every shard and rows below add up.  Each frame compares the attempts so
-far with the node budget on entry, and the levels it folds in only add
-to them, so an abort may report a few attempts past the budget; the node
-count follows from the merged table, so neither the counts nor the
-budget verdict depend on the worker count.  The pool starts at most one
-process per CPU this process may run on.
+(below 1, the walk is one serial task).  tasks is `workers` capped at
+the CPUs this process may run on and at q**cut, the most words a cut can
+hold, and the pool starts one process per task; one task runs in this
+process, with no pool.  Rows up to the cut are alike in every shard and
+rows below add up.  Each frame compares the attempts so far with the
+node budget on entry, and the levels it folds in only add to them, so an
+abort may report a few attempts past the budget; the node count follows
+from the merged table, so neither the counts nor the budget verdict
+depend on the worker count or the machine.
 
 count_rich returns {n: (count, max_luf)}; save_cache and load_cache
 write and read that table as line-delimited JSON.
@@ -247,17 +248,17 @@ def count_rich(q: int, n_max: int, *, workers: int = 1,
     # n_max - 3 is the deepest word length with a frame to cut at; cut 0
     # is the root's frame, which a single task enters with stride 1
     cut = max(min(SHARD_DEPTH, n_max - 3), 0) if workers > 1 else 0
-    # no more strides than the q**cut words a cut can hold at most
-    tasks = min(workers, q ** cut)
+    # one stride task per CPU this process may run on, and no more than
+    # the q**cut words a cut can hold; a task past the processes would
+    # walk every row above the cut again only to skip its words
+    tasks = min(workers, _usable_cpus(), q ** cut)
     # a table of one or two rows is the top of a three-level walk
     shard = functools.partial(_walk_shard, q, max(n_max, 3), cut, tasks,
                               with_max_luf=with_max_luf, limit=node_budget)
-    if cut:
+    if tasks > 1:
         # through the module, so that a patched ProcessPoolExecutor is used
         pool_class = sys.modules[__name__].ProcessPoolExecutor
-        # no more processes than the CPUs this one may run on; the tasks,
-        # and so the counts, do not depend on the machine
-        with pool_class(max_workers=min(tasks, _usable_cpus())) as pool:
+        with pool_class(max_workers=tasks) as pool:
             shards = list(pool.map(shard, range(tasks)))
     else:
         shards = [shard(0)]

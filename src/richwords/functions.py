@@ -1,10 +1,11 @@
 """Analytic function catalogue and sampled hypothesis checks.
 
-Everything here serves one purpose: deciding, numerically and on an
-explicit grid, whether the slowly-growing functions fed into the bound
-machinery satisfy the shape hypotheses that machinery assumes, namely
-being increasing and concave, staying below the identity, and a couple of
-growth comparisons parameterized by a constant d.
+Everything here is sampled, never certified; the certified engine is
+bounds.  It decides, numerically and on an explicit grid, whether the
+slowly-growing functions fed into the bound machinery satisfy the shape
+hypotheses that machinery assumes, namely being increasing and concave,
+staying below the identity, and a couple of growth comparisons
+parameterized by a constant d.
 
 The catalogue is the five-parameter family
 
@@ -22,14 +23,23 @@ Checks sample log-spaced grids; a clean pass means "verified on the
 sampled range", never a proof.  Each check returns the result dict the
 CLI prints: its verdict under "ok" and, only when the verdict is False,
 a "witness" dict.  A result carries no input the check was given.
+
+The product and p-monotonicity checks for the growth function
+Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)), and the convexity
+(Jensen) comparison, compare exponents with a small relative slack and
+refuse to run (rather than answer False) when their concavity
+precondition cannot be verified.  OmegaParams verifies it once, over the
+range of arguments a run fixes before its first comparison, and the
+product and p-monotonicity checks refuse an argument outside that range;
+check_jensen verifies each call's own range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .errors import InputError
+from .errors import HypothesisNotVerifiedError, InputError
 
 __all__ = [
     "FunctionSpec",
@@ -48,12 +58,24 @@ __all__ = [
     "x_over_ln_spec",
     "exp_sqrt_ln_spec",
     "parse_function_spec",
+    "OmegaParams",
+    "check_product_bound",
+    "check_p_monotonicity",
+    "check_jensen",
+    "EXPONENT_SLACK",
 ]
 
 # Functions that involve ln x are only well behaved comfortably above
 # e**2, so that is where their domain floor sits unless the caller says
 # otherwise.
 DEFAULT_LOG_DOMAIN_MIN = 8.0
+
+# relative slack used when comparing exponents of Omega-style quantities
+EXPONENT_SLACK = 1e-9
+
+# log-grid sizes of the concave-increasing precondition checks
+_HYPOTHESIS_GRID_N = 256
+_JENSEN_GRID_N = 128
 
 
 class _NotFinite(InputError):
@@ -454,3 +476,101 @@ def log_over_x_crossover(grid_n: int = 1000, x_hi: float = 1e6) -> dict:
             return {"x0": x0, "ok": False, "witness": {"x": x}}
         prev = cur
     return {"x0": x0, "ok": True}
+
+
+@dataclass
+class OmegaParams:
+    """Parameters of the growth function Omega, verified over [x_lo, x_hi].
+
+    Construction builds exponent, the ExponentFunction of c1, c2, phi and
+    psi, and passes check_psi_family on one log grid over the range (psi
+    below the identity, exponent increasing and concave) or raises
+    HypothesisNotVerifiedError.  exponent_at refuses an argument outside
+    the range.  There is no q: the checks compare exponents, in which q
+    cancels.
+    """
+
+    c1: float
+    c2: float
+    phi: FunctionSpec
+    psi: FunctionSpec
+    x_lo: float
+    x_hi: float
+    exponent: ExponentFunction = field(init=False, repr=False)
+
+    def __post_init__(self):
+        self.exponent = ExponentFunction(self.phi, self.psi, self.c1, self.c2)
+        _require(check_psi_family(self.exponent, self.x_lo, self.x_hi,
+                                  _HYPOTHESIS_GRID_N), "exponent function")
+
+    def exponent_at(self, x: float) -> float:
+        """The exponent at x, refused outside the verified range."""
+        if not self.x_lo <= x <= self.x_hi:
+            raise HypothesisNotVerifiedError(
+                f"exponent function: x={x:g} is outside the verified range "
+                f"[{self.x_lo:g}, {self.x_hi:g}]")
+        return self.exponent.value(x)
+
+
+def _require(report: dict, what: str) -> None:
+    """Raise HypothesisNotVerifiedError, carrying report, unless the
+    sampled precondition held; report is a check_psi_family or a
+    check_delta result."""
+    if report["ok"]:
+        return
+    witness = report["witness"]
+    if "psi_leq_x_fails_at" in witness:
+        reason = f"psi(x) <= x fails at x={witness['psi_leq_x_fails_at']:g}"
+    else:
+        x = witness.get("combined_fails_at", witness.get("x"))
+        reason = f"not concave-increasing near x={x:g} ({witness['kind']})"
+    raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
+
+
+
+def _exponent_leq(lhs: float, rhs: float) -> bool:
+    return lhs <= rhs + EXPONENT_SLACK * max(abs(lhs), abs(rhs), 1.0)
+
+
+def check_product_bound(n: int, p: int, parts, params: OmegaParams) -> bool:
+    """Check prod_i Omega(ceil(n_i/2)) <= Omega(n/(2p) + 1)**p in exponent
+    space for one composition of n into p parts."""
+    parts = tuple(parts)
+    if len(parts) != p:
+        raise InputError(f"expected {p} parts, got {len(parts)}")
+    if any((not isinstance(x, int)) or x < 1 for x in parts):
+        raise InputError("parts must be positive integers")
+    if sum(parts) != n:
+        raise InputError(f"parts sum to {sum(parts)}, not {n}")
+    lhs = sum(params.exponent_at(float(math.ceil(x / 2))) for x in parts)
+    rhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
+    return _exponent_leq(lhs, rhs)
+
+
+def check_p_monotonicity(n: float, p: int, params: OmegaParams) -> bool:
+    """Check Omega(n/(2p)+1)**p <= Omega(n/(2(p+1))+1)**(p+1) in exponent
+    space."""
+    if not isinstance(p, int) or p < 1:
+        raise InputError(f"p must be a positive integer, got {p!r}")
+    if not n >= 1:
+        raise InputError(f"n must be at least 1, got {n!r}")
+    lhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
+    rhs = (p + 1) * params.exponent_at(n / (2.0 * (p + 1)) + 1.0)
+    return _exponent_leq(lhs, rhs)
+
+
+def check_jensen(f, xs) -> bool:
+    """Check sum f(x_i) <= k * f(mean(xs)) after verifying that f is
+    concave-increasing on [min(xs), max(xs)].
+
+    Raises HypothesisNotVerifiedError when the concavity precondition
+    fails on the sampled range; a False return always means the averaged
+    comparison itself failed.
+    """
+    xs = [float(x) for x in xs]
+    if not xs:
+        raise InputError("need at least one sample point")
+    _require(check_delta(f, min(xs), max(xs), _JENSEN_GRID_N), f.label)
+    lhs = sum(f.value(x) for x in xs)
+    rhs = len(xs) * f.value(math.fsum(xs) / len(xs))
+    return _exponent_leq(lhs, rhs)

@@ -22,7 +22,7 @@ from richwords import (BootstrapState, Eertree, ExponentFunction,
                        power_spec, recurrence_bound, save_cache,
                        seed_table_from_counts, sqrt_spec, ups_factorize,
                        verify_unioccurrence, x_over_ln_spec)
-from richwords.bounds import EXPONENT_SLACK
+from richwords.functions import EXPONENT_SLACK
 
 from . import oracles
 

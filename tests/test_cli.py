@@ -666,16 +666,16 @@ def test_omega_hypothesis_is_verified_once_per_run(psi_family_calls, argv):
 
 def test_product_bound_parts_halve_to_the_domain_floor(monkeypatch):
     # floor 8 for x/ln x and ln: every part is at least 2*8 - 1 = 15
-    from richwords import bounds
+    from richwords import functions
 
     drawn = []
-    check = bounds.check_product_bound
+    check = functions.check_product_bound
 
     def recording(n, p, parts, params):
         drawn.append((n, p, parts))
         return check(n, p, parts, params)
 
-    monkeypatch.setattr(bounds, "check_product_bound", recording)
+    monkeypatch.setattr(functions, "check_product_bound", recording)
     code, out, _ = _invoke("verify", "product-bound", "--phi", "x-over-lnx",
                            "--psi", "ln", "--n-max", "100", "--trials", "300")
     assert code == 0
@@ -688,16 +688,16 @@ def test_product_bound_parts_halve_to_the_domain_floor(monkeypatch):
 def test_product_bound_ln_with_floor_one_starts_at_two(monkeypatch):
     # ln refuses x = 1, so the least x both specs take is 2, not the floor
     # 1: every part is at least 2*2 - 1 = 3
-    from richwords import bounds
+    from richwords import functions
 
     drawn = []
-    check = bounds.check_product_bound
+    check = functions.check_product_bound
 
     def recording(n, p, parts, params):
         drawn.append(parts)
         return check(n, p, parts, params)
 
-    monkeypatch.setattr(bounds, "check_product_bound", recording)
+    monkeypatch.setattr(functions, "check_product_bound", recording)
     code, out, err = _invoke("verify", "product-bound", "--phi",
                              "x-over-lnx@1", "--psi", "sqrt", "--n-max", "60",
                              "--trials", "200")

@@ -151,35 +151,37 @@ def test_longest_palindromic_suffix_extends_richly():
 
 
 @pytest.mark.parametrize("cpus, workers, q, n_max, tasks", [
-    pytest.param(1, 3, 3, 7, 3, id="1-3"),
-    pytest.param(2, 5, 3, 7, 5, id="2-5"),
+    pytest.param(1, 3, 3, 7, 1, id="1-3"),
+    pytest.param(2, 5, 3, 7, 2, id="2-5"),
     pytest.param(4, 3, 3, 7, 3, id="4-3"),
-    # a cut at n_max - 3 = 3 holds at most 2**3 words: 8 strides, not 10**6
-    pytest.param(2, 10**6, 2, 6, 8, id="2-1000000"),
+    pytest.param(2, 10**6, 2, 6, 2, id="2-1000000"),
+    # a cut at n_max - 3 = 1 holds at most 2**1 words: 2 tasks, not 16
+    pytest.param(16, 10**6, 2, 4, 2, id="16-1000000"),
 ])
 def test_pool_capped_at_usable_cpus(monkeypatch, inline_pool, cpus, workers,
                                     q, n_max, tasks):
-    # the pool starts no more processes than there are CPUs to run them,
-    # and no more tasks than words the cut can hold; the counts stay the
-    # serial ones
+    # one stride task per CPU there is to run it, and no more tasks than
+    # words the cut can hold; a pool starts one process per task, and a
+    # single task runs with no pool.  The counts stay the serial ones
     monkeypatch.setattr(os, "sched_getaffinity",
                         lambda pid: set(range(cpus)), raising=False)
     monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
     table = count_rich(q, n_max, workers=workers)
-    assert [(p.max_workers, p.tasks) for p in inline_pool] == [
-        (min(cpus, tasks), tasks)]
+    assert [(p.max_workers, p.tasks) for p in inline_pool] == (
+        [(tasks, tasks)] if tasks > 1 else [])
     assert table == {n: e for n, e in _brute_entries(q).items()
                      if n <= n_max}
 
 
-@pytest.mark.parametrize("cpu_count, processes", [(2, 2), (None, 1)])
+@pytest.mark.parametrize("cpu_count, tasks", [(2, 2), (None, 1)])
 def test_pool_cap_without_affinity(monkeypatch, inline_pool, cpu_count,
-                                   processes):
+                                   tasks):
     monkeypatch.delattr(os, "sched_getaffinity", raising=False)
     monkeypatch.setattr(os, "cpu_count", lambda: cpu_count)
-    count_rich(2, 8, workers=3)
-    assert [(p.max_workers, p.tasks) for p in inline_pool] == [
-        (processes, 3)]
+    table = count_rich(2, 8, workers=3)
+    assert [(p.max_workers, p.tasks) for p in inline_pool] == (
+        [(tasks, tasks)] if tasks > 1 else [])
+    assert table == {n: e for n, e in _brute_entries(2).items() if n <= 8}
 
 
 def test_parallel_matches_serial(monkeypatch):

@@ -19,13 +19,17 @@ ROOT = Path(__file__).resolve().parents[1]
 ENV = dict(os.environ, PYTHONPATH=os.pathsep.join(
     [str(ROOT / "src")] + [p for p in [os.environ.get("PYTHONPATH")] if p]))
 
-# run the CLI in a fresh interpreter, then report what it loaded
+# run the CLI in a fresh interpreter that may run on two CPUs, then
+# report what it loaded
 _PROBE = """\
-import io, json, sys
+import io, json, os, sys
+os.sched_getaffinity = lambda pid: {0, 1}
+before = set(sys.modules)
 from richwords import cli
 out = io.StringIO()
 code = cli.run(sys.argv[1:], stdout=out, stderr=io.StringIO())
 print(json.dumps({"code": code, "stdout": out.getvalue(),
+                  "added": sorted(set(sys.modules) - before),
                   "mpmath": "mpmath" in sys.modules,
                   "pool": [m in sys.modules for m in
                            ("multiprocessing", "concurrent.futures")],
@@ -48,6 +52,8 @@ def test_count_loads_no_mpmath_and_only_its_own_modules():
     assert loaded["richwords"] == ["richwords.bounds", "richwords.cli",
                                    "richwords.enumeration",
                                    "richwords.errors", "richwords.version"]
+    # nor dataclasses, which pulls in inspect: the count path needs neither
+    assert not {"dataclasses", "inspect"} & set(loaded["added"])
 
 
 def test_verify_composition_bound_loads_no_mpmath():
