@@ -3,11 +3,12 @@
 Exact enumeration of rich words, palindromic-suffix factorizations, and
 certified upper-bound arithmetic for counting functions.
 
+`_HOMES` is the one list of public names; the submodules keep none.
 Importing the package loads no submodule but `version`.  Each public name
 is resolved on first access (PEP 562) from the submodule `_HOMES` names,
-so `from richwords import count_rich` loads `enumeration` but not the
-mpmath-backed `bounds` arithmetic, and a CLI run loads only what its
-subcommand uses.
+so `from richwords import count_rich` loads `enumeration` but neither
+`bounds` nor the mpmath-backed `logvalue` it imports lazily, and a CLI
+run loads only what its subcommand uses.
 """
 
 import importlib
@@ -21,9 +22,6 @@ _HOMES = {
     "BootstrapState": "bootstrap",
     "BudgetExceededError": "errors",
     "CacheError": "errors",
-    "CacheFormatError": "errors",
-    "CacheQMismatchError": "errors",
-    "CacheVersionError": "errors",
     "Eertree": "eertree",
     "ExponentFunction": "functions",
     "FunctionSpec": "functions",
@@ -48,30 +46,22 @@ _HOMES = {
     "check_psi_family": "functions",
     "compare_luf_bound": "ups",
     "composition_bound_sweep": "bounds",
-    "constant_spec": "functions",
     "count_rich": "enumeration",
     "errors": "errors",
-    "exp_sqrt_ln_spec": "functions",
     "exponent_compare": "bootstrap",
     "fixed_point_c1": "bootstrap",
-    "identity_spec": "functions",
     "letters_from_text": "words",
-    "ln_spec": "functions",
     "load_cache": "enumeration",
     "log_grid": "functions",
     "log_over_x_crossover": "functions",
-    "luf": "ups",
     "max_luf_table": "ups",
     "parse_function_spec": "functions",
-    "power_spec": "functions",
     "recurrence_bound": "bounds",
     "save_cache": "enumeration",
     "seed_table_from_counts": "bounds",
-    "sqrt_spec": "functions",
     "text_from_letters": "words",
     "ups_factorize": "ups",
     "verify_unioccurrence": "ups",
-    "x_over_ln_spec": "functions",
 }
 
 __all__ = list(_HOMES)

@@ -22,14 +22,6 @@ from dataclasses import dataclass, replace
 from .errors import InputError
 from .functions import FunctionSpec
 
-__all__ = [
-    "BootstrapState",
-    "bootstrap_step",
-    "bootstrap_iterate",
-    "fixed_point_c1",
-    "exponent_compare",
-]
-
 
 @dataclass(frozen=True)
 class BootstrapState:

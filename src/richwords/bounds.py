@@ -48,14 +48,6 @@ if TYPE_CHECKING:
 
     from .logvalue import LogValue
 
-__all__ = [
-    "composition_bound_sweep",
-    "seed_table_from_counts",
-    "unconditional",
-    "recurrence_bound",
-    "exponent_text",
-]
-
 # P/R = sum_{k<=25} 1/k!, a rational within 1/25! below e
 _E_DEN = math.factorial(25)
 _E_NUM = sum(_E_DEN // math.factorial(k) for k in range(26))

@@ -72,13 +72,7 @@ import math
 import os
 import sys
 
-from .errors import (
-    BudgetExceededError,
-    CacheFormatError,
-    CacheQMismatchError,
-    CacheVersionError,
-    InputError,
-)
+from .errors import BudgetExceededError, CacheError, InputError
 from .version import TOOL_VERSION
 
 CACHE_SCHEMA_VERSION = 1
@@ -323,10 +317,10 @@ def _is_int(value) -> bool:
 
 def _check_schema(value, where: str) -> None:
     if not _is_int(value):
-        raise CacheFormatError(f"{where}: schema_version {value!r} is not "
-                               f"an integer")
+        raise CacheError(f"{where}: schema_version {value!r} is not "
+                         f"an integer")
     if value != CACHE_SCHEMA_VERSION:
-        raise CacheVersionError(
+        raise CacheError(
             f"{where}: schema {value!r} is not supported "
             f"(expected {CACHE_SCHEMA_VERSION})")
 
@@ -337,36 +331,37 @@ def _cache_line(raw: str, lineno: int) -> dict:
     try:
         obj = json.loads(raw)
     except (ValueError, RecursionError) as exc:
-        raise CacheFormatError(f"line {lineno}: not valid JSON: {exc}") from exc
+        raise CacheError(f"line {lineno}: not valid JSON: {exc}") from exc
     if not isinstance(obj, dict):
-        raise CacheFormatError(f"line {lineno}: expected an object")
+        raise CacheError(f"line {lineno}: expected an object")
     return obj
 
 
 def load_cache(path: str | os.PathLike,
                q: int) -> dict[int, tuple[int, int | None]]:
     """The table a cache of counts over q letters holds, in the shape
-    count_rich returns; raises a CacheError on any other file."""
+    count_rich returns; raises a CacheError that names the header or the
+    line on any other file, a count above q**n included."""
     try:
         with open(path, "r", encoding="ascii") as fh:
             raw_lines = fh.read().splitlines()
     except (OSError, UnicodeDecodeError) as exc:
-        raise CacheFormatError(f"cannot read cache {path}: {exc}") from exc
+        raise CacheError(f"cannot read cache {path}: {exc}") from exc
     raw_lines = [ln for ln in raw_lines if ln.strip()]
     if not raw_lines:
-        raise CacheFormatError("cache file is empty")
+        raise CacheError("cache file is empty")
 
     header = _cache_line(raw_lines[0], 1)
     for key in ("schema_version", "tool_version", "q"):
         if key not in header:
-            raise CacheFormatError(f"header is missing {key!r}")
+            raise CacheError(f"header is missing {key!r}")
     _check_schema(header["schema_version"], "header")
     cache_q = header["q"]
     if not _is_int(cache_q) or cache_q < 2:
-        raise CacheFormatError(
+        raise CacheError(
             f"header q={cache_q!r} is not a valid alphabet size")
     if cache_q != q:
-        raise CacheQMismatchError(
+        raise CacheError(
             f"cache holds q={cache_q}, but q={q} was requested")
 
     table = {}
@@ -374,29 +369,33 @@ def load_cache(path: str | os.PathLike,
         rec = _cache_line(raw, lineno)
         for key in ("schema_version", "q", "n", "count", "max_luf"):
             if key not in rec:
-                raise CacheFormatError(f"line {lineno}: missing {key!r}")
+                raise CacheError(f"line {lineno}: missing {key!r}")
         _check_schema(rec["schema_version"], f"line {lineno}")
         if not _is_int(rec["q"]) or rec["q"] != q:
-            raise CacheFormatError(
+            raise CacheError(
                 f"line {lineno}: record q={rec['q']!r} disagrees with header")
         n = rec["n"]
         if not _is_int(n) or n < 1 or n in table:
-            raise CacheFormatError(f"line {lineno}: bad or duplicate n={n!r}")
+            raise CacheError(f"line {lineno}: bad or duplicate n={n!r}")
         count_text = rec["count"]
         # isdigit() alone accepts non-ASCII digits such as "²"
         if not (isinstance(count_text, str) and count_text.isascii()
                 and count_text.isdigit()):
-            raise CacheFormatError(
+            raise CacheError(
                 f"line {lineno}: count must be a decimal string")
         try:
             count = int(count_text)
         except ValueError as exc:  # past the interpreter's digit limit
-            raise CacheFormatError(f"line {lineno}: {exc}") from exc
+            raise CacheError(f"line {lineno}: {exc}") from exc
+        # count > q**n needs count >= 2**n, so a huge n builds no q**n
+        if n < count.bit_length() and count > q ** n:
+            raise CacheError(f"line {lineno}: count at n={n} exceeds "
+                             f"{q}**{n}, the number of words")
         max_luf = rec["max_luf"]
         if max_luf is not None and (not _is_int(max_luf) or max_luf < 0):
-            raise CacheFormatError(f"line {lineno}: bad max_luf={max_luf!r}")
+            raise CacheError(f"line {lineno}: bad max_luf={max_luf!r}")
         table[n] = (count, max_luf)
 
     if not isinstance(header.get("provenance", {}), dict):
-        raise CacheFormatError("header provenance must be an object")
+        raise CacheError("header provenance must be an object")
     return table

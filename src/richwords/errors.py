@@ -41,9 +41,6 @@ class SeedGapError(RichwordsError, ValueError):
         super().__init__(f"seed table has no entry for n={missing_index}")
         self.missing_index = missing_index
 
-    def __reduce__(self):
-        return type(self), (self.missing_index,)
-
 
 class HypothesisNotVerifiedError(RichwordsError, RuntimeError):
     """A check refused to run because its concavity/monotonicity
@@ -59,16 +56,5 @@ class HypothesisNotVerifiedError(RichwordsError, RuntimeError):
 
 
 class CacheError(RichwordsError):
-    """Base class for count-cache I/O problems."""
-
-
-class CacheFormatError(CacheError):
-    """Cache file is malformed or truncated."""
-
-
-class CacheVersionError(CacheError):
-    """Cache file was written with an unsupported schema version."""
-
-
-class CacheQMismatchError(CacheError):
-    """Cache file holds a table for a different alphabet size."""
+    """A count-cache file is unreadable or malformed, has another schema
+    version, or holds counts over another alphabet size."""

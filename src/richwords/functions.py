@@ -41,30 +41,6 @@ from dataclasses import dataclass, field
 
 from .errors import HypothesisNotVerifiedError, InputError
 
-__all__ = [
-    "FunctionSpec",
-    "ExponentFunction",
-    "log_grid",
-    "check_delta",
-    "check_psi_family",
-    "check_d_condition",
-    "check_phi_composition",
-    "log_over_x_crossover",
-    "identity_spec",
-    "power_spec",
-    "sqrt_spec",
-    "constant_spec",
-    "ln_spec",
-    "x_over_ln_spec",
-    "exp_sqrt_ln_spec",
-    "parse_function_spec",
-    "OmegaParams",
-    "check_product_bound",
-    "check_p_monotonicity",
-    "check_jensen",
-    "EXPONENT_SLACK",
-]
-
 # Functions that involve ln x are only well behaved comfortably above
 # e**2, so that is where their domain floor sits unless the caller says
 # otherwise.
@@ -174,42 +150,17 @@ class FunctionSpec:
         return val, d1, d2
 
 
-def identity_spec() -> FunctionSpec:
-    return FunctionSpec(1.0, 1.0, domain_min=1.0)
-
-
-def power_spec(b: float, a: float = 1.0,
-               domain_min: float | None = 1.0) -> FunctionSpec:
-    return FunctionSpec(a, b, domain_min=domain_min)
-
-
-def sqrt_spec() -> FunctionSpec:
-    return power_spec(0.5)
-
-
-def constant_spec(value: float) -> FunctionSpec:
-    return FunctionSpec(value, 0.0, domain_min=1.0)
-
-
-def ln_spec(domain_min: float | None = None) -> FunctionSpec:
-    return FunctionSpec(1.0, 0.0, c=1.0, domain_min=domain_min)
-
-
-def x_over_ln_spec(domain_min: float | None = None) -> FunctionSpec:
-    return FunctionSpec(1.0, 1.0, c=-1.0, domain_min=domain_min)
-
-
-def exp_sqrt_ln_spec(coeff: float = 1.0,
-                     domain_min: float | None = None) -> FunctionSpec:
-    return FunctionSpec(1.0, 0.0, u=coeff, v=0.5, domain_min=domain_min)
-
-
-_SPEC_ALIASES = {
-    "identity": identity_spec,
-    "sqrt": sqrt_spec,
-    "ln": ln_spec,
-    "x-over-lnx": x_over_ln_spec,
-    "exp-sqrt-ln": exp_sqrt_ln_spec,
+# catalogue name -> FunctionSpec fields (a, b, c, u, v, domain_min); a
+# "name:K" form puts the number K in the field marked "K"
+_SPEC_FIELDS = {
+    "identity": (1.0, 1.0, 0.0, 0.0, 1.0, 1.0),
+    "sqrt": (1.0, 0.5, 0.0, 0.0, 1.0, 1.0),
+    "ln": (1.0, 0.0, 1.0, 0.0, 1.0, None),
+    "x-over-lnx": (1.0, 1.0, -1.0, 0.0, 1.0, None),
+    "exp-sqrt-ln": (1.0, 0.0, 0.0, 1.0, 0.5, None),
+    "const:": ("K", 0.0, 0.0, 0.0, 1.0, 1.0),
+    "power:": (1.0, "K", 0.0, 0.0, 1.0, 1.0),
+    "exp-sqrt-ln:": (1.0, 0.0, 0.0, "K", 0.5, None),
 }
 
 
@@ -217,9 +168,9 @@ def parse_function_spec(text: str) -> FunctionSpec:
     """Parse a CLI rendering of a catalogue member.
 
     Accepted forms: a named alias (identity, sqrt, ln, x-over-lnx,
-    exp-sqrt-ln), "const:K", "power:B", or the raw comma tuple
-    "a,b,c,u,v[,domain_min]".  Any form may carry a "@FLOOR" suffix that
-    overrides the domain floor.
+    exp-sqrt-ln), "const:K", "power:B", "exp-sqrt-ln:U", or the raw comma
+    tuple "a,b,c,u,v[,domain_min]".  Any form may carry a "@FLOOR" suffix
+    that overrides the domain floor.
     """
     text = text.strip()
     floor: float | None = None
@@ -229,24 +180,18 @@ def parse_function_spec(text: str) -> FunctionSpec:
             floor = float(floor_text)
         except ValueError:
             raise InputError(f"bad domain floor {floor_text!r}") from None
+    name, colon, number = text.partition(":")
+    fields = _SPEC_FIELDS.get(name + colon)
     try:
-        if text in _SPEC_ALIASES:
-            spec = _SPEC_ALIASES[text]()
-        elif text.startswith("const:"):
-            spec = constant_spec(float(text[len("const:"):]))
-        elif text.startswith("power:"):
-            spec = power_spec(float(text[len("power:"):]))
-        elif text.startswith("exp-sqrt-ln:"):
-            spec = exp_sqrt_ln_spec(float(text[len("exp-sqrt-ln:"):]))
-        else:
-            parts = [float(p) for p in text.split(",")]
-            if len(parts) == 5:
-                spec = FunctionSpec(*parts)
-            elif len(parts) == 6:
-                spec = FunctionSpec(*parts[:5], domain_min=parts[5])
-            else:
-                raise InputError(
-                    f"expected 5 or 6 comma-separated numbers, got {len(parts)}")
+        if fields is None:
+            fields = [float(p) for p in text.split(",")]
+            if len(fields) not in (5, 6):
+                raise InputError(f"expected 5 or 6 comma-separated numbers, "
+                                 f"got {len(fields)}")
+        elif colon:
+            k = float(number)
+            fields = [k if f == "K" else f for f in fields]
+        spec = FunctionSpec(*fields)
     except ValueError as exc:
         raise InputError(f"cannot parse function spec {text!r}: {exc}") from None
     if floor is not None:

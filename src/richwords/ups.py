@@ -22,14 +22,6 @@ import math
 from .eertree import Eertree
 from .errors import InputError
 
-__all__ = [
-    "ups_factorize",
-    "luf",
-    "verify_unioccurrence",
-    "max_luf_table",
-    "compare_luf_bound",
-]
-
 
 def ups_factorize(letters, q: int) -> tuple[int, ...]:
     """Peel longest palindromic suffixes off the word letters over the
@@ -56,11 +48,6 @@ def ups_factorize(letters, q: int) -> tuple[int, ...]:
         cuts.append(m)
     cuts.reverse()
     return tuple(cuts)
-
-
-def luf(letters, q: int) -> int:
-    """Number of parts in the longest-palindromic-suffix peel of letters."""
-    return len(ups_factorize(letters, q)) - 1
 
 
 def _occurrences(haystack: tuple[int, ...], needle: tuple[int, ...]) -> int:

@@ -18,14 +18,14 @@ from richwords import (BootstrapState, Eertree, ExponentFunction,
                        bootstrap_step, check_d_condition, check_jensen,
                        check_p_monotonicity, check_product_bound,
                        composition_bound_sweep, count_rich, enumeration,
-                       identity_spec, ln_spec, log_over_x_crossover,
-                       power_spec, recurrence_bound, save_cache,
-                       seed_table_from_counts, sqrt_spec, ups_factorize,
-                       verify_unioccurrence, x_over_ln_spec)
+                       log_over_x_crossover, parse_function_spec,
+                       recurrence_bound, save_cache, seed_table_from_counts,
+                       ups_factorize, verify_unioccurrence)
 from richwords.functions import EXPONENT_SLACK
 
 from . import oracles
 
+IDENTITY = parse_function_spec("identity")
 RESULTS = []
 
 
@@ -142,9 +142,9 @@ def test_criterion_06_jensen_and_derivative_catalogue():
     ok = True
 
     targets = [
-        (sqrt_spec(), 1.0),
-        (x_over_ln_spec(), 8.0),
-        (ExponentFunction(identity_spec(), identity_spec()), 8.0),
+        (parse_function_spec("sqrt"), 1.0),
+        (parse_function_spec("x-over-lnx"), 8.0),
+        (ExponentFunction(IDENTITY, IDENTITY), 8.0),
     ]
     for fn, lo in targets:
         hi = 1e6
@@ -180,8 +180,8 @@ def test_criterion_06_jensen_and_derivative_catalogue():
 
 def test_criterion_07_product_bound_and_p_monotonicity():
     # every argument below lies in [1, 10_000/2 + 1]
-    params = OmegaParams(c1=1.0, c2=1.0, phi=identity_spec(),
-                         psi=identity_spec(), x_lo=1.0, x_hi=5001.0)
+    params = OmegaParams(c1=1.0, c2=1.0, phi=IDENTITY, psi=IDENTITY,
+                         x_lo=1.0, x_hi=5001.0)
     rng = random.Random(20260816)
     ok = EXPONENT_SLACK == 1e-9  # the slack the criterion states
 
@@ -220,8 +220,9 @@ def test_criterion_07_product_bound_and_p_monotonicity():
 
 def test_criterion_08_d_condition_threshold_bracket():
     t0 = time.perf_counter()
-    rep = check_d_condition(power_spec(0.8), ln_spec(domain_min=2.0),
-                            1.5, 1e2, 1e8, grid_n=10_000)
+    rep = check_d_condition(parse_function_spec("power:0.8"),
+                            parse_function_spec("ln@2"), 1.5, 1e2, 1e8,
+                            grid_n=10_000)
     elapsed = time.perf_counter() - t0
     step = (1e8 / 1e2) ** (1.0 / 9_999)
     ok = (rep["ok"] and rep["n0"] is not None

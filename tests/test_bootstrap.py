@@ -6,7 +6,9 @@ from hypothesis import strategies as st
 
 from richwords import (BootstrapState, InputError, bootstrap_iterate,
                        bootstrap_step, exponent_compare, fixed_point_c1,
-                       identity_spec, ln_spec, power_spec)
+                       parse_function_spec)
+
+IDENTITY = parse_function_spec("identity")
 
 
 def _state(**kw):
@@ -78,8 +80,8 @@ def test_iteration_names_the_step_where_c2_overflows():
 
 
 def test_exponent_compare_improves_in_regime():
-    report = exponent_compare(_state(), power_spec(0.8),
-                              ln_spec(domain_min=2.0), 1e6)
+    report = exponent_compare(_state(), parse_function_spec("power:0.8"),
+                              parse_function_spec("ln@2"), 1e6)
     assert report["improved"]
     assert report["new_exponent"] < report["old_exponent"]
     assert report["c1_shrinks"]
@@ -87,12 +89,11 @@ def test_exponent_compare_improves_in_regime():
 
 def test_exponent_compare_requires_n_above_one():
     with pytest.raises(InputError):
-        exponent_compare(_state(), identity_spec(), identity_spec(), 1.0)
+        exponent_compare(_state(), IDENTITY, IDENTITY, 1.0)
 
 
 def test_exponent_compare_term_fields():
-    report = exponent_compare(_state(), identity_spec(), identity_spec(),
-                              100.0)
+    report = exponent_compare(_state(), IDENTITY, IDENTITY, 100.0)
     # with identity/identity the second term is (n)(ln n)/n... the report
     # only promises coherent booleans plus the two exponents
     assert isinstance(report["first_term_dominates"], bool)

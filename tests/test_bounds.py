@@ -10,13 +10,14 @@ from richwords import (FunctionSpec, HypothesisNotVerifiedError,
                        InputError, OmegaParams,
                        SeedGapError, check_jensen, check_p_monotonicity,
                        check_product_bound, composition_bound_sweep,
-                       count_rich, identity_spec, power_spec,
-                       recurrence_bound, seed_table_from_counts, sqrt_spec,
-                       x_over_ln_spec)
+                       count_rich, parse_function_spec, recurrence_bound,
+                       seed_table_from_counts)
 from richwords.bounds import _E_DEN, _E_NUM, _composition_pair_holds
 
 from . import oracles
 from .oracles import check_composition_bound, compositions_count
+
+IDENTITY = parse_function_spec("identity")
 
 
 # -- compositions -----------------------------------------------------------
@@ -93,8 +94,8 @@ def test_composition_bound_validation():
 
 
 def _identity_params(x_lo=1.0, x_hi=61.0):
-    return OmegaParams(c1=1.0, c2=1.0, phi=identity_spec(),
-                       psi=identity_spec(), x_lo=x_lo, x_hi=x_hi)
+    return OmegaParams(c1=1.0, c2=1.0, phi=IDENTITY, psi=IDENTITY,
+                       x_lo=x_lo, x_hi=x_hi)
 
 
 # -- seed tables ------------------------------------------------------------
@@ -281,12 +282,12 @@ def test_p_monotonicity_rejects_bad_p():
 
 def test_jensen_sqrt_example():
     # sqrt(1) + sqrt(4) = 3 <= 2*sqrt(2.5) ~ 3.16
-    assert check_jensen(sqrt_spec(), [1.0, 4.0])
+    assert check_jensen(parse_function_spec("sqrt"), [1.0, 4.0])
 
 
 def test_jensen_refuses_convex_function():
     with pytest.raises(HypothesisNotVerifiedError):
-        check_jensen(power_spec(2.0), [1.0, 4.0])
+        check_jensen(parse_function_spec("power:2"), [1.0, 4.0])
 
 
 def test_jensen_refuses_decreasing_function():
@@ -296,26 +297,27 @@ def test_jensen_refuses_decreasing_function():
 
 
 def test_jensen_x_over_lnx():
-    assert check_jensen(x_over_ln_spec(), [9.0, 100.0, 4096.0])
+    assert check_jensen(parse_function_spec("x-over-lnx"),
+                        [9.0, 100.0, 4096.0])
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(1.0, 1e6), min_size=2, max_size=6))
 def test_jensen_sqrt_property(xs):
-    assert check_jensen(sqrt_spec(), xs)
+    assert check_jensen(parse_function_spec("sqrt"), xs)
 
 
 def test_hypothesis_failure_carries_report():
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        OmegaParams(c1=1.0, c2=1.0, phi=power_spec(2.0),
-                    psi=identity_spec(), x_lo=2.0, x_hi=3.0)
+        OmegaParams(c1=1.0, c2=1.0, phi=parse_function_spec("power:2"),
+                    psi=IDENTITY, x_lo=2.0, x_hi=3.0)
     assert exc.value.report is not None
 
 
 def test_psi_above_identity_inside_the_hull_is_refused():
     # psi = 0.8*ln(x)**3 is below x at 8 and at 50 but above it near 10.9
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        OmegaParams(c1=0.1, c2=10.0, phi=x_over_ln_spec(),
+        OmegaParams(c1=0.1, c2=10.0, phi=parse_function_spec("x-over-lnx"),
                     psi=FunctionSpec(0.8, 0.0, c=3.0), x_lo=8.0, x_hi=50.0)
     assert not exc.value.report["psi_leq_x_ok"]
     assert 8.0 < exc.value.report["witness"]["psi_leq_x_fails_at"] < 50.0
@@ -324,10 +326,10 @@ def test_psi_above_identity_inside_the_hull_is_refused():
 def test_construction_always_verifies(psi_family_calls):
     # a range is required, and it is verified before the object exists
     with pytest.raises(TypeError, match="x_lo"):
-        OmegaParams(c1=1.0, c2=1.0, phi=identity_spec(), psi=identity_spec())
+        OmegaParams(c1=1.0, c2=1.0, phi=IDENTITY, psi=IDENTITY)
     with pytest.raises(HypothesisNotVerifiedError):
-        OmegaParams(c1=1.0, c2=1.0, phi=power_spec(2.0),
-                    psi=identity_spec(), x_lo=1.0, x_hi=1e9)
+        OmegaParams(c1=1.0, c2=1.0, phi=parse_function_spec("power:2"),
+                    psi=IDENTITY, x_lo=1.0, x_hi=1e9)
     params = _identity_params()
     assert len(psi_family_calls) == 2  # one per construction
     assert check_product_bound(120, 3, [40, 40, 40], params)

@@ -490,6 +490,23 @@ def test_bound_recurrence_bad_seed_count_names_the_row(tmp_path):
     assert "Traceback" not in err
 
 
+@pytest.mark.parametrize("argv", [
+    ("count", "--q", "2", "--n", "10", "--load-cache"),
+    ("bound-recurrence", "--q", "2", "--n-max", "12", "--seeds-cache"),
+], ids=lambda argv: argv[0])
+def test_cache_count_above_q_to_the_n_names_the_line(tmp_path, argv):
+    # a hand-edited count above 2**10 used to pass as an exact seed
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "10", "--save-cache",
+                   str(cache))[0] == 0
+    cache.write_text(cache.read_text().replace('"count": "932"',
+                                               '"count": "99999"'))
+    code, out, err = _invoke(*argv, str(cache))
+    assert (code, out) == (1, "")
+    assert err.startswith("error: line 11: count at n=10 exceeds 2**10, "
+                          "the number of words\n")
+
+
 def test_bound_recurrence_seed_flags_exclusive(tmp_path):
     code, _, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "6",
                            "--tau", "n")

@@ -9,9 +9,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richwords import (TOOL_VERSION, BudgetExceededError, CacheError,
-                       CacheFormatError, CacheQMismatchError,
-                       CacheVersionError, InputError, count_rich,
-                       enumeration, load_cache, save_cache)
+                       InputError, count_rich, enumeration, load_cache,
+                       save_cache)
 
 from . import oracles
 
@@ -291,7 +290,8 @@ def test_cache_counts_serialized_as_strings(tmp_path):
 def test_cache_q_mismatch(tmp_path):
     path = tmp_path / "counts.jsonl"
     save_cache(count_rich(2, 4), 2, path)
-    with pytest.raises(CacheQMismatchError):
+    with pytest.raises(CacheError,
+                       match="^cache holds q=2, but q=3 was requested$"):
         load_cache(path, 3)
 
 
@@ -303,43 +303,63 @@ def test_cache_version_rejected(tmp_path):
     header["schema_version"] = 99
     lines[0] = json.dumps(header)
     path.write_text("\n".join(lines))
-    with pytest.raises(CacheVersionError):
+    with pytest.raises(CacheError, match=r"^header: schema 99 is not "
+                       r"supported \(expected 1\)$"):
         load_cache(path, 2)
 
 
+# each mangle returns the damaged text and the start of the error it gives
 @pytest.mark.parametrize("mangle", [
-    lambda text: "",                                  # empty file
-    lambda text: "not json\n" + text,                 # garbage header
-    lambda text: text.replace('"count"', '"xcount"'),  # missing key
-    lambda text: text.replace('"n": 1', '"n": 1.5'),  # non-int n
-    lambda text: text + text.split("\n")[1] + "\n",   # duplicate n
-    lambda text: "[1,2]\n" + "\n".join(text.split("\n")[1:]),  # non-object
+    lambda text: ("", "cache file is empty$"),          # empty file
+    lambda text: ("not json\n" + text,                 # garbage header
+                  "line 1: not valid JSON: "),
+    lambda text: (text.replace('"count"', '"xcount"'),  # missing key
+                  "line 2: missing 'count'$"),
+    lambda text: (text.replace('"n": 1', '"n": 1.5'),  # non-int n
+                  r"line 2: bad or duplicate n=1\.5$"),
+    lambda text: (text + text.split("\n")[1] + "\n",   # duplicate n
+                  "line 6: bad or duplicate n=1$"),
+    lambda text: ("[1,2]\n" + "\n".join(text.split("\n")[1:]),  # non-object
+                  "line 1: expected an object$"),
     # "\u00b2" is a superscript two and "\u0664" an Arabic-Indic four:
     # str.isdigit() accepts both, and int() accepts the second
-    lambda text: text.replace('"count": "4"', '"count": "\\u00b2"'),
-    lambda text: text.replace('"count": "4"', '"count": "\\u0664"'),
-    lambda text: text + "\xff\n",                      # non-ASCII byte
+    lambda text: (text.replace('"count": "4"', '"count": "\\u00b2"'),
+                  "line 3: count must be a decimal string$"),
+    lambda text: (text.replace('"count": "4"', '"count": "\\u0664"'),
+                  "line 3: count must be a decimal string$"),
+    lambda text: (text + "\xff\n",                      # non-ASCII byte
+                  "cannot read cache .*'ascii' codec can't decode"),
     # past the interpreter's limit on int() of a decimal string
-    lambda text: text.replace('"count": "4"', '"count": "' + "4" * 5000 + '"'),
+    lambda text: (text.replace('"count": "4"',
+                               '"count": "' + "4" * 5000 + '"'),
+                  "line 3: .*digits"),
     # JSON true and 1.0 where an int is required
-    lambda text: text.replace('"n": 1,', '"n": true,'),
-    lambda text: text.replace('"max_luf": 1,', '"max_luf": true,'),
-    lambda text: text.replace('"schema_version": 1, "tool_version"',
-                              '"schema_version": true, "tool_version"'),
-    lambda text: text.replace('"schema_version": 1}',
-                              '"schema_version": 1.0}'),
-    lambda text: text.replace('"q": 2, "schema_version": 1}',
-                              '"q": 2.0, "schema_version": 1}'),
+    lambda text: (text.replace('"n": 1,', '"n": true,'),
+                  "line 2: bad or duplicate n=True$"),
+    lambda text: (text.replace('"max_luf": 1,', '"max_luf": true,'),
+                  "line 2: bad max_luf=True$"),
+    lambda text: (text.replace('"schema_version": 1, "tool_version"',
+                               '"schema_version": true, "tool_version"'),
+                  "header: schema_version True is not an integer$"),
+    lambda text: (text.replace('"schema_version": 1}',
+                               '"schema_version": 1.0}'),
+                  r"line 2: schema_version 1\.0 is not an integer$"),
+    lambda text: (text.replace('"q": 2, "schema_version": 1}',
+                               '"q": 2.0, "schema_version": 1}'),
+                  r"line 2: record q=2\.0 disagrees with header$"),
     # a JSON number past the digit limit, and nesting past the recursion
     # limit
-    lambda text: text.replace('"n": 1,', '"n": ' + "1" * 5000 + ','),
-    lambda text: text + "[" * 100_000 + "]" * 100_000 + "\n",
+    lambda text: (text.replace('"n": 1,', '"n": ' + "1" * 5000 + ','),
+                  "line 2: not valid JSON: .*digits"),
+    lambda text: (text + "[" * 100_000 + "]" * 100_000 + "\n",
+                  "line 6: not valid JSON: maximum recursion depth"),
 ])
 def test_cache_malformed_rejected(tmp_path, mangle):
     path = tmp_path / "counts.jsonl"
     save_cache(count_rich(2, 4), 2, path)
-    path.write_bytes(mangle(path.read_text()).encode("latin-1"))
-    with pytest.raises(CacheFormatError):
+    text, message = mangle(path.read_text())
+    path.write_bytes(text.encode("latin-1"))
+    with pytest.raises(CacheError, match="^" + message):
         load_cache(path, 2)
 
 
@@ -348,8 +368,28 @@ def test_cache_nondecimal_count_rejected(tmp_path):
     save_cache(count_rich(2, 3), 2, path)
     path.write_text(path.read_text().replace('"count": "4"',
                                              '"count": "4x"'))
-    with pytest.raises(CacheFormatError):
+    with pytest.raises(CacheError,
+                       match="^line 3: count must be a decimal string$"):
         load_cache(path, 2)
+
+
+@pytest.mark.parametrize("q,n,count,refused", [
+    (2, 3, 8, False), (2, 3, 9, True), (3, 3, 27, False), (3, 3, 28, True),
+    (2, 10, 99999, True), (2, 10**6, 1, False), (2, 10**9, 10**30, False)])
+def test_cache_count_above_q_to_the_n_is_refused(tmp_path, q, n, count,
+                                                 refused):
+    # q**n is never built for a huge n: a count below 2**n cannot exceed it
+    header = {"schema_version": 1, "tool_version": "x", "q": q}
+    record = {"schema_version": 1, "q": q, "n": n, "count": str(count),
+              "max_luf": None}
+    path = tmp_path / "counts.jsonl"
+    path.write_text(json.dumps(header) + "\n" + json.dumps(record) + "\n")
+    if refused:
+        with pytest.raises(CacheError, match=f"^line 2: count at n={n} "
+                           rf"exceeds {q}\*\*{n}, the number of words$"):
+            load_cache(path, q)
+    else:
+        assert load_cache(path, q) == {n: (count, None)}
 
 
 def _load_or_cache_error(path, data):

@@ -7,16 +7,18 @@ from hypothesis import strategies as st
 
 from richwords import (ExponentFunction, FunctionSpec, InputError,
                        check_d_condition, check_delta, check_phi_composition,
-                       check_psi_family, constant_spec, exp_sqrt_ln_spec,
-                       identity_spec, ln_spec, log_grid,
-                       log_over_x_crossover, parse_function_spec, power_spec,
-                       sqrt_spec, x_over_ln_spec)
+                       check_psi_family, log_grid, log_over_x_crossover,
+                       parse_function_spec)
 
 from . import oracles
 
+IDENTITY = parse_function_spec("identity")
+SQRT = parse_function_spec("sqrt")
+LN_2 = parse_function_spec("ln@2")
+
 
 def test_identity_derivatives():
-    f = identity_spec()
+    f = parse_function_spec("identity")
     v, d1, d2 = f.d012(7.0)
     assert v == 7.0
     assert d1 == 1.0
@@ -24,7 +26,7 @@ def test_identity_derivatives():
 
 
 def test_power_spec_values():
-    f = power_spec(0.8)
+    f = parse_function_spec("power:0.8")
     assert abs(f.value(32.0) - 32.0 ** 0.8) < 1e-12
     assert f.domain_floor == 1.0
 
@@ -32,29 +34,30 @@ def test_power_spec_values():
 def test_x_over_ln_second_derivative_closed_form():
     # f = x/ln x has f'' = (2 - ln x)/(x ln^3 x); at x = e^3 that is
     # -1/(27 e^3)
-    f = x_over_ln_spec(domain_min=2.0)
+    f = parse_function_spec("x-over-lnx@2")
     _, _, d2 = f.d012(math.e ** 3)
     assert abs(d2 - (-1.0 / (27.0 * math.e ** 3))) < 1e-16
 
 
 def test_exp_sqrt_ln_at_e():
-    f = exp_sqrt_ln_spec(domain_min=1.5)
+    f = parse_function_spec("exp-sqrt-ln@1.5")
     assert abs(f.value(math.e) - math.e) < 1e-12
 
 
 def test_default_domain_floor():
-    assert identity_spec().domain_floor == 1.0
-    assert ln_spec().domain_floor == 8.0          # ln involved, no override
-    assert ln_spec(domain_min=2.0).domain_floor == 2.0
-    assert x_over_ln_spec().domain_floor == 8.0
-    assert exp_sqrt_ln_spec().domain_floor == 8.0
+    assert parse_function_spec("identity").domain_floor == 1.0
+    # ln involved, no override
+    assert parse_function_spec("ln").domain_floor == 8.0
+    assert parse_function_spec("ln@2").domain_floor == 2.0
+    assert parse_function_spec("x-over-lnx").domain_floor == 8.0
+    assert parse_function_spec("exp-sqrt-ln").domain_floor == 8.0
 
 
 def test_domain_enforced():
-    f = ln_spec()
+    f = parse_function_spec("ln")
     with pytest.raises(InputError):
         f.value(4.0)
-    f2 = ln_spec(domain_min=2.0)
+    f2 = parse_function_spec("ln@2")
     with pytest.raises(InputError):
         f2.value(1.0)   # ln not evaluable at/below 1 regardless of floor
     assert f2.value(2.0) > 0
@@ -77,6 +80,44 @@ def test_parse_function_spec_accepts(text):
     assert f.value(max(f.domain_floor, 20.0)) > 0
 
 
+# every catalogue form, as the FunctionSpec it parses to and its label
+_ALIASES = [
+    ("identity", FunctionSpec(1.0, 1.0, domain_min=1.0),
+     "1*x^1*lnx^0*exp(0*lnx^1)@1"),
+    ("sqrt", FunctionSpec(1.0, 0.5, domain_min=1.0),
+     "1*x^0.5*lnx^0*exp(0*lnx^1)@1"),
+    ("ln", FunctionSpec(1.0, 0.0, c=1.0), "1*x^0*lnx^1*exp(0*lnx^1)"),
+    ("x-over-lnx", FunctionSpec(1.0, 1.0, c=-1.0),
+     "1*x^1*lnx^-1*exp(0*lnx^1)"),
+    ("exp-sqrt-ln", FunctionSpec(1.0, 0.0, u=1.0, v=0.5),
+     "1*x^0*lnx^0*exp(1*lnx^0.5)"),
+]
+
+
+_FORMS = _ALIASES + [
+    ("const:3", FunctionSpec(3.0, 0.0, domain_min=1.0),
+     "3*x^0*lnx^0*exp(0*lnx^1)@1"),
+    ("power:0.8", FunctionSpec(1.0, 0.8, domain_min=1.0),
+     "1*x^0.8*lnx^0*exp(0*lnx^1)@1"),
+    ("exp-sqrt-ln:2", FunctionSpec(1.0, 0.0, u=2.0, v=0.5),
+     "1*x^0*lnx^0*exp(2*lnx^0.5)"),
+    ("2,1,-1,0,1", FunctionSpec(2.0, 1.0, -1.0, 0.0, 1.0),
+     "2*x^1*lnx^-1*exp(0*lnx^1)"),
+    ("2,1,-1,0,1,4", FunctionSpec(2.0, 1.0, -1.0, 0.0, 1.0, 4.0),
+     "2*x^1*lnx^-1*exp(0*lnx^1)@4"),
+] + [(text + "@2", FunctionSpec(s.a, s.b, s.c, s.u, s.v, 2.0),
+      label.split("@")[0] + "@2") for text, s, label in _ALIASES]
+
+
+@pytest.mark.parametrize("text,spec,label", _FORMS,
+                         ids=[text for text, _, _ in _FORMS])
+def test_parse_function_spec_coefficients(text, spec, label):
+    parsed = parse_function_spec(text)
+    # repr also tells 1 from 1.0, which an error message would print
+    assert repr(parsed) == repr(spec)
+    assert parsed.label == label
+
+
 @pytest.mark.parametrize("text", [
     "", "bogus", "const:", "const:x", "power:", "1,2", "1,2,3,4,5,6,7",
     "sqrt@", "sqrt@-3", "const:-1",
@@ -97,11 +138,11 @@ def test_parse_label_roundtrip():
 
 
 @pytest.mark.parametrize("spec,x", [
-    (sqrt_spec(), 9.0),
-    (power_spec(0.8), 17.0),
-    (ln_spec(domain_min=2.0), 5.0),
-    (x_over_ln_spec(domain_min=2.0), 11.0),
-    (exp_sqrt_ln_spec(domain_min=2.0), 30.0),
+    (SQRT, 9.0),
+    (parse_function_spec("power:0.8"), 17.0),
+    (LN_2, 5.0),
+    (parse_function_spec("x-over-lnx@2"), 11.0),
+    (parse_function_spec("exp-sqrt-ln@2"), 30.0),
     (FunctionSpec(a=2.0, b=0.5, c=1.5, u=0.3, v=0.7, domain_min=3.0), 25.0),
 ])
 def test_d012_matches_mpmath_diff(spec, x):
@@ -115,7 +156,7 @@ def test_d012_matches_mpmath_diff(spec, x):
 
 
 def test_exponent_function_identity_pair_is_one_plus_ln():
-    ef = ExponentFunction(identity_spec(), identity_spec())
+    ef = ExponentFunction(IDENTITY, IDENTITY)
     for x in (2.0, math.e, 10.0, 1e5):
         v, d1, d2 = ef.d012(x)
         assert abs(v - (1.0 + math.log(x))) < 1e-12 * (1 + math.log(x))
@@ -124,9 +165,9 @@ def test_exponent_function_identity_pair_is_one_plus_ln():
 
 
 @pytest.mark.parametrize("phi,psi,x", [
-    (sqrt_spec(), ln_spec(domain_min=2.0), 50.0),
-    (power_spec(0.8), ln_spec(domain_min=2.0), 200.0),
-    (x_over_ln_spec(domain_min=2.0), sqrt_spec(), 90.0),
+    (SQRT, LN_2, 50.0),
+    (parse_function_spec("power:0.8"), LN_2, 200.0),
+    (parse_function_spec("x-over-lnx@2"), SQRT, 90.0),
 ])
 def test_exponent_function_matches_mpmath_diff(phi, psi, x):
     ef = ExponentFunction(phi, psi, c1=1.3, c2=0.7)
@@ -141,9 +182,9 @@ def test_exponent_function_matches_mpmath_diff(phi, psi, x):
 
 def test_exponent_function_validation():
     with pytest.raises(InputError):
-        ExponentFunction(identity_spec(), identity_spec(), c1=0.0)
+        ExponentFunction(IDENTITY, IDENTITY, c1=0.0)
     with pytest.raises(InputError):
-        ExponentFunction(identity_spec(), identity_spec(), c2=-1.0)
+        ExponentFunction(IDENTITY, IDENTITY, c2=-1.0)
 
 
 # -- grids ------------------------------------------------------------------
@@ -170,13 +211,13 @@ def test_log_grid_degenerate():
 
 
 def test_delta_sqrt_ok():
-    rep = check_delta(sqrt_spec(), 1.0, 1e6)
+    rep = check_delta(SQRT, 1.0, 1e6)
     assert rep["ok"]
     assert "witness" not in rep
 
 
 def test_delta_x_squared_fails_concavity():
-    rep = check_delta(power_spec(2.0), 1.0, 100.0)
+    rep = check_delta(parse_function_spec("power:2"), 1.0, 100.0)
     assert not rep["ok"]
     assert rep["witness"]["kind"] == "d2"
 
@@ -190,19 +231,20 @@ def test_delta_decreasing_fails():
 def test_delta_x_over_lnx_range_sensitive():
     # below e^2 the function still decreases; past 8 it is concave
     # increasing all the way out
-    bad = check_delta(x_over_ln_spec(domain_min=2.0), 2.0, 10.0)
+    bad = check_delta(parse_function_spec("x-over-lnx@2"), 2.0, 10.0)
     assert not bad["ok"]
-    good = check_delta(x_over_ln_spec(), 8.0, 1e6)
+    good = check_delta(parse_function_spec("x-over-lnx"), 8.0, 1e6)
     assert good["ok"]
 
 
 def test_delta_requires_domain():
     with pytest.raises(InputError):
-        check_delta(x_over_ln_spec(), 2.0, 100.0)  # floor is 8 here
+        # the floor is 8 here
+        check_delta(parse_function_spec("x-over-lnx"), 2.0, 100.0)
 
 
 def test_psi_family_good_pair():
-    rep = check_psi_family(ExponentFunction(identity_spec(), identity_spec()),
+    rep = check_psi_family(ExponentFunction(IDENTITY, IDENTITY),
                            8.0, 1e6)
     assert rep["ok"]
     assert rep["psi_leq_x_ok"]
@@ -210,7 +252,8 @@ def test_psi_family_good_pair():
 
 
 def test_psi_family_rejects_psi_above_identity():
-    rep = check_psi_family(ExponentFunction(identity_spec(), power_spec(2.0)),
+    rep = check_psi_family(ExponentFunction(IDENTITY,
+                                            parse_function_spec("power:2")),
                            8.0, 1e4)
     assert not rep["ok"]
     assert not rep["psi_leq_x_ok"]
@@ -219,7 +262,7 @@ def test_psi_family_rejects_psi_above_identity():
 
 def test_d_condition_closed_form_bracket():
     # 2*ln(n^0.8 / 2) >= 1.5*ln(n) fails iff n^0.1 < 4, i.e. below 2^20
-    rep = check_d_condition(power_spec(0.8), ln_spec(domain_min=2.0),
+    rep = check_d_condition(parse_function_spec("power:0.8"), LN_2,
                             1.5, 1e2, 1e8, grid_n=10_000)
     assert rep["ok"]
     step = (1e8 / 1e2) ** (1.0 / 9_999)
@@ -228,29 +271,30 @@ def test_d_condition_closed_form_bracket():
 
 def test_d_condition_constant_psi():
     # psi constant: 2*c >= d*c holds iff d <= 2
-    c = constant_spec(3.0)
-    ok = check_d_condition(power_spec(0.9), c, 1.5, 10.0, 1e6, grid_n=64)
+    c = parse_function_spec("const:3")
+    phi = parse_function_spec("power:0.9")
+    ok = check_d_condition(phi, c, 1.5, 10.0, 1e6, grid_n=64)
     assert ok["ok"] and ok["n0"] == 10.0
-    bad = check_d_condition(power_spec(0.9), c, 2.5, 10.0, 1e6, grid_n=64)
+    bad = check_d_condition(phi, c, 2.5, 10.0, 1e6, grid_n=64)
     assert not bad["ok"]
     assert bad["n0"] is None
 
 
 def test_d_condition_requires_d_above_one():
     with pytest.raises(InputError):
-        check_d_condition(power_spec(0.8), ln_spec(domain_min=2.0),
+        check_d_condition(parse_function_spec("power:0.8"), LN_2,
                           1.0, 1e2, 1e4)
 
 
 def test_d_condition_respects_psi_domain():
     # phi(n)/2 dips below psi's floor at the low end -> domain error
     with pytest.raises(InputError):
-        check_d_condition(sqrt_spec(), ln_spec(domain_min=2.0),
+        check_d_condition(SQRT, LN_2,
                           1.5, 4.0, 1e4)
 
 
 def test_phi_composition_identity_holds():
-    rep = check_phi_composition(identity_spec(), 1e2, 1e8, grid_n=128)
+    rep = check_phi_composition(IDENTITY, 1e2, 1e8, grid_n=128)
     assert rep["ok"]
     assert rep["real_tau_holds_at_top"]
 
@@ -258,14 +302,15 @@ def test_phi_composition_identity_holds():
 def test_phi_composition_sqrt_fails_beyond_16():
     # tau(sqrt n)*ln(n^(1/4)) <= ln(sqrt n) iff sqrt(n) <= 2 ... fails for
     # any n in this range, under both tau variants
-    rep = check_phi_composition(sqrt_spec(), 1e2, 1e8, grid_n=128)
+    rep = check_phi_composition(SQRT, 1e2, 1e8, grid_n=128)
     assert not rep["ok"]
     assert not rep["real_tau_holds_at_top"]
     assert not rep["ceil_tau_holds_at_top"]
 
 
 def test_phi_composition_x_over_lnx_observational():
-    rep = check_phi_composition(x_over_ln_spec(), 1e2, 1e12, grid_n=256)
+    rep = check_phi_composition(parse_function_spec("x-over-lnx"), 1e2, 1e12,
+                                grid_n=256)
     # large-n failure is expected; the report records both variants
     assert isinstance(rep["variants_disagree"], bool)
     assert not rep["real_tau_holds_at_top"]
@@ -281,5 +326,6 @@ def test_crossover_report():
 @settings(max_examples=60, deadline=None)
 @given(st.floats(0.1, 0.95), st.floats(1.5, 30.0))
 def test_powers_below_one_pass_delta(b, x_hi):
-    rep = check_delta(power_spec(b), 1.0, max(x_hi, 1.5))
+    rep = check_delta(FunctionSpec(1.0, b, domain_min=1.0), 1.0,
+                      max(x_hi, 1.5))
     assert rep["ok"]

@@ -108,6 +108,13 @@ def test_public_name_is_its_submodule_object(name):
     assert getattr(richwords, name) is expected
 
 
+def test_only_the_package_lists_public_names():
+    # _HOMES is the one list; a submodule __all__ would drift from it
+    for home in set(richwords._HOMES.values()):
+        module = importlib.import_module(f"richwords.{home}")
+        assert not hasattr(module, "__all__"), home
+
+
 def test_dir_lists_every_public_name():
     assert set(richwords.__all__) <= set(dir(richwords))
 

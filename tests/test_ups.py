@@ -4,10 +4,9 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (InputError, compare_luf_bound, constant_spec,
-                       exp_sqrt_ln_spec, identity_spec, letters_from_text, luf,
-                       max_luf_table, text_from_letters, ups_factorize,
-                       verify_unioccurrence)
+from richwords import (InputError, compare_luf_bound, letters_from_text,
+                       max_luf_table, parse_function_spec, text_from_letters,
+                       ups_factorize, verify_unioccurrence)
 
 from . import oracles
 
@@ -35,10 +34,14 @@ def test_empty_word_rejected():
         ups_factorize((), 2)
 
 
+def _peel_length(letters, q):
+    return len(ups_factorize(letters, q)) - 1
+
+
 def test_luf_values():
-    assert luf(letters_from_text("aab"), 2) == 2
-    assert luf(letters_from_text("aba"), 2) == 1
-    assert luf(letters_from_text("abab"), 2) == 2
+    assert _peel_length(letters_from_text("aab"), 2) == 2
+    assert _peel_length(letters_from_text("aba"), 2) == 1
+    assert _peel_length(letters_from_text("abab"), 2) == 2
 
 
 def test_parts_concatenate_and_are_palindromes():
@@ -66,7 +69,7 @@ def test_factorization_boundaries_shape():
     assert boundaries[0] == 0
     assert boundaries[-1] == 7
     assert list(boundaries) == sorted(boundaries)
-    assert luf(letters, 2) == len(_parts(letters, boundaries))
+    assert _peel_length(letters, 2) == len(_parts(letters, boundaries))
 
 
 def test_unioccurrence_on_rich_words():
@@ -108,7 +111,7 @@ def test_max_luf_matches_bruteforce():
 
 def test_compare_luf_bound_constant_fails():
     table = max_luf_table(2, 6)
-    report = compare_luf_bound(table, constant_spec(1.0))
+    report = compare_luf_bound(table, parse_function_spec("const:1"))
     # n/phi(n) = n, which max_luf never exceeds... so all rows hold
     assert report["all_hold"]
     assert report["first_failure_n"] is None
@@ -116,7 +119,7 @@ def test_compare_luf_bound_constant_fails():
 
 def test_compare_luf_bound_identity_fails_fast():
     table = max_luf_table(2, 6)
-    report = compare_luf_bound(table, identity_spec())
+    report = compare_luf_bound(table, parse_function_spec("identity"))
     # bound is n/n = 1; max_luf(2) = 2 already exceeds it
     assert not report["all_hold"]
     assert report["first_failure_n"] == 2
@@ -124,7 +127,7 @@ def test_compare_luf_bound_identity_fails_fast():
 
 def test_compare_luf_bound_skips_undefined_rows():
     table = max_luf_table(2, 9)
-    report = compare_luf_bound(table, exp_sqrt_ln_spec())
+    report = compare_luf_bound(table, parse_function_spec("exp-sqrt-ln"))
     # the default domain floor 8 hides small n; those rows carry no verdict
     assert any(r["bound"] is None for r in report["rows"])
     assert all(r["holds"] is None for r in report["rows"]
@@ -134,4 +137,5 @@ def test_compare_luf_bound_skips_undefined_rows():
 def test_compare_luf_bound_with_no_evaluable_row_is_refused():
     # every n <= 6 is below the domain floor 8: all_hold would be vacuous
     with pytest.raises(InputError, match="cannot be evaluated at any n"):
-        compare_luf_bound(max_luf_table(2, 6), exp_sqrt_ln_spec())
+        compare_luf_bound(max_luf_table(2, 6),
+                          parse_function_spec("exp-sqrt-ln"))
