@@ -17,6 +17,7 @@ configuration, while volatile data (wall-clock duration) goes to stderr.
 from __future__ import annotations
 
 import argparse
+import collections
 import json
 import math
 import os
@@ -40,179 +41,6 @@ class _UsageError(Exception):
 class _Parser(argparse.ArgumentParser):
     def error(self, message):
         raise _UsageError(message)
-
-
-def _add_format(p, *choices):
-    p.add_argument("--format", choices=list(choices), default="json",
-                   help="report format (default: json)")
-
-
-def _add_spec(p, flag, help_text, required=True):
-    p.add_argument(flag, required=required, metavar="SPEC", help=help_text)
-
-
-_SPEC_HELP = ("catalogue function: identity | sqrt | ln | x-over-lnx | "
-              "exp-sqrt-ln[:COEFF] | const:K | power:B | a,b,c,u,v[,floor]; "
-              "append @FLOOR to override the domain floor")
-
-
-def build_parser() -> _Parser:
-    # flag groups that several subcommands share through parents=[...]
-    phi_psi = _Parser(add_help=False)
-    _add_spec(phi_psi, "--phi", _SPEC_HELP)
-    _add_spec(phi_psi, "--psi", _SPEC_HELP)
-
-    fn_range = _Parser(add_help=False)
-    _add_spec(fn_range, "--fn", _SPEC_HELP)
-    fn_range.add_argument("--x-lo", type=float, required=True)
-    fn_range.add_argument("--x-hi", type=float, required=True)
-
-    omega = _Parser(add_help=False)
-    omega.add_argument("--c1", type=float, default=1.0)
-    omega.add_argument("--c2", type=float, default=1.0)
-
-    constants = _Parser(add_help=False)
-    constants.add_argument("--q", type=int, required=True)
-    for flag in ("--d", "--c1", "--c2", "--c3"):
-        constants.add_argument(flag, type=float, required=True)
-
-    parser = _Parser(prog="richwords",
-                     description="rich-word enumeration and bound checks")
-    parser.add_argument("--version", action="version", version=TOOL_VERSION)
-    sub = parser.add_subparsers(dest="command", required=True)
-
-    p = sub.add_parser("check", help="is a word rich?")
-    p.add_argument("word", help="word over a-z")
-    p.add_argument("--q", type=int, default=None,
-                   help="alphabet size (default: letters present)")
-    _add_format(p, "json", "text")
-
-    p = sub.add_parser("count", help="count rich words up to a length")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, metavar="N_MAX")
-    p.add_argument("--symmetric", action="store_true",
-                   help="label the table's provenance as symmetric; every "
-                        "count walks canonical words only and rescales")
-    p.add_argument("--workers", type=int, default=1)
-    # the cut is not a flag, but the config echo still records it
-    p.set_defaults(shard_depth=enumeration.SHARD_DEPTH)
-    p.add_argument("--budget", type=int,
-                   default=enumeration.DEFAULT_NODE_BUDGET,
-                   help="abort after visiting this many search nodes")
-    p.add_argument("--no-max-luf", action="store_true",
-                   help="skip tracking of maximum peel lengths")
-    p.add_argument("--save-cache", metavar="PATH")
-    p.add_argument("--load-cache", metavar="PATH",
-                   help="render a previously saved table instead of counting")
-    _add_format(p, "json", "text", "csv")
-
-    p = sub.add_parser("ups", help="peel a word into palindromic suffixes")
-    p.add_argument("word", help="word over a-z")
-    p.add_argument("--q", type=int, default=None)
-    _add_format(p, "json", "text")
-
-    p = sub.add_parser("maxluf",
-                       help="maximum peel length among rich words")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n", type=int, required=True, metavar="N_MAX")
-    _add_spec(p, "--phi", "compare against n/phi(n): " + _SPEC_HELP,
-              required=False)
-    _add_format(p, "json", "text", "csv")
-
-    p = sub.add_parser("bound-recurrence",
-                       help="certified upper-bound table from seeds")
-    p.add_argument("--q", type=int, required=True)
-    p.add_argument("--n-max", type=int, required=True)
-    p.add_argument("--seed-n", type=int,
-                   help="enumerate exact counts up to this length as seeds")
-    p.add_argument("--seeds-cache", metavar="PATH",
-                   help="load seeds from a count cache instead")
-    p.add_argument("--tau", default="n",
-                   help="per-length part cap: n | const:K | phi (default: n)")
-    _add_spec(p, "--phi", "phi for --tau phi: " + _SPEC_HELP, required=False)
-    _add_format(p, "json", "text", "csv")
-
-    v = sub.add_parser("verify", help="inequality checks (exit 2 on a "
-                                      "counterexample)")
-    vsub = v.add_subparsers(dest="verify_what", required=True)
-
-    p = vsub.add_parser("composition-bound",
-                        help="sum of C(n-1,p-1) against (e*n/L)^L")
-    p.add_argument("--n-max", type=int, default=300)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("jensen", parents=[fn_range],
-                        help="averaged comparison for a concave "
-                             "increasing function")
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--points", type=int, default=8,
-                   help="max sample points per trial")
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("product-bound", parents=[omega, phi_psi],
-                        help="composition-wise product against the "
-                             "balanced power")
-    p.add_argument("--n-max", type=int, default=200)
-    p.add_argument("--trials", type=int, default=1000)
-    p.add_argument("--seed", type=int, default=0)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("p-monotonicity", parents=[omega, phi_psi],
-                        help="balanced power is monotone in the part count")
-    p.add_argument("--n-lo", type=int, default=10)
-    p.add_argument("--n-hi", type=int, default=10000)
-    p.add_argument("--grid", type=int, default=1000,
-                   help="number of sampled lengths")
-    p.add_argument("--p-max", type=int, default=8)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("delta", parents=[fn_range],
-                        help="increasing and concave on a grid")
-    p.add_argument("--grid", type=int, default=512)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("psi-family", parents=[phi_psi],
-                        help="psi below identity and combined exponent "
-                             "concave-increasing")
-    p.add_argument("--x-lo", type=float, required=True)
-    p.add_argument("--x-hi", type=float, required=True)
-    p.add_argument("--grid", type=int, default=512)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("d-condition", parents=[phi_psi],
-                        help="threshold for 2*psi(phi(n)/2) >= d*psi(n)")
-    p.add_argument("--d", type=float, required=True)
-    p.add_argument("--n-lo", type=float, default=1e2)
-    p.add_argument("--n-hi", type=float, default=1e8)
-    p.add_argument("--grid", type=int, default=10000)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("phi-composition",
-                        help="tau(phi(n))*ln(phi(phi(n))) against ln(phi(n))")
-    _add_spec(p, "--phi", _SPEC_HELP)
-    p.add_argument("--n-lo", type=float, default=1e2)
-    p.add_argument("--n-hi", type=float, default=1e8)
-    p.add_argument("--grid", type=int, default=1024)
-    _add_format(p, "json", "text")
-
-    p = vsub.add_parser("crossover",
-                        help="ln(x)/x decreasing beyond x = e")
-    p.add_argument("--grid", type=int, default=1000)
-    p.add_argument("--x-hi", type=float, default=1e6)
-    _add_format(p, "json", "text")
-
-    p = sub.add_parser("bootstrap", parents=[constants],
-                       help="iterate the constant map")
-    p.add_argument("--iters", type=int, default=1)
-    _add_format(p, "json", "text")
-
-    p = sub.add_parser("compare-exponents", parents=[constants, phi_psi],
-                       help="exponent before and after one map step")
-    p.add_argument("--n", type=float, required=True)
-    _add_format(p, "json", "text")
-
-    return parser
 
 
 # -- helpers ---------------------------------------------------------------
@@ -296,11 +124,9 @@ def _load_count_table(ns) -> dict:
 
 
 def _cmd_count(ns):
-    _check_range("--n", ns.n, 1, _WALK_N_MAX)
     if ns.load_cache:
         table = _load_count_table(ns)
     else:
-        _check_range("--budget", ns.budget, 1)
         table = enumeration.count_rich(ns.q, ns.n, workers=ns.workers,
                                        with_max_luf=not ns.no_max_luf,
                                        node_budget=ns.budget)
@@ -329,7 +155,6 @@ def _cmd_ups(ns):
 def _cmd_maxluf(ns):
     from . import ups
 
-    _check_range("--n", ns.n, 1, _WALK_N_MAX)
     table = ups.max_luf_table(ns.q, ns.n)
     if ns.phi:
         from . import functions
@@ -381,10 +206,6 @@ def _parse_tau(ns):
 def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
-    # flags are checked before the seeds are enumerated
-    _check_range("--n-max", ns.n_max, 1)
-    if ns.seed_n is not None:
-        _check_range("--seed-n", ns.seed_n, 1)
     tau, tau_label = _parse_tau(ns)
     if ns.seeds_cache:
         table = enumeration.load_cache(_cache_path(ns.seeds_cache), ns.q)
@@ -407,8 +228,6 @@ def _cmd_bound_recurrence(ns):
 
 
 def _cmd_verify_composition_bound(ns):
-    # 26 s at the limit (one core of a 2-core machine, Python 3.11)
-    _check_range("--n-max", ns.n_max, 1, 1400)
     failures = bounds.composition_bound_sweep(ns.n_max)
     result = {"n_max": ns.n_max, "ok": not failures,
               "checked": ns.n_max * (ns.n_max + 1) // 2}
@@ -417,29 +236,9 @@ def _cmd_verify_composition_bound(ns):
     return result
 
 
-# the largest --grid of a one-dimensional scan; at it each scan took
-# under 10 s and 60 MB (one core of a 2-core machine, Python 3.11)
-_GRID_MAX = 10**6
-# a count or maxluf walk of 1,000 letters preallocates about 4 * 10**6
-# list slots; none past n = 40 or so finishes within the default budget
-_WALK_N_MAX = 1000
-
-
-def _check_range(flag: str, value: int, least: int,
-                 most: int | None = None) -> None:
-    # a smaller value would give a vacuous or silently clamped verdict, a
-    # larger one a run of minutes or one that exhausts memory
-    if value < least:
-        raise InputError(f"{flag} must be >= {least}, got {value}")
-    if most is not None and value > most:
-        raise InputError(f"{flag} must be <= {most}, got {value}")
-
-
 def _cmd_verify_jensen(ns):
     from . import functions
 
-    _check_range("--trials", ns.trials, 1, 10**4)
-    _check_range("--points", ns.points, 2, 10**3)
     fn = functions.parse_function_spec(ns.fn)
     rng = random.Random(ns.seed)
     lo = max(ns.x_lo, fn.domain_floor)
@@ -457,8 +256,6 @@ def _cmd_verify_jensen(ns):
 def _cmd_verify_product_bound(ns):
     from . import functions
 
-    _check_range("--trials", ns.trials, 1, 2000)
-    _check_range("--n-max", ns.n_max, 2, 10**4)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     floor = functions.ExponentFunction(phi, psi).domain_floor
@@ -487,9 +284,6 @@ def _cmd_verify_product_bound(ns):
 def _cmd_verify_p_monotonicity(ns):
     from . import functions
 
-    # up to 10**6 (n, p) pairs
-    _check_range("--p-max", ns.p_max, 1, 100)
-    _check_range("--grid", ns.grid, 2, 10**4)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     pairs = []
@@ -497,10 +291,16 @@ def _cmd_verify_p_monotonicity(ns):
             ns.n_lo, ns.n_hi, ns.grid)}):
         tau_n = max(1, math.ceil(n / phi.value(float(n))))
         pairs += [(n, p) for p in range(1, min(ns.p_max, tau_n) + 1)]
-    # the exact hull of the arguments check_p_monotonicity will ask about
-    args = [n / (2.0 * k) + 1.0 for n, p in pairs for k in (p, p + 1)]
-    params = functions.OmegaParams(ns.c1, ns.c2, phi, psi, min(args),
-                                   max(args))
+    # the exact hull of the arguments check_p_monotonicity will ask about;
+    # its low end is n/(2(p+1)) + 1 at some pair (n, p)
+    args = [(n / (2.0 * k) + 1.0, n, p) for n, p in pairs for k in (p, p + 1)]
+    (x_lo, n, p), (x_hi, _, _) = min(args), max(args)
+    floor = functions.ExponentFunction(phi, psi, ns.c1, ns.c2).domain_floor
+    if x_lo < floor:
+        raise InputError(f"--n-lo {ns.n_lo} with --p-max {ns.p_max} asks for "
+                         f"x = n/(2(p+1)) + 1 = {x_lo:g} at (n, p) = ({n}, "
+                         f"{p}), below the domain floor {floor:g}")
+    params = functions.OmegaParams(ns.c1, ns.c2, phi, psi, x_lo, x_hi)
     for checked, (n, p) in enumerate(pairs, 1):
         if not functions.check_p_monotonicity(float(n), p, params):
             return {"ok": False, "checked": checked,
@@ -511,7 +311,6 @@ def _cmd_verify_p_monotonicity(ns):
 def _cmd_verify_delta(ns):
     from . import functions
 
-    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     fn = functions.parse_function_spec(ns.fn)
     return {"fn": fn.label, "x_lo": ns.x_lo, "x_hi": ns.x_hi,
             "grid": ns.grid,
@@ -521,7 +320,6 @@ def _cmd_verify_delta(ns):
 def _cmd_verify_psi_family(ns):
     from . import functions
 
-    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     return {"phi": phi.label, "psi": psi.label,
@@ -533,7 +331,6 @@ def _cmd_verify_psi_family(ns):
 def _cmd_verify_d_condition(ns):
     from . import functions
 
-    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     return {"phi": phi.label, "psi": psi.label, "d": ns.d,
@@ -544,7 +341,6 @@ def _cmd_verify_d_condition(ns):
 def _cmd_verify_phi_composition(ns):
     from . import functions
 
-    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     phi = functions.parse_function_spec(ns.phi)
     return {"phi": phi.label,
             **functions.check_phi_composition(phi, ns.n_lo, ns.n_hi,
@@ -554,7 +350,6 @@ def _cmd_verify_phi_composition(ns):
 def _cmd_verify_crossover(ns):
     from . import functions
 
-    _check_range("--grid", ns.grid, 2, _GRID_MAX)
     return {"grid": ns.grid, "x_hi": ns.x_hi,
             **functions.log_over_x_crossover(ns.grid, ns.x_hi)}
 
@@ -562,7 +357,6 @@ def _cmd_verify_crossover(ns):
 def _cmd_bootstrap(ns):
     from . import bootstrap
 
-    _check_range("--iters", ns.iters, 0, 10**5)
     state = bootstrap.BootstrapState(ns.q, ns.d, ns.c1, ns.c2, ns.c3)
     return bootstrap.bootstrap_iterate(state, ns.iters)
 
@@ -576,25 +370,207 @@ def _cmd_compare_exponents(ns):
     return bootstrap.exponent_compare(state, phi, psi, ns.n)
 
 
-# keyed by the subcommand, or by the check for verify
-_HANDLERS = {
-    "check": _cmd_check,
-    "count": _cmd_count,
-    "ups": _cmd_ups,
-    "maxluf": _cmd_maxluf,
-    "bound-recurrence": _cmd_bound_recurrence,
-    "bootstrap": _cmd_bootstrap,
-    "compare-exponents": _cmd_compare_exponents,
-    "composition-bound": _cmd_verify_composition_bound,
-    "jensen": _cmd_verify_jensen,
-    "product-bound": _cmd_verify_product_bound,
-    "p-monotonicity": _cmd_verify_p_monotonicity,
-    "delta": _cmd_verify_delta,
-    "psi-family": _cmd_verify_psi_family,
-    "d-condition": _cmd_verify_d_condition,
-    "phi-composition": _cmd_verify_phi_composition,
-    "crossover": _cmd_verify_crossover,
+# -- the command-line surface -----------------------------------------------
+# One row per flag: name is "--flag", "--flag METAVAR" or a positional's
+# name; type is int, float, str, bool (a switch) or a tuple of choices; a
+# flag whose default is REQUIRED must be given.  least and most bound an int
+# flag, and run refuses a value outside them before the handler starts.
+Flag = collections.namedtuple("Flag", "name type default help least most",
+                              defaults=(None, None, None, None))
+REQUIRED = object()
+
+_SPEC_HELP = ("catalogue function: identity | sqrt | ln | x-over-lnx | "
+              "exp-sqrt-ln[:COEFF] | const:K | power:B | a,b,c,u,v[,floor]; "
+              "append @FLOOR to override the domain floor")
+_PHI = Flag("--phi SPEC", str, REQUIRED, _SPEC_HELP)
+_PSI = Flag("--psi SPEC", str, REQUIRED, _SPEC_HELP)
+_FN = Flag("--fn SPEC", str, REQUIRED, _SPEC_HELP)
+_X_RANGE = (Flag("--x-lo", float, REQUIRED), Flag("--x-hi", float, REQUIRED))
+_OMEGA = (Flag("--c1", float, 1.0), Flag("--c2", float, 1.0))
+_CONSTANTS = (Flag("--q", int, REQUIRED), Flag("--d", float, REQUIRED),
+              Flag("--c1", float, REQUIRED), Flag("--c2", float, REQUIRED),
+              Flag("--c3", float, REQUIRED))
+_WORD = Flag("word", str, REQUIRED, "word over a-z")
+_FORMAT_HELP = "report format (default: json)"
+_JSON_TEXT = Flag("--format", ("json", "text"), "json", _FORMAT_HELP)
+_JSON_TEXT_CSV = Flag("--format", ("json", "text", "csv"), "json",
+                      _FORMAT_HELP)
+# the walk recurses about once per letter, and Python stops at 1000 frames:
+# 500 leaves room for a caller hundreds of frames deep.  No walk past n = 40
+# or so finishes within the default budget
+_WALK_N = Flag("--n N_MAX", int, REQUIRED, least=1, most=500)
+# the largest --grid of a one-dimensional scan; at it each scan took
+# under 10 s and 60 MB (one core of a 2-core machine, Python 3.11)
+_GRID = Flag("--grid", int, least=2, most=10**6)
+
+# every subcommand in --help order: handler, help and flags in --help order;
+# "verify X" is the check X of verify
+COMMANDS = {
+    "check": (_cmd_check, "is a word rich?", (
+        _WORD,
+        Flag("--q", int, None, "alphabet size (default: letters present)"),
+        _JSON_TEXT)),
+    "count": (_cmd_count, "count rich words up to a length", (
+        Flag("--q", int, REQUIRED),
+        _WALK_N,
+        Flag("--symmetric", bool, False,
+             "label the table's provenance as symmetric; every count walks "
+             "canonical words only and rescales"),
+        Flag("--workers", int, 1),
+        Flag("--budget", int, enumeration.DEFAULT_NODE_BUDGET,
+             "abort after visiting this many search nodes", least=1),
+        Flag("--no-max-luf", bool, False,
+             "skip tracking of maximum peel lengths"),
+        Flag("--save-cache PATH", str),
+        Flag("--load-cache PATH", str, None,
+             "render a previously saved table instead of counting"),
+        _JSON_TEXT_CSV)),
+    "ups": (_cmd_ups, "peel a word into palindromic suffixes", (
+        _WORD, Flag("--q", int), _JSON_TEXT)),
+    "maxluf": (_cmd_maxluf, "maximum peel length among rich words", (
+        Flag("--q", int, REQUIRED),
+        _WALK_N,
+        _PHI._replace(default=None,
+                      help="compare against n/phi(n): " + _SPEC_HELP),
+        _JSON_TEXT_CSV)),
+    "bound-recurrence": (
+        _cmd_bound_recurrence, "certified upper-bound table from seeds", (
+            Flag("--q", int, REQUIRED),
+            Flag("--n-max", int, REQUIRED, least=1),
+            Flag("--seed-n", int, None,
+                 "enumerate exact counts up to this length as seeds",
+                 least=1, most=_WALK_N.most),
+            Flag("--seeds-cache PATH", str, None,
+                 "load seeds from a count cache instead"),
+            Flag("--tau", str, "n",
+                 "per-length part cap: n | const:K | phi (default: n)"),
+            _PHI._replace(default=None,
+                          help="phi for --tau phi: " + _SPEC_HELP),
+            _JSON_TEXT_CSV)),
+    "verify": (None, "inequality checks (exit 2 on a counterexample)", ()),
+    "verify composition-bound": (
+        _cmd_verify_composition_bound,
+        "sum of C(n-1,p-1) against (e*n/L)^L", (
+            # 26 s at the limit (one core of a 2-core machine, Python 3.11)
+            Flag("--n-max", int, 300, least=1, most=1400),
+            _JSON_TEXT)),
+    "verify jensen": (
+        _cmd_verify_jensen,
+        "averaged comparison for a concave increasing function", (
+            _FN, *_X_RANGE,
+            Flag("--trials", int, 1000, least=1, most=10**4),
+            Flag("--points", int, 8, "max sample points per trial",
+                 least=2, most=10**3),
+            Flag("--seed", int, 0),
+            _JSON_TEXT)),
+    "verify product-bound": (
+        _cmd_verify_product_bound,
+        "composition-wise product against the balanced power", (
+            *_OMEGA, _PHI, _PSI,
+            Flag("--n-max", int, 200, least=2, most=10**4),
+            Flag("--trials", int, 1000, least=1, most=2000),
+            Flag("--seed", int, 0),
+            _JSON_TEXT)),
+    "verify p-monotonicity": (
+        _cmd_verify_p_monotonicity,
+        "balanced power is monotone in the part count", (
+            *_OMEGA, _PHI, _PSI,
+            Flag("--n-lo", int, 10),
+            Flag("--n-hi", int, 10000),
+            # up to 10**6 (n, p) pairs
+            Flag("--grid", int, 1000, "number of sampled lengths",
+                 least=2, most=10**4),
+            Flag("--p-max", int, 8, least=1, most=100),
+            _JSON_TEXT)),
+    "verify delta": (
+        _cmd_verify_delta, "increasing and concave on a grid", (
+            _FN, *_X_RANGE, _GRID._replace(default=512), _JSON_TEXT)),
+    "verify psi-family": (
+        _cmd_verify_psi_family,
+        "psi below identity and combined exponent concave-increasing", (
+            _PHI, _PSI, *_X_RANGE, _GRID._replace(default=512),
+            _JSON_TEXT)),
+    "verify d-condition": (
+        _cmd_verify_d_condition,
+        "threshold for 2*psi(phi(n)/2) >= d*psi(n)", (
+            _PHI, _PSI,
+            Flag("--d", float, REQUIRED),
+            Flag("--n-lo", float, 1e2),
+            Flag("--n-hi", float, 1e8),
+            _GRID._replace(default=10000),
+            _JSON_TEXT)),
+    "verify phi-composition": (
+        _cmd_verify_phi_composition,
+        "tau(phi(n))*ln(phi(phi(n))) against ln(phi(n))", (
+            _PHI,
+            Flag("--n-lo", float, 1e2),
+            Flag("--n-hi", float, 1e8),
+            _GRID._replace(default=1024),
+            _JSON_TEXT)),
+    "verify crossover": (
+        _cmd_verify_crossover, "ln(x)/x decreasing beyond x = e", (
+            _GRID._replace(default=1000), Flag("--x-hi", float, 1e6),
+            _JSON_TEXT)),
+    "bootstrap": (_cmd_bootstrap, "iterate the constant map", (
+        *_CONSTANTS, Flag("--iters", int, 1, least=0, most=10**5),
+        _JSON_TEXT)),
+    "compare-exponents": (
+        _cmd_compare_exponents, "exponent before and after one map step", (
+            *_CONSTANTS, _PHI, _PSI, Flag("--n", float, REQUIRED),
+            _JSON_TEXT)),
 }
+
+
+def _add_flag(parser, flag) -> argparse.Action:
+    name, _, metavar = flag.name.partition(" ")
+    kwargs = {"help": flag.help}
+    if flag.type is bool:
+        kwargs.update(action="store_true", default=flag.default)
+    elif isinstance(flag.type, tuple):
+        kwargs.update(choices=flag.type, default=flag.default)
+    else:
+        kwargs.update(type=flag.type, metavar=metavar or None)
+        if flag.default is not REQUIRED:
+            kwargs["default"] = flag.default
+        elif name.startswith("-"):
+            kwargs["required"] = True
+    return parser.add_argument(name, **kwargs)
+
+
+def build_parser() -> _Parser:
+    parser = _Parser(prog="richwords",
+                     description="rich-word enumeration and bound checks")
+    parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    parsers, subparsers = {"": parser}, {}
+    actions = {}  # as parents= does, subcommands share a row's action
+    for name, (_, help_text, flags) in COMMANDS.items():
+        group, _, leaf = name.rpartition(" ")
+        if group not in subparsers:
+            subparsers[group] = parsers[group].add_subparsers(
+                dest="verify_what" if group else "command", required=True)
+        parsers[name] = subparsers[group].add_parser(leaf, help=help_text)
+        for flag in flags:
+            if flag in actions:
+                parsers[name]._add_action(actions[flag])
+            else:
+                actions[flag] = _add_flag(parsers[name], flag)
+    # the cut is not a flag, but the config echo still records it
+    parsers["count"].set_defaults(shard_depth=enumeration.SHARD_DEPTH)
+    return parser
+
+
+def _check_limits(ns, flags) -> None:
+    # a value below least would give a vacuous or silently clamped verdict,
+    # one above most a run of minutes or one that exhausts memory
+    for flag in flags:
+        option = flag.name.split()[0]
+        value = getattr(ns, option.lstrip("-").replace("-", "_"))
+        if value is None:  # an optional flag left out
+            continue
+        if flag.least is not None and value < flag.least:
+            raise InputError(f"{option} must be >= {flag.least}, got {value}")
+        if flag.most is not None and value > flag.most:
+            raise InputError(f"{option} must be <= {flag.most}, got {value}")
 
 
 def _emit(ns, result, stdout) -> None:
@@ -639,7 +615,12 @@ def run(argv, stdout=None, stderr=None) -> int:
             ns = parser.parse_args(argv)
         except SystemExit as exc:  # --help / --version
             return int(exc.code or 0)
-        result = _HANDLERS[getattr(ns, "verify_what", ns.command)](ns)
+        name = ns.command
+        if name == "verify":
+            name += " " + ns.verify_what
+        handler, _, flags = COMMANDS[name]
+        _check_limits(ns, flags)
+        result = handler(ns)
         _emit(ns, result, stdout)
         return 2 if result.get("ok") is False else 0
     except _UsageError as exc:

@@ -2,13 +2,16 @@ import io
 import json
 import math
 import os
+import re
+import sys
+from pathlib import Path
 
 import mpmath
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from richwords import TOOL_VERSION, count_rich, enumeration
+from richwords import TOOL_VERSION, cli, count_rich, enumeration
 from richwords.cli import run
 
 from . import oracles
@@ -244,21 +247,24 @@ def test_verify_size_past_its_limit_names_the_flag(argv, flag, most):
 
 
 @pytest.mark.parametrize("argv, flag, most, work", [
-    # the walk preallocates its lists from --n before the node budget can
+    # the walk recurses about once per letter, before the node budget can
     # stop it
-    (("count", "--q", "2", "--n", "1001"), "--n", 1000,
+    (("count", "--q", "2", "--n", "501"), "--n", 500,
      "richwords.enumeration.count_rich"),
-    (("count", "--q", "2", "--n", "1001", "--load-cache", "c.jsonl"), "--n",
-     1000, "richwords.enumeration.load_cache"),
-    (("maxluf", "--q", "2", "--n", "1001"), "--n", 1000,
+    (("count", "--q", "2", "--n", "501", "--load-cache", "c.jsonl"), "--n",
+     500, "richwords.enumeration.load_cache"),
+    (("maxluf", "--q", "2", "--n", "501"), "--n", 500,
      "richwords.ups.max_luf_table"),
+    # rows 1..n_max read no seed above n_max, but the flag is still refused
+    (("bound-recurrence", "--q", "2", "--n-max", "5", "--seed-n", "501"),
+     "--seed-n", 500, "richwords.enumeration.count_rich"),
     (("verify", "composition-bound", "--n-max", "1401"), "--n-max", 1400,
      "richwords.bounds.composition_bound_sweep"),
     (("bootstrap", "--q", "2", "--d", "2", "--c1", "1", "--c2", "1",
       "--c3", "0.1", "--iters", "100001"), "--iters", 10**5,
      "richwords.bootstrap.bootstrap_iterate"),
-], ids=["count", "count-load-cache", "maxluf", "composition-bound",
-        "bootstrap"])
+], ids=["count", "count-load-cache", "maxluf", "bound-recurrence",
+        "composition-bound", "bootstrap"])
 def test_size_past_its_limit_is_refused_before_any_work(monkeypatch, argv,
                                                         flag, most, work):
     def no_work(*args, **kwargs):
@@ -269,6 +275,27 @@ def test_size_past_its_limit_is_refused_before_any_work(monkeypatch, argv,
     assert (code, out) == (1, "")
     assert err.startswith(f"error: {flag} must be <= {most}, got "
                           f"{argv[argv.index(flag) + 1]}\n")
+
+
+@pytest.mark.parametrize("frames", [0, 300])
+def test_walk_at_its_limit_stops_on_its_budget(frames):
+    # the walk recurses about once per letter: at the largest --n it must
+    # reach its node budget, and not Python's recursion limit, even under
+    # a deep caller
+    n_max = next(flag.most for flag in cli.COMMANDS["count"][2]
+                 if flag.name.startswith("--n "))
+
+    def nested(depth):
+        if depth:
+            return nested(depth - 1)
+        return _invoke("count", "--q", "2", "--n", str(n_max),
+                       "--budget", "5000")
+
+    code, out, err = nested(frames)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: enumeration aborted: visited ")
+    assert ", budget is 5000\n" in err
+    assert "Traceback" not in err
 
 
 @pytest.mark.parametrize("symmetric", [False, True])
@@ -745,6 +772,20 @@ def test_verify_p_monotonicity():
     assert _result(out)["checked"] > 0
 
 
+def test_p_monotonicity_below_the_domain_floor_names_the_flags():
+    # the paper's phi at the default flags: n = 10 takes p <= 3, and
+    # 10/(2*4) + 1 = 2.25 is below the floor 8 of ln and x-over-lnx
+    argv = ("verify", "p-monotonicity", "--phi", "x-over-lnx", "--psi", "ln")
+    code, out, err = _invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(
+        "error: --n-lo 10 with --p-max 8 asks for x = n/(2(p+1)) + 1 = "
+        "2.25 at (n, p) = (10, 3), below the domain floor 8\n")
+    code, out, err = _invoke(*argv, "--n-lo", "100")
+    assert code == 0, err
+    assert _result(out)["ok"] is True
+
+
 def test_verify_d_condition():
     code, out, _ = _invoke("verify", "d-condition", "--phi", "power:0.8",
                            "--psi", "ln@2", "--d", "1.5",
@@ -1012,19 +1053,15 @@ def test_csv_unsupported_for_check():
 
 # -- fuzzing the argument surface ---------------------------------------------
 #
-# Each flag has a plausible and a junk value strategy.  Half the calls use
-# only plausible values and every usual flag, so that they get past
-# argument checking; the other half draw each value from either and may
-# leave a flag out.
+# The argv are drawn from cli.COMMANDS, so a new flag is fuzzed as it is
+# declared.  Each kind of value has a plausible and a junk strategy.  Half
+# the calls are clean: plausible values and every required and limited
+# flag, so that they get past argument checking.  The other half draw each
+# value from either strategy, or from just past a limit, and may leave a
+# required flag out.  A second test puts each limited flag at and just
+# past each end of its range, and draws the other flags clean.
 
 _Q = (st.integers(2, 4).map(str), st.integers(-1, 1).map(str))
-_INT = (st.integers(1, 10).map(str), st.integers(-2, 0).map(str))
-_SIZE = (st.integers(1, 6).map(str), st.integers(-2, 0).map(str))  # cheap
-# a size flag with an upper limit refuses a value past the largest limit
-# (10**6) before it does any work; count and maxluf would otherwise
-# preallocate gigabytes for the larger one
-_CAPPED = (_SIZE[0], st.one_of(_SIZE[1], st.sampled_from(["1000001",
-                                                          "100000000000"])))
 _FLOAT = (
     st.sampled_from([1.0, 1.5, 2.0, 3.0, 10.0, 100.0, 1e4, 1e6]).map(repr),
     st.one_of(st.sampled_from([math.nan, math.inf, -math.inf, 0.0, -0.0,
@@ -1048,96 +1085,191 @@ _WORD = (st.text(alphabet="abc", max_size=8),
          st.text(alphabet="az9 .", max_size=4))
 _TAU = (st.sampled_from(["n", "phi", "const:2"]),
         st.sampled_from(["const:0", "const:-1", "const:x", "x"]))
-_BUDGET = (st.integers(1, 10**4).map(str), st.integers(-1, 0).map(str))
-_MISSING = (None, st.just("no-such-dir/c.jsonl"))  # junk only
-
-# per subcommand: flags always given (they bound the work), usual flags
-# (a required one left out is a usage error) and flags given one time in
-# four
-_SURFACE = {
-    ("check",): ({}, {}, {"--q": _Q}),
-    ("ups",): ({}, {}, {"--q": _Q}),
-    ("count",): (
-        {"--workers": (st.just("1"), st.sampled_from(["-1", "0"]))},
-        {"--q": _Q, "--n": _CAPPED},
-        {"--load-cache": _MISSING, "--budget": _BUDGET}),
-    ("maxluf",): ({}, {"--q": _Q, "--n": _CAPPED}, {"--phi": _SPEC}),
-    ("bound-recurrence",): (
-        {}, {"--q": _Q, "--n-max": _INT, "--seed-n": _INT},
-        {"--seeds-cache": _MISSING, "--phi": _SPEC, "--tau": _TAU}),
-    ("verify", "composition-bound"): ({"--n-max": _CAPPED}, {}, {}),
-    ("verify", "jensen"): (
-        {"--trials": _CAPPED, "--points": _CAPPED},
-        {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
-        {"--seed": _INT}),
-    ("verify", "product-bound"): (
-        {"--trials": _CAPPED, "--n-max": _CAPPED},
-        {"--phi": _SPEC, "--psi": _SPEC},
-        {"--c1": _FLOAT, "--c2": _FLOAT, "--seed": _INT}),
-    ("verify", "p-monotonicity"): (
-        {"--grid": _CAPPED, "--p-max": _CAPPED, "--n-hi": _INT},
-        {"--phi": _SPEC, "--psi": _SPEC},
-        {"--c1": _FLOAT, "--c2": _FLOAT, "--n-lo": _INT}),
-    ("verify", "delta"): (
-        {"--grid": _CAPPED},
-        {"--fn": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT}, {}),
-    ("verify", "psi-family"): (
-        {"--grid": _CAPPED},
-        {"--phi": _SPEC, "--psi": _SPEC, "--x-lo": _FLOAT, "--x-hi": _FLOAT},
-        {}),
-    ("verify", "d-condition"): (
-        {"--grid": _CAPPED},
-        {"--phi": _SPEC, "--psi": _SPEC, "--d": _FLOAT},
-        {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
-    ("verify", "phi-composition"): (
-        {"--grid": _CAPPED}, {"--phi": _SPEC},
-        {"--n-lo": _FLOAT, "--n-hi": _FLOAT}),
-    ("verify", "crossover"): ({"--grid": _CAPPED}, {}, {"--x-hi": _FLOAT}),
-    ("bootstrap",): (
-        {"--iters": _CAPPED},
-        {"--q": _Q, "--d": _FLOAT, "--c1": _FLOAT, "--c2": _FLOAT,
-         "--c3": _FLOAT}, {}),
-    ("compare-exponents",): (
-        {},
-        {"--q": _Q, "--d": _FLOAT, "--c1": _FLOAT, "--c2": _FLOAT,
-         "--c3": _FLOAT, "--phi": _SPEC, "--psi": _SPEC, "--n": _FLOAT},
-        {}),
+# values by option, then by metavar, then by type; a value that can only
+# be junk has no plausible strategy
+_VALUES = {
+    "--q": _Q,  # an alphabet size, small: the walk grows fast with q
+    "--workers": (st.just("1"), st.sampled_from(["-1", "0"])),  # no pool
+    # mostly above the largest --n, so that the walk gets that deep
+    "--budget": (st.sampled_from(["10000", "5000", "1000", "50", "1"]),
+                 st.integers(-1, 0).map(str)),
+    "--tau": _TAU,
+    "word": _WORD,
+    "SPEC": _SPEC,
+    "PATH": (None, st.just("no-such-dir/c.jsonl")),
+    float: _FLOAT,
 }
-_SWITCHES = {"count": ["--symmetric", "--no-max-luf"]}
-_CSV = ("count", "maxluf", "bound-recurrence")
+# a flag drawn at its most runs only as long as this flag of the same
+# subcommand, drawn plausible, lets it.  Alone at its most, maxluf --n
+# walks until the default budget of 10**9 nodes, composition-bound
+# --n-max takes 26 s and a --grid seconds, so those are never drawn there
+_BOUNDED_BY = {"--n": "--budget", "--seed-n": "--n-max",
+               "--n-max": "--trials", "--points": "--trials",
+               "--p-max": "--grid"}
+
+
+def _option(flag):
+    return flag.name.split()[0]
+
+
+def _values(flag):
+    # (plausible, junk) strategies of a flag that takes a value
+    option, *metavar = flag.name.split()
+    for key in (option, *metavar, flag.type):
+        if key in _VALUES:
+            return _VALUES[key]
+    if isinstance(flag.type, tuple):
+        return st.sampled_from(flag.type), st.just("xml")
+    least = 1 if flag.least is None else flag.least
+    return (st.integers(least, least + 5).map(str),
+            st.integers(least - 3, least - 1).map(str))
+
+
+def _outside(flag):
+    # the values just past each end of a flag's range
+    outside = []
+    if flag.least is not None:
+        outside.append(str(flag.least - 1))
+    if flag.most is not None:
+        outside.append(str(flag.most + 1))
+    return outside
+
+
+def _limited(flag):
+    return flag.least is not None or flag.most is not None
+
+
+_COMMANDS = sorted(name for name, (_, _, flags) in cli.COMMANDS.items()
+                   if flags)
+
+
+def _edges(name):
+    # (option, value) at and just past each end of each limited flag's
+    # range; at its most only where another flag bounds the work
+    flags = cli.COMMANDS[name][2]
+    options = {_option(f) for f in flags}
+    for flag in filter(_limited, flags):
+        option = _option(flag)
+        yield from ((option, value) for value in _outside(flag))
+        yield option, str(flag.least)
+        if flag.most is not None and _BOUNDED_BY.get(option) in options:
+            yield option, str(flag.most)
+
+
+_EDGES = [(name, *edge) for name in _COMMANDS for edge in _edges(name)]
 
 
 @st.composite
-def _argv(draw):
-    command = draw(st.sampled_from(sorted(_SURFACE)))
-    always, usual, rare = _SURFACE[command]
-    clean = draw(st.booleans())
-    left_out = None if clean else draw(st.sampled_from([None, *usual]))
-    flags = {**always, **{f: v for f, v in usual.items() if f != left_out},
-             **{f: v for f, v in rare.items()
-                if draw(st.integers(0, 3)) == 0
-                and (v[0] is not None or not clean)}}
-
-    def value(good, junk):
-        if good is None:
-            return draw(junk)
-        return draw(good if clean else st.one_of(good, junk))
-
-    argv = list(command)
-    if command[0] in ("check", "ups"):
-        argv.append(value(*_WORD))
+def _argv(draw, name=None, edge=None):
+    """(argv, the error that a value past its flag's range must give, or
+    None).  An edge (option, value) puts one flag at that value and draws
+    the other flags clean."""
+    name = name or draw(st.sampled_from(_COMMANDS))
+    rows = {_option(f): f for f in cli.COMMANDS[name][2]}
+    required = [o for o, f in rows.items()
+                if f.default is cli.REQUIRED and o.startswith("-")]
+    clean = edge is not None or draw(st.booleans())
+    left_out = None if clean else draw(st.sampled_from([None, *required]))
+    given = [o for o, f in rows.items()
+             if o != left_out and f.type is not bool
+             and (f.default is cli.REQUIRED or f.most is not None
+                  or o == "--format" or draw(st.integers(0, 3)) == 0)
+             and (_values(f)[0] is not None or not clean)]
+    values = {}
+    if edge is not None:
+        option, value = edge
+        values[option] = value
+        if value == str(rows[option].most):
+            given.append(_BOUNDED_BY[option])  # drawn plausible, so small
+    for option in given:
+        if option in values:
+            continue
+        good, junk = _values(rows[option])
+        if clean:
+            values[option] = draw(good)
+        elif _limited(rows[option]) and draw(st.integers(0, 3)) == 0:
+            values[option] = draw(st.sampled_from(_outside(rows[option])))
+        else:
+            values[option] = draw(junk if good is None
+                                  else st.one_of(good, junk))
+    argv = name.split()
+    if "word" in values:
+        argv.append(values.pop("word"))
     # "--flag=value" keeps values such as "-inf" from reading as flags
-    argv += [f"{flag}={value(*v)}" for flag, v in flags.items()]
-    argv += [s for s in _SWITCHES.get(command[0], []) if draw(st.booleans())]
-    formats = ["json", "text"] + ["csv"] * (command[0] in _CSV)
-    argv += ["--format", draw(st.sampled_from(formats))]
-    return argv
+    argv += [f"{option}={value}" for option, value in values.items()]
+    argv += [o for o, f in rows.items()
+             if f.type is bool and draw(st.booleans())]
+    if edge is None or edge[1] not in _outside(rows[edge[0]]):
+        return argv, None
+    (option, value), flag = edge, rows[edge[0]]
+    relation, bound = ((">=", flag.least) if int(value) < flag.least
+                       else ("<=", flag.most))
+    return argv, f"error: {option} must be {relation} {bound}, got {value}\n"
+
+
+def _check_run(argv, expected):
+    # hypothesis raises the recursion limit while a test runs; the console
+    # script runs under Python's default
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(1000)
+    try:
+        code, out, err = _invoke(*argv)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert code in (0, 1, 2), (argv, err)
+    assert "Traceback" not in err
+    if code == 1:
+        assert err.startswith(("error:", "usage error:")), (argv, err)
+    elif "--format=json" in argv:
+        json.loads(out, parse_constant=_reject_constant)
+    if expected is not None:  # refused before the handler starts
+        assert (code, out) == (1, "")
+        assert err.startswith(expected), (argv, err)
 
 
 @settings(max_examples=250, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(_argv())
-def test_cli_fuzz_exit_codes(argv):
-    code, _, err = _invoke(*argv)
-    assert code in (0, 1, 2), (argv, err)
-    assert "Traceback" not in err
+def test_cli_fuzz_exit_codes(case):
+    _check_run(*case)
+
+
+@pytest.mark.parametrize("name, option, value", _EDGES,
+                         ids=[f"{name.replace(' ', '-')}{option}={value}"
+                              for name, option, value in _EDGES])
+@settings(max_examples=3, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_cli_fuzz_each_flag_at_the_edges_of_its_range(name, option, value,
+                                                      data):
+    _check_run(*data.draw(_argv(name, (option, value))))
+
+
+def _readme_limits():
+    # {(subcommand, flag, most)} from README's table of size limits, whose
+    # limits read like "1,400" or "10⁴"
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    rows = text.split("| command | limits |\n| --- | --- |\n")[1]
+    powers = str.maketrans("⁰¹²³⁴⁵⁶⁷⁸⁹", "0123456789")
+    limits = set()
+    for line in rows.split("\n\n")[0].splitlines():
+        commands, cell = line.strip("|").split("|")
+        group, names = "", []
+        for name in re.findall(r"`([^`]+)`", commands):
+            if name.startswith("verify "):
+                group, name = name.split()
+            if not name.startswith("--"):  # a note such as `--load-cache`
+                names.append(f"{group} {name}".strip())
+        for flag, base, power in re.findall(
+                r"`(--[a-z-]+)` ≤ ([0-9,]+)([⁰¹²³⁴⁵⁶⁷⁸⁹]*)", cell):
+            most = int(base.replace(",", "")) ** int(
+                power.translate(powers) or 1)
+            limits |= {(name, flag, most) for name in names}
+    return limits
+
+
+def test_readme_limits_match_the_flag_table():
+    assert _readme_limits() == {
+        (name, _option(flag), flag.most)
+        for name, (_, _, flags) in cli.COMMANDS.items()
+        for flag in flags if flag.most is not None}

@@ -133,7 +133,6 @@ def test_star_import_binds_every_public_name():
 
 
 @pytest.mark.parametrize("argv", [
-    ["scripts/enumerate_rich.py", "--q", "2", "--n", "8"],
     ["scripts/bound_vs_exact.py", "--q", "2", "--exact-n", "10",
      "--seed-n", "6"],
 ], ids=lambda argv: Path(argv[0]).stem)
