@@ -53,8 +53,6 @@ _HOMES = {
     "letters_from_text": "words",
     "load_cache": "enumeration",
     "log_grid": "functions",
-    "log_over_x_crossover": "functions",
-    "max_luf_table": "ups",
     "parse_function_spec": "functions",
     "recurrence_bound": "bounds",
     "save_cache": "enumeration",

@@ -18,9 +18,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from typing import TYPE_CHECKING
 
 from .errors import InputError
-from .functions import FunctionSpec
+
+# for the annotations only: a bootstrap run needs no function catalogue
+if TYPE_CHECKING:
+    from .functions import FunctionSpec
 
 
 @dataclass(frozen=True)

@@ -153,11 +153,10 @@ def _cmd_ups(ns):
 
 
 def _cmd_maxluf(ns):
-    from . import ups
-
-    table = ups.max_luf_table(ns.q, ns.n)
+    table = {n: m for n, (_, m) in enumeration.count_rich(
+        ns.q, ns.n, node_budget=ns.budget).items()}
     if ns.phi:
-        from . import functions
+        from . import functions, ups
 
         phi = functions.parse_function_spec(ns.phi)
         return {"q": ns.q, "phi": phi.label,
@@ -240,13 +239,16 @@ def _cmd_verify_jensen(ns):
     from . import functions
 
     fn = functions.parse_function_spec(ns.fn)
+    # refused, never narrowed: the verdict must cover the range asked for
+    if ns.x_lo < fn.domain_floor:
+        raise InputError(f"--x-lo {ns.x_lo:g} is below the domain floor "
+                         f"{fn.domain_floor:g} of {fn.label}")
+    if ns.x_lo > ns.x_hi:
+        raise InputError(f"--x-lo {ns.x_lo:g} is above --x-hi {ns.x_hi:g}")
     rng = random.Random(ns.seed)
-    lo = max(ns.x_lo, fn.domain_floor)
-    if lo > ns.x_hi:
-        raise InputError("empty range after clamping to the domain floor")
     for trial in range(ns.trials):
         k = rng.randint(2, ns.points)
-        xs = [rng.uniform(lo, ns.x_hi) for _ in range(k)]
+        xs = [rng.uniform(ns.x_lo, ns.x_hi) for _ in range(k)]
         if not functions.check_jensen(fn, xs):
             return {"fn": fn.label, "ok": False, "trials_run": trial + 1,
                     "witness": {"xs": xs}}
@@ -347,13 +349,6 @@ def _cmd_verify_phi_composition(ns):
                                               ns.grid)}
 
 
-def _cmd_verify_crossover(ns):
-    from . import functions
-
-    return {"grid": ns.grid, "x_hi": ns.x_hi,
-            **functions.log_over_x_crossover(ns.grid, ns.x_hi)}
-
-
 def _cmd_bootstrap(ns):
     from . import bootstrap
 
@@ -399,6 +394,8 @@ _JSON_TEXT_CSV = Flag("--format", ("json", "text", "csv"), "json",
 # 500 leaves room for a caller hundreds of frames deep.  No walk past n = 40
 # or so finishes within the default budget
 _WALK_N = Flag("--n N_MAX", int, REQUIRED, least=1, most=500)
+_BUDGET = Flag("--budget", int, enumeration.DEFAULT_NODE_BUDGET,
+               "abort after visiting this many search nodes", least=1)
 # the largest --grid of a one-dimensional scan; at it each scan took
 # under 10 s and 60 MB (one core of a 2-core machine, Python 3.11)
 _GRID = Flag("--grid", int, least=2, most=10**6)
@@ -417,8 +414,7 @@ COMMANDS = {
              "label the table's provenance as symmetric; every count walks "
              "canonical words only and rescales"),
         Flag("--workers", int, 1),
-        Flag("--budget", int, enumeration.DEFAULT_NODE_BUDGET,
-             "abort after visiting this many search nodes", least=1),
+        _BUDGET,
         Flag("--no-max-luf", bool, False,
              "skip tracking of maximum peel lengths"),
         Flag("--save-cache PATH", str),
@@ -430,6 +426,7 @@ COMMANDS = {
     "maxluf": (_cmd_maxluf, "maximum peel length among rich words", (
         Flag("--q", int, REQUIRED),
         _WALK_N,
+        _BUDGET,
         _PHI._replace(default=None,
                       help="compare against n/phi(n): " + _SPEC_HELP),
         _JSON_TEXT_CSV)),
@@ -506,10 +503,6 @@ COMMANDS = {
             Flag("--n-lo", float, 1e2),
             Flag("--n-hi", float, 1e8),
             _GRID._replace(default=1024),
-            _JSON_TEXT)),
-    "verify crossover": (
-        _cmd_verify_crossover, "ln(x)/x decreasing beyond x = e", (
-            _GRID._replace(default=1000), Flag("--x-hi", float, 1e6),
             _JSON_TEXT)),
     "bootstrap": (_cmd_bootstrap, "iterate the constant map", (
         *_CONSTANTS, Flag("--iters", int, 1, least=0, most=10**5),

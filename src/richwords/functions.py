@@ -405,24 +405,6 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
     return result
 
 
-def log_over_x_crossover(grid_n: int = 1000, x_hi: float = 1e6) -> dict:
-    """ln(x)/x peaks at x = e and is strictly decreasing beyond.
-
-    Returns x0 = e and verifies the strict decrease on a log grid over
-    (e, x_hi]; the witness is the first sample that does not decrease."""
-    x0 = math.e
-    if x_hi <= x0:
-        raise InputError(f"x_hi must exceed e, got {x_hi!r}")
-    grid = log_grid(x0 * (1.0 + 1e-9), x_hi, grid_n)
-    prev = math.log(grid[0]) / grid[0]
-    for x in grid[1:]:
-        cur = math.log(x) / x
-        if not cur < prev:
-            return {"x0": x0, "ok": False, "witness": {"x": x}}
-        prev = cur
-    return {"x0": x0, "ok": True}
-
-
 @dataclass
 class OmegaParams:
     """Parameters of the growth function Omega, verified over [x_lo, x_hi].

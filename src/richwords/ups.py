@@ -72,13 +72,6 @@ def verify_unioccurrence(letters, boundaries) -> bool:
         for part, end in zip(parts, boundaries[1:]))
 
 
-def max_luf_table(q: int, n_max: int) -> dict[int, int]:
-    """Maximum peel length over all rich words of each length 1..n_max."""
-    from .enumeration import count_rich
-
-    return {n: m for n, (_, m) in sorted(count_rich(q, n_max).items())}
-
-
 def compare_luf_bound(table: dict[int, int], phi) -> dict:
     """Compare observed maximum peel lengths against n / phi(n).
 

@@ -194,8 +194,6 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
     # checked no pair
     (("composition-bound", "--n-max", "0"), "--n-max"),
     (("composition-bound", "--n-max", "-1"), "--n-max"),
-    # "ok: true" after 0 comparisons
-    (("crossover", "--grid", "1"), "--grid"),
     # sampled the low end only
     (("delta", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10", "--grid", "1"),
      "--grid"),
@@ -206,6 +204,13 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
     (("phi-composition", "--phi", "sqrt", "--grid", "1"), "--grid"),
     (("p-monotonicity", "--phi", "identity", "--psi", "identity",
       "--grid", "1"), "--grid"),
+    # "ok: true" from points drawn on [8, 100] only; x/ln x is convex
+    # below e**2 and fails the comparison on [2, 100]
+    (("jensen", "--fn", "x-over-lnx", "--x-lo", "2", "--x-hi", "100"),
+     "--x-lo"),
+    (("jensen", "--fn", "ln", "--x-lo", "1", "--x-hi", "100"), "--x-lo"),
+    # an empty range
+    (("jensen", "--fn", "sqrt", "--x-lo", "100", "--x-hi", "10"), "--x-hi"),
 ])
 def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     code, out, err = _invoke("verify", *argv)
@@ -236,7 +241,6 @@ _PHI_PSI = ("--phi", "x-over-lnx", "--psi", "ln")
      "--grid", 10**6),
     (("phi-composition", "--phi", "sqrt", "--grid", "3000000"), "--grid",
      10**6),
-    (("crossover", "--grid", "1000001"), "--grid", 10**6),
 ], ids=lambda v: v[0] if isinstance(v, tuple) else None)
 def test_verify_size_past_its_limit_names_the_flag(argv, flag, most):
     # refused before any work: the values above would run for minutes
@@ -254,7 +258,7 @@ def test_verify_size_past_its_limit_names_the_flag(argv, flag, most):
     (("count", "--q", "2", "--n", "501", "--load-cache", "c.jsonl"), "--n",
      500, "richwords.enumeration.load_cache"),
     (("maxluf", "--q", "2", "--n", "501"), "--n", 500,
-     "richwords.ups.max_luf_table"),
+     "richwords.enumeration.count_rich"),
     # rows 1..n_max read no seed above n_max, but the flag is still refused
     (("bound-recurrence", "--q", "2", "--n-max", "5", "--seed-n", "501"),
      "--seed-n", 500, "richwords.enumeration.count_rich"),
@@ -295,6 +299,15 @@ def test_walk_at_its_limit_stops_on_its_budget(frames):
     assert (code, out) == (1, "")
     assert err.startswith("error: enumeration aborted: visited ")
     assert ", budget is 5000\n" in err
+    assert "Traceback" not in err
+
+
+def test_maxluf_stops_on_its_budget():
+    # at its largest --n, as count's walk does, it stops on --budget
+    code, out, err = _invoke("maxluf", "--q", "2", "--n", "500",
+                             "--budget", "5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: enumeration aborted: visited ")
     assert "Traceback" not in err
 
 
@@ -646,12 +659,6 @@ def test_bound_recurrence_tau_n_equals_large_constant(k):
     assert out_n == out_k
 
 
-def test_verify_crossover_passes():
-    code, out, _ = _invoke("verify", "crossover")
-    assert code == 0
-    assert _result(out)["ok"] is True
-
-
 def test_verify_delta_counterexample_is_exit_two():
     code, out, _ = _invoke("verify", "delta", "--fn", "power:2",
                            "--x-lo", "1", "--x-hi", "100")
@@ -819,8 +826,8 @@ def test_verify_phi_composition_failure_is_exit_two():
      "--x-hi", "20"),
     ("verify", "product-bound", "--phi", "sqrt", "--psi", "sqrt",
      "--c1", "inf", "--trials", "3", "--n-max", "5"),
-    ("verify", "crossover", "--x-hi", "nan"),
-    ("verify", "crossover", "--x-hi", "inf"),
+    ("verify", "jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "nan"),
+    ("verify", "jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "inf"),
     ("verify", "d-condition", "--phi", "sqrt", "--psi", "sqrt", "--d", "inf",
      "--grid", "3"),
     ("bootstrap", "--q", "2", "--d", "2", "--c1", "inf", "--c2", "1",
@@ -969,9 +976,11 @@ _CONSTANTS = ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1", "--c3", "0.1")
      {"phi", "ok", "real_tau_n0", "real_tau_holds_at_top", "ceil_tau_n0",
       "ceil_tau_holds_at_top", "variants_disagree", "witness"},
      {"n", "note"}),
-    (("verify", "crossover"), 0, {"x0", "ok", "grid", "x_hi"}, None),
-    (("verify", "crossover", "--x-hi", "2.7183"), 2,
-     {"x0", "ok", "grid", "x_hi", "witness"}, {"x"}),
+    # --x-lo at the domain floor is not refused
+    (("verify", "jensen", "--fn", "x-over-lnx", "--x-lo", "8", "--x-hi",
+      "100", "--trials", "5"), 0, {"fn", "ok", "trials_run"}, None),
+    (("verify", "delta", "--fn", "const:3", "--x-lo", "1", "--x-hi", "100"),
+     2, {"fn", "ok", "x_lo", "x_hi", "grid", "witness"}, {"x", "kind"}),
     (("bootstrap", *_CONSTANTS, "--iters", "2"), 0,
      {"c1", "c2", "c1_fixed_point", "trajectory"}, None),
     (("compare-exponents", *_CONSTANTS, "--phi", "power:0.8", "--psi",

@@ -7,8 +7,7 @@ from hypothesis import strategies as st
 
 from richwords import (ExponentFunction, FunctionSpec, InputError,
                        check_d_condition, check_delta, check_phi_composition,
-                       check_psi_family, log_grid, log_over_x_crossover,
-                       parse_function_spec)
+                       check_psi_family, log_grid, parse_function_spec)
 
 from . import oracles
 
@@ -314,13 +313,6 @@ def test_phi_composition_x_over_lnx_observational():
     # large-n failure is expected; the report records both variants
     assert isinstance(rep["variants_disagree"], bool)
     assert not rep["real_tau_holds_at_top"]
-
-
-def test_crossover_report():
-    rep = log_over_x_crossover()
-    assert rep["x0"] == math.e
-    assert rep["ok"]
-    assert math.log(3.0) / 3.0 > math.log(4.0) / 4.0  # sanity anchor
 
 
 @settings(max_examples=60, deadline=None)

@@ -63,6 +63,21 @@ def test_verify_composition_bound_loads_no_mpmath():
     assert "richwords.logvalue" not in loaded["richwords"]
 
 
+@pytest.mark.parametrize("argv, loads_functions", [
+    (["bootstrap", "--q", "2", "--d", "2", "--c1", "1", "--c2", "1",
+      "--c3", "0.1", "--iters", "3"], False),
+    (["compare-exponents", "--q", "2", "--d", "2", "--c1", "1", "--c2", "1",
+      "--c3", "0.1", "--phi", "power:0.8", "--psi", "ln@2", "--n", "1e6"],
+     True),
+], ids=lambda v: v[0] if isinstance(v, list) else None)
+def test_only_compare_exponents_loads_the_function_catalogue(
+        argv, loads_functions):
+    # bootstrap names FunctionSpec in an annotation only
+    loaded = _fresh_run(*argv)
+    assert loaded["code"] == 0
+    assert ("richwords.functions" in loaded["richwords"]) is loads_functions
+
+
 def test_bound_recurrence_loads_mpmath_on_first_use():
     loaded = _fresh_run("bound-recurrence", "--q", "2", "--seed-n", "4",
                         "--n-max", "8")

@@ -4,11 +4,16 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (InputError, compare_luf_bound, letters_from_text,
-                       max_luf_table, parse_function_spec, text_from_letters,
-                       ups_factorize, verify_unioccurrence)
+from richwords import (InputError, compare_luf_bound, count_rich,
+                       letters_from_text, parse_function_spec,
+                       text_from_letters, ups_factorize, verify_unioccurrence)
 
 from . import oracles
+
+
+def _max_luf(q, n_max):
+    # the maximum peel length column of the exact count table
+    return {n: m for n, (_, m) in count_rich(q, n_max).items()}
 
 
 def _parts(letters, boundaries):
@@ -91,7 +96,7 @@ def test_unioccurrence_fails_for_repeated_part():
 
 
 def test_max_luf_small_table():
-    table = max_luf_table(2, 6)
+    table = _max_luf(2, 6)
     assert table[1] == 1
     assert table[2] == 2
     # frozen from an exhaustive scan over rich binary words
@@ -100,7 +105,7 @@ def test_max_luf_small_table():
 
 def test_max_luf_matches_bruteforce():
     for q in (2, 3):
-        table = max_luf_table(q, 5)
+        table = _max_luf(q, 5)
         brute = {}
         for n in range(1, 6):
             brute[n] = max(
@@ -110,7 +115,7 @@ def test_max_luf_matches_bruteforce():
 
 
 def test_compare_luf_bound_constant_fails():
-    table = max_luf_table(2, 6)
+    table = _max_luf(2, 6)
     report = compare_luf_bound(table, parse_function_spec("const:1"))
     # n/phi(n) = n, which max_luf never exceeds... so all rows hold
     assert report["all_hold"]
@@ -118,7 +123,7 @@ def test_compare_luf_bound_constant_fails():
 
 
 def test_compare_luf_bound_identity_fails_fast():
-    table = max_luf_table(2, 6)
+    table = _max_luf(2, 6)
     report = compare_luf_bound(table, parse_function_spec("identity"))
     # bound is n/n = 1; max_luf(2) = 2 already exceeds it
     assert not report["all_hold"]
@@ -126,7 +131,7 @@ def test_compare_luf_bound_identity_fails_fast():
 
 
 def test_compare_luf_bound_skips_undefined_rows():
-    table = max_luf_table(2, 9)
+    table = _max_luf(2, 9)
     report = compare_luf_bound(table, parse_function_spec("exp-sqrt-ln"))
     # the default domain floor 8 hides small n; those rows carry no verdict
     assert any(r["bound"] is None for r in report["rows"])
@@ -137,5 +142,5 @@ def test_compare_luf_bound_skips_undefined_rows():
 def test_compare_luf_bound_with_no_evaluable_row_is_refused():
     # every n <= 6 is below the domain floor 8: all_hold would be vacuous
     with pytest.raises(InputError, match="cannot be evaluated at any n"):
-        compare_luf_bound(max_luf_table(2, 6),
+        compare_luf_bound(_max_luf(2, 6),
                           parse_function_spec("exp-sqrt-ln"))
