@@ -79,6 +79,27 @@ def _table_rows(table: dict) -> list[dict]:
             for n, (count, max_luf) in sorted(table.items())]
 
 
+def _part_cap(phi, n: int) -> int:
+    # tau(n) = ceil(n/phi(n)) >= 1, the cap on the palindromic length
+    try:
+        ratio = n / phi.value(float(n))
+    except InputError as exc:
+        raise InputError(f"--phi at row n={n}: {exc}") from None
+    if not math.isfinite(ratio):
+        raise InputError(f"--phi {phi.label}: n/phi(n) is not finite at "
+                         f"row n={n}")
+    return math.ceil(ratio)
+
+
+def _check_x_range(ns, fn) -> None:
+    # refused, never narrowed: the verdict must cover the range asked for
+    if ns.x_lo < fn.domain_floor:
+        raise InputError(f"--x-lo {ns.x_lo:g} is below the domain floor "
+                         f"{fn.domain_floor:g} of {fn.label}")
+    if ns.x_lo > ns.x_hi:
+        raise InputError(f"--x-lo {ns.x_lo:g} is above --x-hi {ns.x_hi:g}")
+
+
 def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
     if p == 1:
         return [n]
@@ -187,18 +208,7 @@ def _parse_tau(ns):
         from . import functions
 
         phi = functions.parse_function_spec(ns.phi)
-
-        def tau(n):
-            try:
-                ratio = n / phi.value(float(n))
-            except InputError as exc:
-                raise InputError(f"--phi at row n={n}: {exc}") from None
-            if not math.isfinite(ratio):
-                raise InputError(f"--phi {phi.label}: n/phi(n) is not "
-                                 f"finite at row n={n}")
-            return math.ceil(ratio)
-
-        return tau, f"ceil(n/phi), phi={phi.label}"
+        return (lambda n: _part_cap(phi, n)), f"ceil(n/phi), phi={phi.label}"
     raise InputError(f"unknown tau form {text!r}")
 
 
@@ -239,12 +249,7 @@ def _cmd_verify_jensen(ns):
     from . import functions
 
     fn = functions.parse_function_spec(ns.fn)
-    # refused, never narrowed: the verdict must cover the range asked for
-    if ns.x_lo < fn.domain_floor:
-        raise InputError(f"--x-lo {ns.x_lo:g} is below the domain floor "
-                         f"{fn.domain_floor:g} of {fn.label}")
-    if ns.x_lo > ns.x_hi:
-        raise InputError(f"--x-lo {ns.x_lo:g} is above --x-hi {ns.x_hi:g}")
+    _check_x_range(ns, fn)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
         k = rng.randint(2, ns.points)
@@ -260,7 +265,8 @@ def _cmd_verify_product_bound(ns):
 
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
-    floor = functions.ExponentFunction(phi, psi).domain_floor
+    exponent = functions.ExponentFunction(phi, psi, ns.c1, ns.c2)
+    floor = exponent.domain_floor
     # the least integer both specs take: ln also refuses x = 1; every
     # part is at least m, so ceil(part/2) >= least
     least = max(math.ceil(floor), 2 if phi.uses_log or psi.uses_log else 1)
@@ -269,8 +275,7 @@ def _cmd_verify_product_bound(ns):
         raise InputError(f"--n-max must be >= {m}, got {ns.n_max}: a part "
                          f"below {m} halves to below {least}, the least x "
                          f"both specs take (domain floor {floor:g})")
-    params = functions.OmegaParams(ns.c1, ns.c2, phi, psi, float(least),
-                                   ns.n_max / 2 + 1)
+    params = functions.OmegaParams(exponent, float(least), ns.n_max / 2 + 1)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
         n = rng.randint(max(2, m), ns.n_max)
@@ -288,32 +293,34 @@ def _cmd_verify_p_monotonicity(ns):
 
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
-    pairs = []
-    for n in sorted({int(round(x)) for x in functions.log_grid(
-            ns.n_lo, ns.n_hi, ns.grid)}):
-        tau_n = max(1, math.ceil(n / phi.value(float(n))))
-        pairs += [(n, p) for p in range(1, min(ns.p_max, tau_n) + 1)]
-    # the exact hull of the arguments check_p_monotonicity will ask about;
-    # its low end is n/(2(p+1)) + 1 at some pair (n, p)
-    args = [(n / (2.0 * k) + 1.0, n, p) for n, p in pairs for k in (p, p + 1)]
-    (x_lo, n, p), (x_hi, _, _) = min(args), max(args)
-    floor = functions.ExponentFunction(phi, psi, ns.c1, ns.c2).domain_floor
-    if x_lo < floor:
+    lengths = sorted({int(round(x)) for x in functions.log_grid(
+        ns.n_lo, ns.n_hi, ns.grid)})
+    caps = [min(ns.p_max, _part_cap(phi, n)) for n in lengths]
+    # (n, p) asks for x = n/(2k) + 1 at k = p, p + 1: the least x is at an
+    # n's largest p with k = p + 1, the largest x at p = 1 of the largest n
+    x_lo, n, p = min((n / (2.0 * (cap + 1)) + 1.0, n, cap)
+                     for n, cap in zip(lengths, caps))
+    exponent = functions.ExponentFunction(phi, psi, ns.c1, ns.c2)
+    if x_lo < exponent.domain_floor:
         raise InputError(f"--n-lo {ns.n_lo} with --p-max {ns.p_max} asks for "
                          f"x = n/(2(p+1)) + 1 = {x_lo:g} at (n, p) = ({n}, "
-                         f"{p}), below the domain floor {floor:g}")
-    params = functions.OmegaParams(ns.c1, ns.c2, phi, psi, x_lo, x_hi)
+                         f"{p}), below the domain floor "
+                         f"{exponent.domain_floor:g}")
+    params = functions.OmegaParams(exponent, x_lo, lengths[-1] / 2.0 + 1.0)
+    pairs = ((n, p) for n, cap in zip(lengths, caps)
+             for p in range(1, cap + 1))
     for checked, (n, p) in enumerate(pairs, 1):
         if not functions.check_p_monotonicity(float(n), p, params):
             return {"ok": False, "checked": checked,
                     "witness": {"n": n, "p": p}}
-    return {"ok": True, "checked": len(pairs)}
+    return {"ok": True, "checked": sum(caps)}
 
 
 def _cmd_verify_delta(ns):
     from . import functions
 
     fn = functions.parse_function_spec(ns.fn)
+    _check_x_range(ns, fn)
     return {"fn": fn.label, "x_lo": ns.x_lo, "x_hi": ns.x_hi,
             "grid": ns.grid,
             **functions.check_delta(fn, ns.x_lo, ns.x_hi, ns.grid)}
@@ -324,10 +331,11 @@ def _cmd_verify_psi_family(ns):
 
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
+    exponent = functions.ExponentFunction(phi, psi)
+    _check_x_range(ns, exponent)
     return {"phi": phi.label, "psi": psi.label,
-            **functions.check_psi_family(
-                functions.ExponentFunction(phi, psi), ns.x_lo, ns.x_hi,
-                ns.grid)}
+            **functions.check_psi_family(exponent, ns.x_lo, ns.x_hi,
+                                         ns.grid)}
 
 
 def _cmd_verify_d_condition(ns):
@@ -368,8 +376,8 @@ def _cmd_compare_exponents(ns):
 # -- the command-line surface -----------------------------------------------
 # One row per flag: name is "--flag", "--flag METAVAR" or a positional's
 # name; type is int, float, str, bool (a switch) or a tuple of choices; a
-# flag whose default is REQUIRED must be given.  least and most bound an int
-# flag, and run refuses a value outside them before the handler starts.
+# flag whose default is REQUIRED must be given.  run refuses an int flag
+# outside least and most, and a float flag that is not finite, at once.
 Flag = collections.namedtuple("Flag", "name type default help least most",
                               defaults=(None, None, None, None))
 REQUIRED = object()
@@ -553,13 +561,15 @@ def build_parser() -> _Parser:
 
 
 def _check_limits(ns, flags) -> None:
-    # a value below least would give a vacuous or silently clamped verdict,
-    # one above most a run of minutes or one that exhausts memory
+    # below least a verdict is vacuous or clamped, above most a run takes
+    # minutes or all memory, and a nan or inf fails only after work starts
     for flag in flags:
         option = flag.name.split()[0]
         value = getattr(ns, option.lstrip("-").replace("-", "_"))
         if value is None:  # an optional flag left out
             continue
+        if flag.type is float and not math.isfinite(value):
+            raise InputError(f"{option} must be finite, got {value}")
         if flag.least is not None and value < flag.least:
             raise InputError(f"{option} must be >= {flag.least}, got {value}")
         if flag.most is not None and value > flag.most:

@@ -28,16 +28,16 @@ The product and p-monotonicity checks for the growth function
 Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)), and the convexity
 (Jensen) comparison, compare exponents with a small relative slack and
 refuse to run (rather than answer False) when their concavity
-precondition cannot be verified.  OmegaParams verifies it once, over the
-range of arguments a run fixes before its first comparison, and the
-product and p-monotonicity checks refuse an argument outside that range;
-check_jensen verifies each call's own range.
+precondition cannot be verified.  OmegaParams verifies a run's one
+ExponentFunction once, on the range [x_lo, x_hi] the run fixes before
+its first comparison; the product and p-monotonicity checks refuse an
+argument outside it.  check_jensen verifies each call's own range.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 from .errors import HypothesisNotVerifiedError, InputError
 
@@ -277,14 +277,10 @@ def log_grid(x_lo: float, x_hi: float, n: int) -> list[float]:
 def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> dict:
     """Sample whether f is strictly increasing and strictly concave.
 
-    f is any object with d012(x) and domain_floor (a FunctionSpec or an
-    ExponentFunction).  The witness is {"x", "kind"} at the first sample
-    where f' > 0 (kind "d1") or f'' < 0 ("d2") fails.
+    f is a FunctionSpec or an ExponentFunction, whose d012(x) refuses an
+    x below the domain floor.  The witness is {"x", "kind"} at the first
+    sample where f' > 0 (kind "d1") or f'' < 0 ("d2") fails.
     """
-    if x_lo < f.domain_floor:
-        raise InputError(
-            f"x_lo={x_lo!r} is below the domain floor {f.domain_floor} "
-            f"of {f.label}")
     for x in log_grid(x_lo, x_hi, grid_n):
         _, d1, d2 = f.d012(x)
         if not d1 > 0.0:
@@ -302,7 +298,7 @@ def check_psi_family(exponent: ExponentFunction, x_lo: float, x_hi: float,
     ("combined_concave_increasing"), both on the same grid.  The witness
     holds "psi_leq_x_fails_at", and "combined_fails_at" and "kind" as in
     check_delta, for the parts that fail."""
-    delta = check_delta(exponent, x_lo, x_hi, grid_n)  # checks the floor
+    delta = check_delta(exponent, x_lo, x_hi, grid_n)
     psi_x = next((x for x in log_grid(x_lo, x_hi, grid_n)
                   if exponent.psi.value(x) > x), None)
     result = {"ok": delta["ok"] and psi_x is None,
@@ -405,28 +401,22 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
     return result
 
 
-@dataclass
+@dataclass(frozen=True)
 class OmegaParams:
-    """Parameters of the growth function Omega, verified over [x_lo, x_hi].
+    """The growth function Omega's exponent, verified over [x_lo, x_hi].
 
-    Construction builds exponent, the ExponentFunction of c1, c2, phi and
-    psi, and passes check_psi_family on one log grid over the range (psi
-    below the identity, exponent increasing and concave) or raises
+    Construction passes check_psi_family on one log grid over the range
+    (psi below the identity, exponent increasing and concave) or raises
     HypothesisNotVerifiedError.  exponent_at refuses an argument outside
     the range.  There is no q: the checks compare exponents, in which q
     cancels.
     """
 
-    c1: float
-    c2: float
-    phi: FunctionSpec
-    psi: FunctionSpec
+    exponent: ExponentFunction
     x_lo: float
     x_hi: float
-    exponent: ExponentFunction = field(init=False, repr=False)
 
     def __post_init__(self):
-        self.exponent = ExponentFunction(self.phi, self.psi, self.c1, self.c2)
         _require(check_psi_family(self.exponent, self.x_lo, self.x_hi,
                                   _HYPOTHESIS_GRID_N), "exponent function")
 
@@ -452,7 +442,6 @@ def _require(report: dict, what: str) -> None:
         x = witness.get("combined_fails_at", witness.get("x"))
         reason = f"not concave-increasing near x={x:g} ({witness['kind']})"
     raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
-
 
 
 def _exponent_leq(lhs: float, rhs: float) -> bool:

@@ -180,7 +180,7 @@ def test_criterion_06_jensen_and_derivative_catalogue():
 
 def test_criterion_07_product_bound_and_p_monotonicity():
     # every argument below lies in [1, 10_000/2 + 1]
-    params = OmegaParams(c1=1.0, c2=1.0, phi=IDENTITY, psi=IDENTITY,
+    params = OmegaParams(ExponentFunction(IDENTITY, IDENTITY, c1=1.0, c2=1.0),
                          x_lo=1.0, x_hi=5001.0)
     rng = random.Random(20260816)
     ok = EXPONENT_SLACK == 1e-9  # the slack the criterion states
@@ -199,7 +199,7 @@ def test_criterion_07_product_bound_and_p_monotonicity():
             break
 
     if ok:
-        phi = params.phi
+        phi = params.exponent.phi
         for n in range(10, 10_001):
             tau_n = math.ceil(n / phi.value(float(n)))  # = 1 for identity
             for p in range(1, tau_n + 1):

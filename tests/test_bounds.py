@@ -6,8 +6,8 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import (FunctionSpec, HypothesisNotVerifiedError,
-                       InputError, OmegaParams,
+from richwords import (ExponentFunction, FunctionSpec,
+                       HypothesisNotVerifiedError, InputError, OmegaParams,
                        SeedGapError, check_jensen, check_p_monotonicity,
                        check_product_bound, composition_bound_sweep,
                        count_rich, parse_function_spec, recurrence_bound,
@@ -94,7 +94,7 @@ def test_composition_bound_validation():
 
 
 def _identity_params(x_lo=1.0, x_hi=61.0):
-    return OmegaParams(c1=1.0, c2=1.0, phi=IDENTITY, psi=IDENTITY,
+    return OmegaParams(ExponentFunction(IDENTITY, IDENTITY, c1=1.0, c2=1.0),
                        x_lo=x_lo, x_hi=x_hi)
 
 
@@ -309,16 +309,19 @@ def test_jensen_sqrt_property(xs):
 
 def test_hypothesis_failure_carries_report():
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        OmegaParams(c1=1.0, c2=1.0, phi=parse_function_spec("power:2"),
-                    psi=IDENTITY, x_lo=2.0, x_hi=3.0)
+        OmegaParams(ExponentFunction(parse_function_spec("power:2"),
+                                     IDENTITY, c1=1.0, c2=1.0),
+                    x_lo=2.0, x_hi=3.0)
     assert exc.value.report is not None
 
 
 def test_psi_above_identity_inside_the_hull_is_refused():
     # psi = 0.8*ln(x)**3 is below x at 8 and at 50 but above it near 10.9
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        OmegaParams(c1=0.1, c2=10.0, phi=parse_function_spec("x-over-lnx"),
-                    psi=FunctionSpec(0.8, 0.0, c=3.0), x_lo=8.0, x_hi=50.0)
+        OmegaParams(ExponentFunction(parse_function_spec("x-over-lnx"),
+                                     FunctionSpec(0.8, 0.0, c=3.0),
+                                     c1=0.1, c2=10.0),
+                    x_lo=8.0, x_hi=50.0)
     assert not exc.value.report["psi_leq_x_ok"]
     assert 8.0 < exc.value.report["witness"]["psi_leq_x_fails_at"] < 50.0
 
@@ -326,10 +329,11 @@ def test_psi_above_identity_inside_the_hull_is_refused():
 def test_construction_always_verifies(psi_family_calls):
     # a range is required, and it is verified before the object exists
     with pytest.raises(TypeError, match="x_lo"):
-        OmegaParams(c1=1.0, c2=1.0, phi=IDENTITY, psi=IDENTITY)
+        OmegaParams(ExponentFunction(IDENTITY, IDENTITY))
     with pytest.raises(HypothesisNotVerifiedError):
-        OmegaParams(c1=1.0, c2=1.0, phi=parse_function_spec("power:2"),
-                    psi=IDENTITY, x_lo=1.0, x_hi=1e9)
+        OmegaParams(ExponentFunction(parse_function_spec("power:2"),
+                                     IDENTITY),
+                    x_lo=1.0, x_hi=1e9)
     params = _identity_params()
     assert len(psi_family_calls) == 2  # one per construction
     assert check_product_bound(120, 3, [40, 40, 40], params)

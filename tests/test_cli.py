@@ -4,6 +4,7 @@ import math
 import os
 import re
 import sys
+import tracemalloc
 from pathlib import Path
 
 import mpmath
@@ -211,6 +212,13 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
     (("jensen", "--fn", "ln", "--x-lo", "1", "--x-hi", "100"), "--x-lo"),
     # an empty range
     (("jensen", "--fn", "sqrt", "--x-lo", "100", "--x-hi", "10"), "--x-hi"),
+    # delta and psi-family refuse by flag as jensen does
+    (("delta", "--fn", "ln", "--x-lo", "1", "--x-hi", "100"), "--x-lo"),
+    (("psi-family", "--phi", "x-over-lnx", "--psi", "ln", "--x-lo", "2",
+      "--x-hi", "1e4"), "--x-lo"),
+    (("delta", "--fn", "sqrt", "--x-lo", "100", "--x-hi", "10"), "--x-hi"),
+    (("psi-family", "--phi", "sqrt", "--psi", "sqrt", "--x-lo", "100",
+      "--x-hi", "10"), "--x-hi"),
 ])
 def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     code, out, err = _invoke("verify", *argv)
@@ -709,10 +717,24 @@ def test_verify_product_bound():
      "--trials", "500"),
     ("product-bound", "--phi", "x-over-lnx", "--psi", "ln"),
 ])
-def test_omega_hypothesis_is_verified_once_per_run(psi_family_calls, argv):
+def test_omega_hypothesis_is_verified_once_per_run(monkeypatch,
+                                                   psi_family_calls, argv):
+    from richwords import functions
+
+    built = []
+
+    class Counting(functions.ExponentFunction):
+        def __post_init__(self):
+            built.append(self)
+            super().__post_init__()
+
+    monkeypatch.setattr(functions, "ExponentFunction", Counting)
     code, _, err = _invoke("verify", *argv)
     assert code == 0, err
     assert len(psi_family_calls) == 1
+    # the run builds one exponent, and the gate verifies that one
+    assert len(built) == 1
+    assert psi_family_calls[0][0] is built[0]
 
 
 def test_product_bound_parts_halve_to_the_domain_floor(monkeypatch):
@@ -791,6 +813,70 @@ def test_p_monotonicity_below_the_domain_floor_names_the_flags():
     code, out, err = _invoke(*argv, "--n-lo", "100")
     assert code == 0, err
     assert _result(out)["ok"] is True
+
+
+@pytest.mark.parametrize("flags", [
+    (),
+    ("--n-lo", "100", "--n-hi", "2000", "--grid", "60"),
+    ("--n-lo", "2", "--n-hi", "50", "--grid", "30", "--p-max", "3"),
+    ("--phi", "identity"),  # one part at every n
+])
+def test_p_monotonicity_range_is_the_hull_of_its_arguments(
+        monkeypatch, psi_family_calls, flags):
+    # the closed-form range is exactly the least and the largest argument
+    # the checks ask for, so no argument is refused and none is unverified
+    from richwords import functions
+
+    asked = []
+    check = functions.check_p_monotonicity
+
+    def recording(n, p, params):
+        asked.extend(n / (2.0 * k) + 1.0 for k in (p, p + 1))
+        return check(n, p, params)
+
+    monkeypatch.setattr(functions, "check_p_monotonicity", recording)
+    code, out, err = _invoke("verify", "p-monotonicity", "--phi", "sqrt",
+                             "--psi", "identity", *flags)
+    assert code == 0, err
+    (_, x_lo, x_hi, _), = psi_family_calls
+    assert (x_lo, x_hi) == (min(asked), max(asked))
+    assert len(asked) == 2 * _result(out)["checked"]
+
+
+def test_p_monotonicity_keeps_no_pair_list():
+    # 17,310 (n, p) pairs; a list of them and of the arguments they ask
+    # for peaked at 4.2 MB
+    argv = ("verify", "p-monotonicity", "--phi", "sqrt", "--psi", "identity",
+            "--n-lo", "1000", "--n-hi", "1000000", "--grid", "200",
+            "--p-max", "100")
+    tracemalloc.start()
+    try:
+        code, out, err = _invoke(*argv)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert code == 0, err
+    assert _result(out) == {"ok": True, "checked": 17310}
+    assert peak < 2**20
+
+
+@pytest.mark.parametrize("argv, message", [
+    # phi(n) = 1e-300, so n/phi(n) overflows above n = 1.8e8: math.ceil
+    # raised "cannot convert float infinity to integer"
+    (("--phi", "const:1e-300", "--n-lo", "100", "--n-hi", "1000000000"),
+     "error: --phi 1e-300*x^0*lnx^0*exp(0*lnx^1)@1: n/phi(n) is not finite "
+     "at row n=180824493\n"),
+    # the refusal of phi's own domain check named no flag
+    (("--phi", "ln@20", "--n-lo", "10"),
+     "error: --phi at row n=10: x=10.0 is below the domain floor 20.0 of "
+     "1*x^0*lnx^1*exp(0*lnx^1)@20\n"),
+])
+def test_p_monotonicity_part_cap_refusal_names_the_phi(argv, message):
+    code, out, err = _invoke("verify", "p-monotonicity", "--psi", "identity",
+                             *argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(message)
+    assert "Traceback" not in err
 
 
 def test_verify_d_condition():
@@ -902,6 +988,49 @@ def test_bound_recurrence_tau_phi_not_finite_names_the_row():
     assert (code, out) == (1, "")
     assert err.startswith("error: --phi ")
     assert "n/phi(n) is not finite at row n=6\n" in err
+
+
+# a clean argv of each subcommand that has a float flag
+_FLOAT_FLAG_BASES = {
+    "verify jensen": ("--fn", "sqrt", "--x-lo", "1", "--x-hi", "10"),
+    "verify product-bound": ("--phi", "sqrt", "--psi", "sqrt"),
+    "verify p-monotonicity": ("--phi", "sqrt", "--psi", "sqrt"),
+    "verify delta": ("--fn", "sqrt", "--x-lo", "1", "--x-hi", "10"),
+    "verify psi-family": ("--phi", "sqrt", "--psi", "sqrt", "--x-lo", "1",
+                          "--x-hi", "10"),
+    "verify d-condition": ("--phi", "sqrt", "--psi", "sqrt", "--d", "1.5"),
+    "verify phi-composition": ("--phi", "sqrt"),
+    "bootstrap": ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1",
+                  "--c3", "0.1"),
+    "compare-exponents": ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1",
+                          "--c3", "0.1", "--phi", "power:0.8", "--psi",
+                          "ln@2", "--n", "1e6"),
+}
+_NOT_FINITE = [(name, flag.name.split()[0], value)
+               for name, (_, _, flags) in cli.COMMANDS.items()
+               for flag in flags if flag.type is float
+               for value in ("nan", "inf", "-inf")]
+
+
+@pytest.mark.parametrize("name, option, value", _NOT_FINITE,
+                         ids=[f"{n.replace(' ', '-')}{o}={v}"
+                              for n, o, v in _NOT_FINITE])
+def test_float_flag_that_is_not_finite_is_refused_before_any_work(
+        monkeypatch, name, option, value):
+    # such values once failed only after work had started, with the
+    # library's wording: "need 0 < x_lo <= x_hi < inf, got [nan, nan]"
+    handler, help_text, flags = cli.COMMANDS[name]
+
+    def no_work(ns):
+        raise AssertionError(f"{name} ran")
+
+    monkeypatch.setitem(cli.COMMANDS, name, (no_work, help_text, flags))
+    # "--flag=value" keeps "-inf" from reading as a flag; the last value
+    # of a flag given twice wins
+    argv = (*name.split(), *_FLOAT_FLAG_BASES[name], f"{option}={value}")
+    code, out, err = _invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {option} must be finite, got {value}\n")
 
 
 def test_bootstrap_overflow_names_the_step():
