@@ -217,11 +217,16 @@ def _cmd_bound_recurrence(ns):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
     tau, tau_label = _parse_tau(ns)
     if ns.seeds_cache:
+        # a flag left at its default cannot be told from one not given
+        if ns.budget != enumeration.DEFAULT_NODE_BUDGET:
+            raise InputError("--seeds-cache cannot be combined with "
+                             "enumeration flags: --budget")
         table = enumeration.load_cache(_cache_path(ns.seeds_cache), ns.q)
     else:
         # rows 1..n_max read no seed above n_max
         table = enumeration.count_rich(ns.q, min(ns.seed_n, ns.n_max),
-                                       with_max_luf=False)
+                                       with_max_luf=False,
+                                       node_budget=ns.budget)
     counts = {n: count for n, (count, _) in table.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)
     table = bounds.recurrence_bound(seeds, tau, ns.n_max)
@@ -447,6 +452,7 @@ COMMANDS = {
                  least=1, most=_WALK_N.most),
             Flag("--seeds-cache PATH", str, None,
                  "load seeds from a count cache instead"),
+            _BUDGET,
             Flag("--tau", str, "n",
                  "per-length part cap: n | const:K | phi (default: n)"),
             _PHI._replace(default=None,

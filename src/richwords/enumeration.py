@@ -5,28 +5,36 @@ rich iff each prefix adds a new palindrome), so the tree of words is
 walked with one eertree and a push that creates no new palindromic factor
 kills the whole subtree.  Counts are exact Python integers throughout.
 
-The eertree lives in flat lists preallocated for n_max letters.  On a rich
+The eertree lives in lists preallocated for n_max letters.  On a rich
 path of depth d the tree has exactly d + 2 nodes, the two roots and one
 per letter, so the node the letter at depth d creates is always d + 2.
 Suffix links are not stored.  Each node keeps direct links (Rubinchik &
 Shur, "EERTREE", 2015): dl[v][b] is the longest proper palindromic suffix
 of v preceded by b inside v, or the length -1 root.  Letter a extends
 the word's longest palindromic suffix `last` if a precedes it, and
-dl[last][a] otherwise, so one lookup finds where it goes; a new node's
-row is its suffix link's row with one entry set.  A push is non-rich
-exactly when its transition is already set; it is skipped with nothing
-to undo, and backtracking resets the one transition a push set.  The
-letter just before `last` needs no test: the longest palindromic suffix
-of a rich word occurs in it only once (Droubay, Justin & Pirillo), so
-a+last+a cannot have occurred before and the push is always rich.  Node
-ids are stored premultiplied by the row width, as their rows' bases.
+dl[last][a] otherwise, so one lookup finds where it goes.  The direct
+links are one short list per node: a new node's row is a copy of its
+suffix link's row with one entry set, and a frame reads its row once.
+A push is non-rich exactly when its transition is already set; it is
+skipped with nothing to undo, and backtracking resets the one transition
+a push set.  Node ids are stored premultiplied by the row width, as the
+bases of their transitions.
+
+Two pushes are always rich and need no test.  One is the letter just
+before `last`: the longest palindromic suffix of a rich word occurs in
+it only once (Droubay, Justin & Pirillo), so a+last+a cannot have
+occurred before.  The other is a letter the word does not hold yet,
+whose palindrome is the letter alone.
 
 The recursion enters a frame only for words of length <= n_max - 3.  A
 node of length n_max - 2 still gets its row and its transition, but its
 children and grandchildren, the last two levels, are counted in its
 parent's loop: no node is built for the children, whose direct links are
 read off their suffix links' rows, and the peel lengths of both levels
-come from the direct links.  A table of one or two rows is the top of a
+come from the direct links.  Of each child's grandchildren, the two
+always-rich pushes are counted outright and only the other used letters
+are tested; each child's grandchild count and best peel are summed in
+locals and written once.  A table of one or two rows is the top of a
 three-level walk, so every walk has at least the root's frame.
 
 Only canonical words are walked, those whose letters first appear in the
@@ -49,10 +57,11 @@ the CPUs this process may run on and at q**cut, the most words a cut can
 hold, and the pool starts one process per task; one task runs in this
 process, with no pool.  Rows up to the cut are alike in every shard and
 rows below add up.  Each frame compares the attempts so far with the
-node budget on entry, and the levels it folds in only add to them, so an
-abort may report a few attempts past the budget; the node count follows
-from the merged table, so neither the counts nor the budget verdict
-depend on the worker count or the machine.
+node budget on entry, and adds the attempts of the levels it folds in
+once, before it returns, so an abort may report a few attempts past the
+budget; the node count follows from the merged table, so neither the
+counts nor the budget verdict depend on the worker count or the
+machine.
 
 count_rich returns {n: (count, max_luf)}; save_cache and load_cache
 write and read that table as line-delimited JSON.
@@ -103,14 +112,18 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
     maxluf = [0] * (n_max + 1) if with_max_luf else None
     # the eertree of the current word, each node v stored as its row base
     # v * width: node d + 2 is the palindrome that the letter at depth d
-    # created, nxt[v + a] is a+P+a and dl[v + b] the direct link of P by
+    # created, nxt[v + a] is a+P+a and dl[v][b] the direct link of P by
     # b; the roots are 0 (length -1) and width (length 0)
     size = (n_max + 2) * width
     length = [-1] + [0] * (size - 1)
     nxt = [-1] * size
-    dl = [0] * size
+    dl = [None] * size  # a row at each node's base
+    dl[0], dl[width] = [0] * width, [0] * width
     word = [0] * n_max
     luf = [0] * (n_max + 1)  # peel length of each prefix of the word
+    # others[k][b]: the used letters 0..k-1 but b; others[k][-1]: all k
+    others = [[tuple(e for e in range(k) if e != b) for b in range(k)]
+              + [tuple(range(k))] for k in range(width + 1)]
     visited = 0
     skip = offset  # words of length cut to pass over before the next descent
 
@@ -129,12 +142,14 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
         row = counts[n]
         i = depth - length[last] - 1
         before = word[i] if i >= 0 else -1
+        links = dl[last]
         node = (n + 1) * width  # the node every child creates
+        folded = 0  # attempts of the levels this frame folds in
         for a in range(letters):
             if a == before:  # P occurs once in the word, so a+P+a is new
                 u = last
             else:
-                u = dl[last + a]
+                u = links[a]
                 if nxt[u + a] >= 0:  # a+P+a is not new: not rich
                     continue
             k = used + 1 if a == used else used
@@ -149,9 +164,10 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
             # node's suffix link w; node's direct links are w's, with w
             # itself for the letter before w inside node
             t = u + a
-            w = width if pal == 1 else nxt[dl[t] + a]
-            dl[node:node + width] = dl[w:w + width]
-            dl[node + word[depth - length[w]]] = w
+            w = width if pal == 1 else nxt[dl[u][a] + a]
+            node_links = dl[w][:]
+            node_links[word[depth - length[w]]] = w
+            dl[node] = node_links
             nxt[t] = node
             if n != n_max - 2:
                 walk(n, node, k)
@@ -164,14 +180,14 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
             # adjacent places, so be a power of c, and a longer power
             # would be the grandchild), so its transition need not be set
             letters_c = k + 1 if k < q else q
-            visited += letters_c
+            folded += letters_c
             j = n - pal - 1
             before_c = word[j] if j >= 0 else -1
             for c in range(letters_c):
                 if c == before_c:  # new, as above
                     v = node
                 else:
-                    v = dl[node + c]
+                    v = node_links[c]
                     if nxt[v + c] >= 0:
                         continue
                 kc = k + 1 if c == k else k
@@ -186,26 +202,41 @@ def _walk_shard(q, n_max, cut, stride, offset, with_max_luf, limit):
                 if pal_c == 1:
                     wc, bc = width, c
                 else:
-                    wc = nxt[dl[v + c] + c]
+                    wc = nxt[dl[v][c] + c]
                     bc = word[n - length[wc]]
-                letters_e = kc + 1 if kc < q else q
-                visited += letters_e
+                # a grandchild e ends at n_max with the palindrome e+X+e,
+                # whose peel is luf[n_max - |X| - 2] + 1 = luf[n - |X|] + 1.
+                # Two pushes are rich with no test: the letter before the
+                # child's palindrome (as above) and a new letter, whose
+                # palindrome is the letter alone
+                live = 0
+                top = -1  # the largest luf[n - |X|] of a rich grandchild
+                if kc < q:
+                    folded += kc + 1
+                    last_row[kc + 1] += 1
+                    top = luf[n_next]
+                else:
+                    folded += q
                 j = n - pal_c
-                before_e = word[j] if j >= 0 else -1
-                for e in range(letters_e):
-                    if e == before_e:  # new, as above
-                        pal_e = pal_c + 2
-                    else:
-                        x = wc if e == bc else dl[wc + e]
-                        if nxt[x + e] >= 0:
-                            continue
-                        pal_e = length[x] + 2
-                    last_row[kc + 1 if e == kc else kc] += 1
-                    if maxluf is not None:
-                        parts = luf[n_max - pal_e] + 1
-                        if parts > maxluf[n_max]:
-                            maxluf[n_max] = parts
+                if j >= 0:
+                    before_e = word[j]
+                    live = 1
+                    if maxluf is not None and luf[j] > top:
+                        top = luf[j]
+                else:
+                    before_e = -1
+                wc_links = dl[wc]
+                for e in others[kc][before_e]:
+                    x = wc if e == bc else wc_links[e]
+                    if nxt[x + e] < 0:
+                        live += 1
+                        if maxluf is not None and luf[n - length[x]] > top:
+                            top = luf[n - length[x]]
+                last_row[kc] += live
+                if maxluf is not None and top >= maxluf[n_max]:
+                    maxluf[n_max] = top + 1
             nxt[t] = -1
+        visited += folded
 
     walk(0, width, 0)
     return counts, maxluf

@@ -254,7 +254,10 @@ class ExponentFunction:
         return val, d1, d2
 
     def value(self, x: float) -> float:
-        return self.d012(x)[0]
+        # d012's value with the same float operations, in the same order
+        pv = self.phi.value(x)
+        return (self.c1 * (x / self.psi.value(x))
+                + self.c2 * ((x / pv) * math.log(pv)))
 
 
 def log_grid(x_lo: float, x_hi: float, n: int) -> list[float]:

@@ -319,6 +319,45 @@ def test_maxluf_stops_on_its_budget():
     assert "Traceback" not in err
 
 
+def test_bound_recurrence_seed_walk_stops_on_its_budget():
+    # at its largest --seed-n, as count's walk does, it stops on --budget
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--seed-n",
+                             "500", "--n-max", "500", "--budget", "5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: enumeration aborted: visited ")
+    assert "Traceback" not in err
+
+
+def test_bound_recurrence_budget_leaves_the_rows_alone():
+    # a budget the seed walk stays within changes only the config echo
+    args = ("bound-recurrence", "--q", "2", "--seed-n", "10", "--n-max",
+            "30")
+    for fmt in ("json", "text", "csv"):
+        code, plain, err = _invoke(*args, "--format", fmt)
+        assert code == 0, err
+        code, budgeted, err = _invoke(*args, "--budget", "5000",
+                                      "--format", fmt)
+        assert code == 0, err
+        if fmt == "json":
+            assert json.loads(plain)["config"]["budget"] == (
+                enumeration.DEFAULT_NODE_BUDGET)
+            assert json.loads(budgeted)["config"]["budget"] == 5000
+            plain, budgeted = _result(plain), _result(budgeted)
+        assert plain == budgeted, fmt
+
+
+def test_bound_recurrence_seeds_cache_with_budget_is_exit_one(tmp_path):
+    # as count --load-cache does, a cache refuses the walk's --budget
+    path = str(tmp_path / "seeds.jsonl")
+    assert _invoke("count", "--q", "2", "--n", "6",
+                   "--save-cache", path)[0] == 0
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "8",
+                             "--seeds-cache", path, "--budget", "5000")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --seeds-cache cannot be combined with "
+                          "enumeration flags: --budget\n")
+
+
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_count_cache_bytes_are_pinned(tmp_path, symmetric):
     # the whole layout: sorted keys, the nested provenance and counts as

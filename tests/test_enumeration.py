@@ -137,6 +137,37 @@ def test_short_walks_against_plain_dfs(monkeypatch, inline_pool):
                                                    workers, depth)
 
 
+@pytest.mark.parametrize("q", sorted(ORACLE_N))
+def test_every_shard_shape_against_plain_dfs(q):
+    # _walk_shard itself at every cut, stride and offset, the offsets
+    # merged as count_rich merges them: rows up to the cut from one
+    # shard, the rows below summed, then weighted by math.perm(q, k)
+    for n_max in range(3, ORACLE_N[q] + 1):
+        plain = oracles.rich_entries_plain_dfs(q, n_max)
+        weights = [math.perm(q, k) for k in range(min(q, n_max) + 1)]
+        for with_max_luf in (True, False):
+            for cut in range(n_max - 2):
+                for stride in (1, 2, 3):
+                    shards = [enumeration._walk_shard(
+                        q, n_max, cut, stride, offset, with_max_luf, 10**9)
+                        for offset in range(stride)]
+                    counts, maxluf = shards[0]
+                    for more_counts, more_maxluf in shards[1:]:
+                        for n in range(cut + 1, n_max + 1):
+                            counts[n] = [a + b for a, b in
+                                         zip(counts[n], more_counts[n])]
+                            if with_max_luf:
+                                maxluf[n] = max(maxluf[n], more_maxluf[n])
+                    for n, (count, luf) in plain.items():
+                        where = (n_max, with_max_luf, cut, stride, n)
+                        assert sum(c * w for c, w in
+                                   zip(counts[n], weights)) == count, where
+                        if with_max_luf:
+                            assert maxluf[n] == luf, where
+                        else:
+                            assert maxluf is None, where
+
+
 def test_longest_palindromic_suffix_extends_richly():
     # the walk counts the push of the letter before the longest
     # palindromic suffix P without a test: P occurs only once in a rich

@@ -179,6 +179,21 @@ def test_exponent_function_matches_mpmath_diff(phi, psi, x):
     assert abs(d2 - nd2) <= 1e-8 * max(1.0, abs(nd2))
 
 
+_CATALOGUE = ["identity", "sqrt", "ln", "x-over-lnx", "exp-sqrt-ln",
+              "const:3", "power:0.8", "exp-sqrt-ln:2", "2,1,-1,0,1"]
+
+
+@pytest.mark.parametrize("phi_text", _CATALOGUE)
+def test_exponent_value_is_d012_value_exactly(phi_text):
+    # value skips the derivatives but keeps d012's float operations
+    phi = parse_function_spec(phi_text)
+    for psi_text in _CATALOGUE:
+        ef = ExponentFunction(phi, parse_function_spec(psi_text),
+                              c1=1.3, c2=0.7)
+        for x in log_grid(ef.domain_floor, 1e12, 64):
+            assert ef.value(x) == ef.d012(x)[0], (psi_text, x)
+
+
 def test_exponent_function_validation():
     with pytest.raises(InputError):
         ExponentFunction(IDENTITY, IDENTITY, c1=0.0)
