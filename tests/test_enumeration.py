@@ -274,6 +274,18 @@ def test_budget_aborts_inside_the_walk():
     assert 10**4 < exc.value.visited <= 10**4 + w + w * (w + w * w)
 
 
+@pytest.mark.parametrize("q, n_max", [(2, 12), (3, 9), (4, 7)])
+def test_budget_counts_the_folded_levels(q, n_max):
+    # half the exact attempts stops the walk at a frame's entry, a few
+    # attempts past the budget; a walk that left the folded levels out of
+    # its count would run to the end and report every attempt it made
+    budget = EXACT_NODES[q, n_max] // 2
+    with pytest.raises(BudgetExceededError) as exc:
+        count_rich(q, n_max, node_budget=budget)
+    w = min(q, n_max)
+    assert budget < exc.value.visited <= budget + w + w * (w + w * w)
+
+
 def test_budget_error_in_parallel_mode(monkeypatch):
     monkeypatch.setattr(enumeration, "SHARD_DEPTH", 3)
     with pytest.raises(BudgetExceededError):
