@@ -28,13 +28,13 @@ _HOMES = {
     "HypothesisNotVerifiedError": "errors",
     "InputError": "errors",
     "LogValue": "logvalue",
-    "OmegaParams": "functions",
     "PRECISION_BITS": "logvalue",
     "ROUND_UP": "logvalue",
     "RichwordsError": "errors",
     "SeedGapError": "errors",
     "StateError": "errors",
     "TOOL_VERSION": "version",
+    "VerifiedRange": "functions",
     "bootstrap_iterate": "bootstrap",
     "bootstrap_step": "bootstrap",
     "check_d_condition": "functions",

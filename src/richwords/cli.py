@@ -91,13 +91,15 @@ def _part_cap(phi, n: int) -> int:
     return math.ceil(ratio)
 
 
-def _check_x_range(ns, fn) -> None:
+def _check_range(ns, *fns, flags=("--x-lo", "--x-hi")) -> None:
     # refused, never narrowed: the verdict must cover the range asked for
-    if ns.x_lo < fn.domain_floor:
-        raise InputError(f"--x-lo {ns.x_lo:g} is below the domain floor "
-                         f"{fn.domain_floor:g} of {fn.label}")
-    if ns.x_lo > ns.x_hi:
-        raise InputError(f"--x-lo {ns.x_lo:g} is above --x-hi {ns.x_hi:g}")
+    lo, hi = (getattr(ns, flag[2:].replace("-", "_")) for flag in flags)
+    for fn in fns:
+        if lo < fn.domain_floor:
+            raise InputError(f"{flags[0]} {lo:g} is below the domain floor "
+                             f"{fn.domain_floor:g} of {fn.label}")
+    if lo > hi:
+        raise InputError(f"{flags[0]} {lo:g} is above {flags[1]} {hi:g}")
 
 
 def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
@@ -254,12 +256,13 @@ def _cmd_verify_jensen(ns):
     from . import functions
 
     fn = functions.parse_function_spec(ns.fn)
-    _check_x_range(ns, fn)
+    _check_range(ns, fn)
+    gate = functions.VerifiedRange(fn, ns.x_lo, ns.x_hi)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
         k = rng.randint(2, ns.points)
         xs = [rng.uniform(ns.x_lo, ns.x_hi) for _ in range(k)]
-        if not functions.check_jensen(fn, xs):
+        if not functions.check_jensen(gate, xs):
             return {"fn": fn.label, "ok": False, "trials_run": trial + 1,
                     "witness": {"xs": xs}}
     return {"fn": fn.label, "ok": True, "trials_run": ns.trials}
@@ -280,14 +283,14 @@ def _cmd_verify_product_bound(ns):
         raise InputError(f"--n-max must be >= {m}, got {ns.n_max}: a part "
                          f"below {m} halves to below {least}, the least x "
                          f"both specs take (domain floor {floor:g})")
-    params = functions.OmegaParams(exponent, float(least), ns.n_max / 2 + 1)
+    gate = functions.VerifiedRange(exponent, float(least), ns.n_max / 2 + 1)
     rng = random.Random(ns.seed)
     for trial in range(ns.trials):
         n = rng.randint(max(2, m), ns.n_max)
         p = rng.randint(1, n // m)
         parts = [m - 1 + part for part in
                  _random_composition(rng, n - p * (m - 1), p)]
-        if not functions.check_product_bound(n, p, parts, params):
+        if not functions.check_product_bound(n, p, parts, gate):
             return {"ok": False, "trials_run": trial + 1,
                     "witness": {"n": n, "p": p, "parts": parts}}
     return {"ok": True, "trials_run": ns.trials}
@@ -298,6 +301,7 @@ def _cmd_verify_p_monotonicity(ns):
 
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
+    _check_range(ns, flags=("--n-lo", "--n-hi"))
     lengths = sorted({int(round(x)) for x in functions.log_grid(
         ns.n_lo, ns.n_hi, ns.grid)})
     caps = [min(ns.p_max, _part_cap(phi, n)) for n in lengths]
@@ -311,11 +315,11 @@ def _cmd_verify_p_monotonicity(ns):
                          f"x = n/(2(p+1)) + 1 = {x_lo:g} at (n, p) = ({n}, "
                          f"{p}), below the domain floor "
                          f"{exponent.domain_floor:g}")
-    params = functions.OmegaParams(exponent, x_lo, lengths[-1] / 2.0 + 1.0)
+    gate = functions.VerifiedRange(exponent, x_lo, lengths[-1] / 2.0 + 1.0)
     pairs = ((n, p) for n, cap in zip(lengths, caps)
              for p in range(1, cap + 1))
     for checked, (n, p) in enumerate(pairs, 1):
-        if not functions.check_p_monotonicity(float(n), p, params):
+        if not functions.check_p_monotonicity(float(n), p, gate):
             return {"ok": False, "checked": checked,
                     "witness": {"n": n, "p": p}}
     return {"ok": True, "checked": sum(caps)}
@@ -325,7 +329,7 @@ def _cmd_verify_delta(ns):
     from . import functions
 
     fn = functions.parse_function_spec(ns.fn)
-    _check_x_range(ns, fn)
+    _check_range(ns, fn)
     return {"fn": fn.label, "x_lo": ns.x_lo, "x_hi": ns.x_hi,
             "grid": ns.grid,
             **functions.check_delta(fn, ns.x_lo, ns.x_hi, ns.grid)}
@@ -337,7 +341,7 @@ def _cmd_verify_psi_family(ns):
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     exponent = functions.ExponentFunction(phi, psi)
-    _check_x_range(ns, exponent)
+    _check_range(ns, exponent)
     return {"phi": phi.label, "psi": psi.label,
             **functions.check_psi_family(exponent, ns.x_lo, ns.x_hi,
                                          ns.grid)}
@@ -348,6 +352,7 @@ def _cmd_verify_d_condition(ns):
 
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
+    _check_range(ns, phi, psi, flags=("--n-lo", "--n-hi"))
     return {"phi": phi.label, "psi": psi.label, "d": ns.d,
             **functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
                                           ns.grid)}
@@ -357,6 +362,7 @@ def _cmd_verify_phi_composition(ns):
     from . import functions
 
     phi = functions.parse_function_spec(ns.phi)
+    _check_range(ns, phi, flags=("--n-lo", "--n-hi"))
     return {"phi": phi.label,
             **functions.check_phi_composition(phi, ns.n_lo, ns.n_hi,
                                               ns.grid)}
@@ -395,7 +401,8 @@ _PSI = Flag("--psi SPEC", str, REQUIRED, _SPEC_HELP)
 _FN = Flag("--fn SPEC", str, REQUIRED, _SPEC_HELP)
 _X_RANGE = (Flag("--x-lo", float, REQUIRED), Flag("--x-hi", float, REQUIRED))
 _OMEGA = (Flag("--c1", float, 1.0), Flag("--c2", float, 1.0))
-_CONSTANTS = (Flag("--q", int, REQUIRED), Flag("--d", float, REQUIRED),
+_Q = Flag("--q", int, REQUIRED, least=2)
+_CONSTANTS = (_Q, Flag("--d", float, REQUIRED),
               Flag("--c1", float, REQUIRED), Flag("--c2", float, REQUIRED),
               Flag("--c3", float, REQUIRED))
 _WORD = Flag("word", str, REQUIRED, "word over a-z")
@@ -418,15 +425,16 @@ _GRID = Flag("--grid", int, least=2, most=10**6)
 COMMANDS = {
     "check": (_cmd_check, "is a word rich?", (
         _WORD,
-        Flag("--q", int, None, "alphabet size (default: letters present)"),
+        _Q._replace(default=None,
+                    help="alphabet size (default: letters present)"),
         _JSON_TEXT)),
     "count": (_cmd_count, "count rich words up to a length", (
-        Flag("--q", int, REQUIRED),
+        _Q,
         _WALK_N,
         Flag("--symmetric", bool, False,
              "label the table's provenance as symmetric; every count walks "
              "canonical words only and rescales"),
-        Flag("--workers", int, 1),
+        Flag("--workers", int, 1, least=1),
         _BUDGET,
         Flag("--no-max-luf", bool, False,
              "skip tracking of maximum peel lengths"),
@@ -435,9 +443,9 @@ COMMANDS = {
              "render a previously saved table instead of counting"),
         _JSON_TEXT_CSV)),
     "ups": (_cmd_ups, "peel a word into palindromic suffixes", (
-        _WORD, Flag("--q", int), _JSON_TEXT)),
+        _WORD, _Q._replace(default=None), _JSON_TEXT)),
     "maxluf": (_cmd_maxluf, "maximum peel length among rich words", (
-        Flag("--q", int, REQUIRED),
+        _Q,
         _WALK_N,
         _BUDGET,
         _PHI._replace(default=None,
@@ -445,7 +453,7 @@ COMMANDS = {
         _JSON_TEXT_CSV)),
     "bound-recurrence": (
         _cmd_bound_recurrence, "certified upper-bound table from seeds", (
-            Flag("--q", int, REQUIRED),
+            _Q,
             Flag("--n-max", int, REQUIRED, least=1),
             Flag("--seed-n", int, None,
                  "enumerate exact counts up to this length as seeds",
@@ -486,7 +494,7 @@ COMMANDS = {
         _cmd_verify_p_monotonicity,
         "balanced power is monotone in the part count", (
             *_OMEGA, _PHI, _PSI,
-            Flag("--n-lo", int, 10),
+            Flag("--n-lo", int, 10, least=1),
             Flag("--n-hi", int, 10000),
             # up to 10**6 (n, p) pairs
             Flag("--grid", int, 1000, "number of sampled lengths",

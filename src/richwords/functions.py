@@ -27,11 +27,9 @@ a "witness" dict.  A result carries no input the check was given.
 The product and p-monotonicity checks for the growth function
 Omega(x) = q**(c1*x/psi(x) + c2*(x/phi(x))*ln phi(x)), and the convexity
 (Jensen) comparison, compare exponents with a small relative slack and
-refuse to run (rather than answer False) when their concavity
-precondition cannot be verified.  OmegaParams verifies a run's one
-ExponentFunction once, on the range [x_lo, x_hi] the run fixes before
-its first comparison; the product and p-monotonicity checks refuse an
-argument outside it.  check_jensen verifies each call's own range.
+verify nothing themselves: they read their function through a
+VerifiedRange, which verifies the concavity hypothesis once, over the
+range [x_lo, x_hi] a run fixes first, and refuses an x outside it.
 """
 
 from __future__ import annotations
@@ -49,9 +47,8 @@ DEFAULT_LOG_DOMAIN_MIN = 8.0
 # relative slack used when comparing exponents of Omega-style quantities
 EXPONENT_SLACK = 1e-9
 
-# log-grid sizes of the concave-increasing precondition checks
+# log-grid size of the concave-increasing precondition check
 _HYPOTHESIS_GRID_N = 256
-_JENSEN_GRID_N = 128
 
 
 class _NotFinite(InputError):
@@ -277,6 +274,22 @@ def log_grid(x_lo: float, x_hi: float, n: int) -> list[float]:
     return pts
 
 
+def _first_failures(f, x_lo: float, x_hi: float, grid_n: int, psi=None):
+    # one grid walk: the first (x, kind) where f' > 0 ("d1") or f'' < 0
+    # ("d2") fails, and the first x where psi(x) <= x fails, or None
+    bad = psi_x = None
+    for x in log_grid(x_lo, x_hi, grid_n):
+        if bad is None:
+            _, d1, d2 = f.d012(x)
+            if not (d1 > 0.0 and d2 < 0.0):
+                bad = (x, "d2" if d1 > 0.0 else "d1")
+        if psi is not None and psi_x is None and psi.value(x) > x:
+            psi_x = x
+        if bad is not None and (psi is None or psi_x is not None):
+            break
+    return bad, psi_x
+
+
 def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> dict:
     """Sample whether f is strictly increasing and strictly concave.
 
@@ -284,13 +297,10 @@ def check_delta(f, x_lo: float, x_hi: float, grid_n: int = 512) -> dict:
     x below the domain floor.  The witness is {"x", "kind"} at the first
     sample where f' > 0 (kind "d1") or f'' < 0 ("d2") fails.
     """
-    for x in log_grid(x_lo, x_hi, grid_n):
-        _, d1, d2 = f.d012(x)
-        if not d1 > 0.0:
-            return {"ok": False, "witness": {"x": x, "kind": "d1"}}
-        if not d2 < 0.0:
-            return {"ok": False, "witness": {"x": x, "kind": "d2"}}
-    return {"ok": True}
+    bad, _ = _first_failures(f, x_lo, x_hi, grid_n)
+    if bad is None:
+        return {"ok": True}
+    return {"ok": False, "witness": {"x": bad[0], "kind": bad[1]}}
 
 
 def check_psi_family(exponent: ExponentFunction, x_lo: float, x_hi: float,
@@ -301,19 +311,17 @@ def check_psi_family(exponent: ExponentFunction, x_lo: float, x_hi: float,
     ("combined_concave_increasing"), both on the same grid.  The witness
     holds "psi_leq_x_fails_at", and "combined_fails_at" and "kind" as in
     check_delta, for the parts that fail."""
-    delta = check_delta(exponent, x_lo, x_hi, grid_n)
-    psi_x = next((x for x in log_grid(x_lo, x_hi, grid_n)
-                  if exponent.psi.value(x) > x), None)
-    result = {"ok": delta["ok"] and psi_x is None,
+    bad, psi_x = _first_failures(exponent, x_lo, x_hi, grid_n,
+                                 psi=exponent.psi)
+    result = {"ok": bad is None and psi_x is None,
               "psi_leq_x_ok": psi_x is None,
-              "combined_concave_increasing": delta["ok"]}
+              "combined_concave_increasing": bad is None}
     if not result["ok"]:
         witness = result["witness"] = {}
         if psi_x is not None:
             witness["psi_leq_x_fails_at"] = psi_x
-        if not delta["ok"]:
-            witness["combined_fails_at"] = delta["witness"]["x"]
-            witness["kind"] = delta["witness"]["kind"]
+        if bad is not None:
+            witness["combined_fails_at"], witness["kind"] = bad
     return result
 
 
@@ -405,53 +413,42 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
 
 
 @dataclass(frozen=True)
-class OmegaParams:
-    """The growth function Omega's exponent, verified over [x_lo, x_hi].
+class VerifiedRange:
+    """fn, verified increasing and concave over [x_lo, x_hi] when built.
 
-    Construction passes check_psi_family on one log grid over the range
-    (psi below the identity, exponent increasing and concave) or raises
-    HypothesisNotVerifiedError.  exponent_at refuses an argument outside
-    the range.  There is no q: the checks compare exponents, in which q
-    cancels.
+    fn is anything with d012, value and label.  A FunctionSpec must pass
+    check_delta, an ExponentFunction check_psi_family (its psi stays at
+    or below the identity), on one log grid over the range; otherwise
+    HypothesisNotVerifiedError carries that check's report.  value
+    refuses an x outside the range.
     """
 
-    exponent: ExponentFunction
+    fn: FunctionSpec | ExponentFunction
     x_lo: float
     x_hi: float
 
     def __post_init__(self):
-        _require(check_psi_family(self.exponent, self.x_lo, self.x_hi,
-                                  _HYPOTHESIS_GRID_N), "exponent function")
+        check = (check_psi_family if isinstance(self.fn, ExponentFunction)
+                 else check_delta)
+        report = check(self.fn, self.x_lo, self.x_hi, _HYPOTHESIS_GRID_N)
+        if not report["ok"]:
+            raise HypothesisNotVerifiedError(
+                f"{self.fn.label} fails the hypothesis on [{self.x_lo:g}, "
+                f"{self.x_hi:g}]: {report['witness']}", report)
 
-    def exponent_at(self, x: float) -> float:
-        """The exponent at x, refused outside the verified range."""
+    def value(self, x: float) -> float:
         if not self.x_lo <= x <= self.x_hi:
             raise HypothesisNotVerifiedError(
-                f"exponent function: x={x:g} is outside the verified range "
+                f"{self.fn.label}: x={x:g} is outside the verified range "
                 f"[{self.x_lo:g}, {self.x_hi:g}]")
-        return self.exponent.value(x)
-
-
-def _require(report: dict, what: str) -> None:
-    """Raise HypothesisNotVerifiedError, carrying report, unless the
-    sampled precondition held; report is a check_psi_family or a
-    check_delta result."""
-    if report["ok"]:
-        return
-    witness = report["witness"]
-    if "psi_leq_x_fails_at" in witness:
-        reason = f"psi(x) <= x fails at x={witness['psi_leq_x_fails_at']:g}"
-    else:
-        x = witness.get("combined_fails_at", witness.get("x"))
-        reason = f"not concave-increasing near x={x:g} ({witness['kind']})"
-    raise HypothesisNotVerifiedError(f"{what}: {reason}", report)
+        return self.fn.value(x)
 
 
 def _exponent_leq(lhs: float, rhs: float) -> bool:
     return lhs <= rhs + EXPONENT_SLACK * max(abs(lhs), abs(rhs), 1.0)
 
 
-def check_product_bound(n: int, p: int, parts, params: OmegaParams) -> bool:
+def check_product_bound(n: int, p: int, parts, gate: VerifiedRange) -> bool:
     """Check prod_i Omega(ceil(n_i/2)) <= Omega(n/(2p) + 1)**p in exponent
     space for one composition of n into p parts."""
     parts = tuple(parts)
@@ -461,35 +458,29 @@ def check_product_bound(n: int, p: int, parts, params: OmegaParams) -> bool:
         raise InputError("parts must be positive integers")
     if sum(parts) != n:
         raise InputError(f"parts sum to {sum(parts)}, not {n}")
-    lhs = sum(params.exponent_at(float(math.ceil(x / 2))) for x in parts)
-    rhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
+    lhs = sum(gate.value(float(math.ceil(x / 2))) for x in parts)
+    rhs = p * gate.value(n / (2.0 * p) + 1.0)
     return _exponent_leq(lhs, rhs)
 
 
-def check_p_monotonicity(n: float, p: int, params: OmegaParams) -> bool:
+def check_p_monotonicity(n: float, p: int, gate: VerifiedRange) -> bool:
     """Check Omega(n/(2p)+1)**p <= Omega(n/(2(p+1))+1)**(p+1) in exponent
     space."""
     if not isinstance(p, int) or p < 1:
         raise InputError(f"p must be a positive integer, got {p!r}")
     if not n >= 1:
         raise InputError(f"n must be at least 1, got {n!r}")
-    lhs = p * params.exponent_at(n / (2.0 * p) + 1.0)
-    rhs = (p + 1) * params.exponent_at(n / (2.0 * (p + 1)) + 1.0)
+    lhs = p * gate.value(n / (2.0 * p) + 1.0)
+    rhs = (p + 1) * gate.value(n / (2.0 * (p + 1)) + 1.0)
     return _exponent_leq(lhs, rhs)
 
 
-def check_jensen(f, xs) -> bool:
-    """Check sum f(x_i) <= k * f(mean(xs)) after verifying that f is
-    concave-increasing on [min(xs), max(xs)].
-
-    Raises HypothesisNotVerifiedError when the concavity precondition
-    fails on the sampled range; a False return always means the averaged
-    comparison itself failed.
-    """
+def check_jensen(gate: VerifiedRange, xs) -> bool:
+    """Check sum f(x_i) <= k * f(mean(xs)) for the f that gate verified,
+    the mean clamped to [min(xs), max(xs)], which rounding can leave."""
     xs = [float(x) for x in xs]
     if not xs:
         raise InputError("need at least one sample point")
-    _require(check_delta(f, min(xs), max(xs), _JENSEN_GRID_N), f.label)
-    lhs = sum(f.value(x) for x in xs)
-    rhs = len(xs) * f.value(math.fsum(xs) / len(xs))
-    return _exponent_leq(lhs, rhs)
+    lhs = sum(gate.value(x) for x in xs)
+    mean = min(max(math.fsum(xs) / len(xs), min(xs)), max(xs))
+    return _exponent_leq(lhs, len(xs) * gate.value(mean))

@@ -4,19 +4,20 @@ import pytest
 
 
 @pytest.fixture
-def psi_family_calls(monkeypatch):
-    """The argument tuples of every functions.check_psi_family call made
-    while the test runs."""
+def hypothesis_scans(monkeypatch):
+    """The positional arguments (f, x_lo, x_hi, grid_n) of every grid walk
+    of the concave-increasing check made while the test runs: one per
+    VerifiedRange built, check_delta or check_psi_family call."""
     from richwords import functions
 
     calls = []
-    check = functions.check_psi_family
+    scan = functions._first_failures
 
     def counting(*args, **kwargs):
         calls.append(args)
-        return check(*args, **kwargs)
+        return scan(*args, **kwargs)
 
-    monkeypatch.setattr(functions, "check_psi_family", counting)
+    monkeypatch.setattr(functions, "_first_failures", counting)
     return calls
 
 

@@ -14,7 +14,7 @@ import time
 import mpmath
 
 from richwords import (BootstrapState, Eertree, ExponentFunction,
-                       FunctionSpec, OmegaParams, bootstrap_iterate,
+                       FunctionSpec, VerifiedRange, bootstrap_iterate,
                        bootstrap_step, check_d_condition, check_jensen,
                        check_p_monotonicity, check_product_bound,
                        composition_bound_sweep, count_rich, enumeration,
@@ -148,11 +148,12 @@ def test_criterion_06_jensen_and_derivative_catalogue():
     ]
     for fn, lo in targets:
         hi = 1e6
+        gate = VerifiedRange(fn, lo, hi)  # verified once per target
         for _ in range(1000):
             k = rng.randint(2, 8)
             xs = [math.exp(rng.uniform(math.log(lo), math.log(hi)))
                   for _ in range(k)]
-            if not check_jensen(fn, xs):
+            if not check_jensen(gate, xs):
                 ok = False
                 break
 
@@ -180,8 +181,8 @@ def test_criterion_06_jensen_and_derivative_catalogue():
 
 def test_criterion_07_product_bound_and_p_monotonicity():
     # every argument below lies in [1, 10_000/2 + 1]
-    params = OmegaParams(ExponentFunction(IDENTITY, IDENTITY, c1=1.0, c2=1.0),
-                         x_lo=1.0, x_hi=5001.0)
+    params = VerifiedRange(ExponentFunction(IDENTITY, IDENTITY, c1=1.0,
+                                            c2=1.0), x_lo=1.0, x_hi=5001.0)
     rng = random.Random(20260816)
     ok = EXPONENT_SLACK == 1e-9  # the slack the criterion states
 
@@ -199,7 +200,7 @@ def test_criterion_07_product_bound_and_p_monotonicity():
             break
 
     if ok:
-        phi = params.exponent.phi
+        phi = params.fn.phi
         for n in range(10, 10_001):
             tau_n = math.ceil(n / phi.value(float(n)))  # = 1 for identity
             for p in range(1, tau_n + 1):

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richwords import (ExponentFunction, FunctionSpec,
-                       HypothesisNotVerifiedError, InputError, OmegaParams,
-                       SeedGapError, check_jensen, check_p_monotonicity,
+                       HypothesisNotVerifiedError, InputError, SeedGapError,
+                       VerifiedRange, check_jensen, check_p_monotonicity,
                        check_product_bound, composition_bound_sweep,
                        count_rich, parse_function_spec, recurrence_bound,
                        seed_table_from_counts)
@@ -94,8 +94,8 @@ def test_composition_bound_validation():
 
 
 def _identity_params(x_lo=1.0, x_hi=61.0):
-    return OmegaParams(ExponentFunction(IDENTITY, IDENTITY, c1=1.0, c2=1.0),
-                       x_lo=x_lo, x_hi=x_hi)
+    return VerifiedRange(ExponentFunction(IDENTITY, IDENTITY, c1=1.0,
+                                          c2=1.0), x_lo=x_lo, x_hi=x_hi)
 
 
 # -- seed tables ------------------------------------------------------------
@@ -282,63 +282,84 @@ def test_p_monotonicity_rejects_bad_p():
 
 def test_jensen_sqrt_example():
     # sqrt(1) + sqrt(4) = 3 <= 2*sqrt(2.5) ~ 3.16
-    assert check_jensen(parse_function_spec("sqrt"), [1.0, 4.0])
+    gate = VerifiedRange(parse_function_spec("sqrt"), 1.0, 4.0)
+    assert check_jensen(gate, [1.0, 4.0])
 
 
 def test_jensen_refuses_convex_function():
     with pytest.raises(HypothesisNotVerifiedError):
-        check_jensen(parse_function_spec("power:2"), [1.0, 4.0])
+        VerifiedRange(parse_function_spec("power:2"), 1.0, 4.0)
 
 
 def test_jensen_refuses_decreasing_function():
     with pytest.raises(HypothesisNotVerifiedError):
-        check_jensen(FunctionSpec(a=1.0, b=-0.25, domain_min=1.0),
-                     [2.0, 3.0])
+        VerifiedRange(FunctionSpec(a=1.0, b=-0.25, domain_min=1.0), 2.0, 3.0)
 
 
 def test_jensen_x_over_lnx():
-    assert check_jensen(parse_function_spec("x-over-lnx"),
-                        [9.0, 100.0, 4096.0])
+    gate = VerifiedRange(parse_function_spec("x-over-lnx"), 9.0, 4096.0)
+    assert check_jensen(gate, [9.0, 100.0, 4096.0])
+
+
+# one gate for every drawn list: each lies in [1, 1e6]
+_SQRT_GATE = VerifiedRange(parse_function_spec("sqrt"), 1.0, 1e6)
 
 
 @settings(max_examples=100, deadline=None)
 @given(st.lists(st.floats(1.0, 1e6), min_size=2, max_size=6))
 def test_jensen_sqrt_property(xs):
-    assert check_jensen(parse_function_spec("sqrt"), xs)
+    assert check_jensen(_SQRT_GATE, xs)
+
+
+def test_jensen_mean_that_rounds_out_of_a_one_point_range_is_kept():
+    # seven copies of x average, in floats, to one ulp above x
+    x = 10.4253
+    assert math.fsum([x] * 7) / 7 > x
+    assert check_jensen(VerifiedRange(parse_function_spec("sqrt@2"), x, x),
+                        [x] * 7)
+
+
+def test_jensen_point_outside_the_range_is_refused():
+    gate = VerifiedRange(parse_function_spec("x-over-lnx"), 9.0, 4096.0)
+    assert check_jensen(gate, [9.0, 4096.0])
+    # 8 is below the range, though inside the floor; 5000 is above it
+    for xs in ([8.0, 100.0], [100.0, 5000.0]):
+        with pytest.raises(HypothesisNotVerifiedError, match="outside"):
+            check_jensen(gate, xs)
 
 
 def test_hypothesis_failure_carries_report():
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        OmegaParams(ExponentFunction(parse_function_spec("power:2"),
-                                     IDENTITY, c1=1.0, c2=1.0),
-                    x_lo=2.0, x_hi=3.0)
+        VerifiedRange(ExponentFunction(parse_function_spec("power:2"),
+                                       IDENTITY, c1=1.0, c2=1.0),
+                      x_lo=2.0, x_hi=3.0)
     assert exc.value.report is not None
 
 
 def test_psi_above_identity_inside_the_hull_is_refused():
     # psi = 0.8*ln(x)**3 is below x at 8 and at 50 but above it near 10.9
     with pytest.raises(HypothesisNotVerifiedError) as exc:
-        OmegaParams(ExponentFunction(parse_function_spec("x-over-lnx"),
-                                     FunctionSpec(0.8, 0.0, c=3.0),
-                                     c1=0.1, c2=10.0),
-                    x_lo=8.0, x_hi=50.0)
+        VerifiedRange(ExponentFunction(parse_function_spec("x-over-lnx"),
+                                       FunctionSpec(0.8, 0.0, c=3.0),
+                                       c1=0.1, c2=10.0),
+                      x_lo=8.0, x_hi=50.0)
     assert not exc.value.report["psi_leq_x_ok"]
     assert 8.0 < exc.value.report["witness"]["psi_leq_x_fails_at"] < 50.0
 
 
-def test_construction_always_verifies(psi_family_calls):
+def test_construction_always_verifies(hypothesis_scans):
     # a range is required, and it is verified before the object exists
     with pytest.raises(TypeError, match="x_lo"):
-        OmegaParams(ExponentFunction(IDENTITY, IDENTITY))
+        VerifiedRange(ExponentFunction(IDENTITY, IDENTITY))
     with pytest.raises(HypothesisNotVerifiedError):
-        OmegaParams(ExponentFunction(parse_function_spec("power:2"),
-                                     IDENTITY),
-                    x_lo=1.0, x_hi=1e9)
+        VerifiedRange(ExponentFunction(parse_function_spec("power:2"),
+                                       IDENTITY),
+                      x_lo=1.0, x_hi=1e9)
     params = _identity_params()
-    assert len(psi_family_calls) == 2  # one per construction
+    assert len(hypothesis_scans) == 2  # one per construction
     assert check_product_bound(120, 3, [40, 40, 40], params)
     assert check_p_monotonicity(100.0, 4, params)
-    assert len(psi_family_calls) == 2  # the checks never verify again
+    assert len(hypothesis_scans) == 2  # the checks never verify again
 
 
 def test_argument_outside_the_range_is_refused():

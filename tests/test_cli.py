@@ -134,6 +134,11 @@ def test_count_symmetric_only_labels_the_table(monkeypatch, tmp_path, q, n,
     ("count", "--q", "2", "--n", "6", "--budget", "-1"),
     ("maxluf", "--q", "2", "--n", "0"),
     ("maxluf", "--q", "2", "--n", "-2"),
+    # refused by flag, not by the library's "alphabet size must be ..."
+    ("count", "--q", "1", "--n", "6"),
+    ("count", "--q", "0", "--n", "6", "--workers", "2"),
+    ("maxluf", "--q", "1", "--n", "6"),
+    ("bound-recurrence", "--q", "1", "--seed-n", "3", "--n-max", "6"),
 ])
 def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
     code, out, err = _invoke(*flags)
@@ -141,8 +146,10 @@ def test_count_nonpositive_workers_or_shard_depth_is_exit_one(flags):
     assert out == ""
     assert "error:" in err and "Traceback" not in err
     for flag, value in zip(flags, flags[1:]):
-        if flag in ("--n", "--budget") and int(value) < 1:
+        if flag in ("--n", "--budget", "--workers") and int(value) < 1:
             assert f"{flag} must be >= 1, got {value}" in err
+        if flag == "--q" and int(value) < 2:
+            assert f"--q must be >= 2, got {value}" in err
     if "--shard-depth" in flags:
         assert "usage error: unrecognized arguments: --shard-depth" in err
 
@@ -219,6 +226,21 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
     (("delta", "--fn", "sqrt", "--x-lo", "100", "--x-hi", "10"), "--x-hi"),
     (("psi-family", "--phi", "sqrt", "--psi", "sqrt", "--x-lo", "100",
       "--x-hi", "10"), "--x-hi"),
+    # the --n-lo/--n-hi scans refuse by flag, not with the library's
+    # "need 0 < x_lo <= x_hi" or "x=2.0 is below the domain floor"
+    (("d-condition", "--phi", "x-over-lnx", "--psi", "ln", "--d", "2",
+      "--n-lo", "1e8", "--n-hi", "1e2"), "--n-lo"),
+    (("d-condition", "--phi", "x-over-lnx", "--psi", "ln", "--d", "2",
+      "--n-lo", "2"), "--n-lo"),
+    (("d-condition", "--phi", "sqrt", "--psi", "ln", "--d", "2",
+      "--n-lo", "2"), "--n-lo"),
+    (("phi-composition", "--phi", "x-over-lnx", "--n-lo", "2"), "--n-lo"),
+    (("phi-composition", "--phi", "sqrt", "--n-lo", "1e8", "--n-hi", "1e2"),
+     "--n-hi"),
+    (("p-monotonicity", "--phi", "identity", "--psi", "identity",
+      "--n-lo", "0"), "--n-lo"),
+    (("p-monotonicity", "--phi", "identity", "--psi", "identity",
+      "--n-lo", "100", "--n-hi", "10"), "--n-hi"),
 ])
 def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     code, out, err = _invoke("verify", *argv)
@@ -423,7 +445,10 @@ def test_count_load_cache_with_enumeration_flag_is_exit_one(tmp_path, flags):
     code, out, err = _invoke("count", "--q", "2", "--n", "4",
                              "--load-cache", path, *flags)
     assert (code, out) == (1, "")
-    assert f"enumeration flags: {flags[0]}" in err
+    if flags == ["--workers", "0"]:  # below its limit: refused before
+        assert "error: --workers must be >= 1, got 0\n" in err
+    else:
+        assert f"enumeration flags: {flags[0]}" in err
 
 
 def test_cache_dir_env_var(tmp_path, monkeypatch):
@@ -735,6 +760,29 @@ def test_verify_jensen_seeded():
     assert _result(out)["trials_run"] == 50
 
 
+@pytest.mark.parametrize("seed", ["0", "1", "2"])
+def test_verify_jensen_range_that_breaks_the_hypothesis_is_exit_one(seed):
+    # x/ln x is convex on [5.86, e**2), where no point drawn at seed 0
+    # falls: only a check of the whole range refuses it.  The witness is a
+    # grid point of the range, whatever the seed
+    code, out, err = _invoke("verify", "jensen", "--fn", "1,1,-1,0,1@2.5",
+                             "--x-lo", "5.86", "--x-hi", "14291.8",
+                             "--seed", seed)
+    assert (code, out) == (1, "")
+    assert err.startswith("error: 1*x^1*lnx^-1*exp(0*lnx^1)@2.5 fails the "
+                          "hypothesis on [5.86, 14291.8]: {'x': 5.86, "
+                          "'kind': 'd2'}\n")
+
+
+def test_verify_jensen_one_point_range_passes():
+    # 7 or 14 points of 10.4253 average, in floats, to just above it
+    code, out, err = _invoke("verify", "jensen", "--fn", "sqrt@2", "--x-lo",
+                             "10.4253", "--x-hi", "10.4253", "--points", "20",
+                             "--trials", "50", "--seed", "403419")
+    assert code == 0, err
+    assert _result(out)["trials_run"] == 50
+
+
 def test_verify_jensen_convex_is_usage_error():
     code, out, err = _invoke("verify", "jensen", "--fn", "power:2",
                              "--x-lo", "1", "--x-hi", "100",
@@ -757,7 +805,7 @@ def test_verify_product_bound():
     ("product-bound", "--phi", "x-over-lnx", "--psi", "ln"),
 ])
 def test_omega_hypothesis_is_verified_once_per_run(monkeypatch,
-                                                   psi_family_calls, argv):
+                                                   hypothesis_scans, argv):
     from richwords import functions
 
     built = []
@@ -770,10 +818,21 @@ def test_omega_hypothesis_is_verified_once_per_run(monkeypatch,
     monkeypatch.setattr(functions, "ExponentFunction", Counting)
     code, _, err = _invoke("verify", *argv)
     assert code == 0, err
-    assert len(psi_family_calls) == 1
+    assert len(hypothesis_scans) == 1
     # the run builds one exponent, and the gate verifies that one
     assert len(built) == 1
-    assert psi_family_calls[0][0] is built[0]
+    assert hypothesis_scans[0][0] is built[0]
+
+
+def test_jensen_hypothesis_is_verified_once_per_run(hypothesis_scans):
+    # one grid walk over [--x-lo, --x-hi], not one per trial
+    code, out, err = _invoke("verify", "jensen", "--fn", "x-over-lnx",
+                             "--x-lo", "8", "--x-hi", "1e6",
+                             "--trials", "1000")
+    assert code == 0, err
+    assert _result(out)["trials_run"] == 1000
+    (fn, x_lo, x_hi, _), = hypothesis_scans
+    assert (fn.label, x_lo, x_hi) == (_result(out)["fn"], 8.0, 1e6)
 
 
 def test_product_bound_parts_halve_to_the_domain_floor(monkeypatch):
@@ -861,7 +920,7 @@ def test_p_monotonicity_below_the_domain_floor_names_the_flags():
     ("--phi", "identity"),  # one part at every n
 ])
 def test_p_monotonicity_range_is_the_hull_of_its_arguments(
-        monkeypatch, psi_family_calls, flags):
+        monkeypatch, hypothesis_scans, flags):
     # the closed-form range is exactly the least and the largest argument
     # the checks ask for, so no argument is refused and none is unverified
     from richwords import functions
@@ -877,7 +936,7 @@ def test_p_monotonicity_range_is_the_hull_of_its_arguments(
     code, out, err = _invoke("verify", "p-monotonicity", "--phi", "sqrt",
                              "--psi", "identity", *flags)
     assert code == 0, err
-    (_, x_lo, x_hi, _), = psi_family_calls
+    (_, x_lo, x_hi, _), = hypothesis_scans
     assert (x_lo, x_hi) == (min(asked), max(asked))
     assert len(asked) == 2 * _result(out)["checked"]
 
@@ -1083,8 +1142,7 @@ def test_bootstrap_overflow_names_the_step():
 def test_alphabet_is_checked_before_the_empty_word():
     code, out, err = _invoke("ups", "", "--q", "1")
     assert (code, out) == (1, "")
-    assert err.startswith("error: alphabet size must be an integer >= 2, "
-                          "got 1\n")
+    assert err.startswith("error: --q must be >= 2, got 1\n")
     code, out, err = _invoke("ups", "", "--q", "2")
     assert (code, out) == (1, "")
     assert "the empty word has no suffix factorization" in err
