@@ -20,6 +20,12 @@ operations and no table of rows.  Otherwise each convolution row S_p is
 built for p up to p_cap = min(n_max, max tau) and summed up to tau(n):
 O(p_cap * n_max**2) operations.
 
+Both orders convolve through pair sums.  g takes every value twice,
+g(2i-1) = g(2i) = B(i), so sum_{j<=J} g[j]*c[n-j] is
+sum_i B(i)*(c[n-2i+1] + c[n-2i]), plus B((J+1)/2)*c[n-J] for an odd J.
+Each pair sum c[m] + c[m-1] is built once, for H and for every row S_p
+read by the next, which halves the multiplications and additions.
+
 tau is an integer-valued function supplied by the caller; nothing here
 pins a particular choice, because the multiplicative constant inside the
 natural candidate ceil(c*n/ln n) is not determined by the development the
@@ -113,6 +119,21 @@ def unconditional(tau: Callable[[int], int], n_seed: int, n_max: int) -> bool:
     return all(tau(n) >= n for n in range(n_seed + 1, n_max + 1))
 
 
+def _pair_terms(values: dict, c: dict, c2: dict, n: int, top: int
+                ) -> list:
+    """The terms of sum_{j=1..top} g[j]*c[n-j], g[j] = values[ceil(j/2)],
+    in increasing j.
+
+    g takes each value twice, g[2i-1] = g[2i] = B(i), so the pair j = 2i-1,
+    2i is the one product B(i)*c2[n-2i+1], with c2[m] = c[m] + c[m-1]; an
+    odd top leaves the lone term B((top+1)/2)*c[n-top].
+    """
+    terms = [values[i] * c2[n - 2 * i + 1] for i in range(1, top // 2 + 1)]
+    if top % 2:
+        terms.append(values[(top + 1) // 2] * c[n - top])
+    return terms
+
+
 def recurrence_bound(seeds: dict, tau: Callable[[int], int],
                      n_max: int) -> dict:
     """Extend the seeds {n: B(n)}, n = 1..n_seed, to {n: B(n)} for
@@ -124,10 +145,11 @@ def recurrence_bound(seeds: dict, tau: Callable[[int], int],
     exactly.  Entry n only reads entries at indices <= ceil(n/2).
 
     If unconditional(tau, n_seed, n_max), the sum over all part counts is
-    taken as the geometric series H = G + G*H, in n_max*(n_max - 1)
-    operations.  Otherwise the convolution rows S_1..S_p_cap are built,
-    p_cap = min(n_max, max tau), which costs O(p_cap * n_max**2)
-    operations and a p_cap x n_max table.
+    taken as the geometric series H = G + G*H, in floor(n_max**2/2) +
+    n_max - 2 operations (n_max >= 2).  Otherwise the convolution rows
+    S_1..S_p_cap are built, p_cap = min(n_max, max tau), which costs
+    about p_cap * n_max**2 / 2 operations and two p_cap x n_max tables,
+    the rows and their pair sums.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
@@ -147,28 +169,34 @@ def recurrence_bound(seeds: dict, tau: Callable[[int], int],
                 f"tau({n}) must be a positive integer, got {t!r}")
         taus[n] = t
 
-    # g[m] = B(ceil(m/2)), known for m <= n once B is known below n
-    g: dict = {}
+    # each pair sum c2[m] = c[m] + c[m-1] is built once, when row m + 1
+    # first reads it
     if unconditional(taus.__getitem__, n_seed, n_max):
         # every part count is summed, so B(n) = H[n] for the series
         # H = G + G*H: H[n] = g[n] + sum_{j<n} g[j]*H[n-j]
         h: dict = {}
+        h2: dict = {}
         for n in range(1, n_max + 1):
-            g[n] = values[(n + 1) // 2]
-            h[n] = reduce(add, (g[j] * h[n - j] for j in range(1, n)), g[n])
+            if n > 2:
+                h2[n - 1] = h[n - 1] + h[n - 2]
+            h[n] = reduce(add, _pair_terms(values, h, h2, n, n - 1),
+                          values[(n + 1) // 2])
             if n > n_seed:
                 values[n] = h[n]
     else:
-        # conv[p][m] = p-fold convolution of g at m
+        # conv[p][m] = p-fold convolution of g at m, conv2[p] its pair
+        # sums; the top row's are never read
         p_cap = min(n_max, max(taus.values()))
-        conv = {p: {} for p in range(2, p_cap + 1)}
-        conv[1] = g
+        conv = {p: {} for p in range(1, p_cap + 1)}
+        conv2 = {p: {} for p in range(1, p_cap)}
         for n in range(1, n_max + 1):
-            g[n] = values[(n + 1) // 2]
+            conv[1][n] = values[(n + 1) // 2]
             for p in range(2, min(n, p_cap) + 1):
-                prev = conv[p - 1]
-                conv[p][n] = reduce(add, (g[j] * prev[n - j]
-                                          for j in range(1, n - p + 2)))
+                prev, prev2 = conv[p - 1], conv2[p - 1]
+                if n > p:
+                    prev2[n - 1] = prev[n - 1] + prev[n - 2]
+                conv[p][n] = reduce(add, _pair_terms(values, prev, prev2, n,
+                                                     n - p + 1))
             if n > n_seed:
                 values[n] = reduce(add, (conv[p][n] for p in
                                          range(1, min(taus[n], n) + 1)))

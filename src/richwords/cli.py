@@ -98,8 +98,16 @@ def _check_range(ns, *fns, flags=("--x-lo", "--x-hi")) -> None:
         if lo < fn.domain_floor:
             raise InputError(f"{flags[0]} {lo:g} is below the domain floor "
                              f"{fn.domain_floor:g} of {fn.label}")
+        if not fn.admits(lo):  # a floor of 1 under ln x
+            raise InputError(f"{flags[0]} {lo:g} is not above 1, and "
+                             f"{fn.label} takes ln x")
     if lo > hi:
         raise InputError(f"{flags[0]} {lo:g} is above {flags[1]} {hi:g}")
+
+
+def _range_error(ns, exc) -> InputError:
+    # a scan's inner argument leaves a domain only at a length in the range
+    return InputError(f"--n-lo {ns.n_lo:g} to --n-hi {ns.n_hi:g}: {exc}")
 
 
 def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
@@ -353,9 +361,12 @@ def _cmd_verify_d_condition(ns):
     phi = functions.parse_function_spec(ns.phi)
     psi = functions.parse_function_spec(ns.psi)
     _check_range(ns, phi, psi, flags=("--n-lo", "--n-hi"))
-    return {"phi": phi.label, "psi": psi.label, "d": ns.d,
-            **functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
-                                          ns.grid)}
+    try:
+        scan = functions.check_d_condition(phi, psi, ns.d, ns.n_lo, ns.n_hi,
+                                           ns.grid)
+    except functions.InnerDomainError as exc:
+        raise _range_error(ns, exc) from None
+    return {"phi": phi.label, "psi": psi.label, "d": ns.d, **scan}
 
 
 def _cmd_verify_phi_composition(ns):
@@ -363,9 +374,11 @@ def _cmd_verify_phi_composition(ns):
 
     phi = functions.parse_function_spec(ns.phi)
     _check_range(ns, phi, flags=("--n-lo", "--n-hi"))
-    return {"phi": phi.label,
-            **functions.check_phi_composition(phi, ns.n_lo, ns.n_hi,
-                                              ns.grid)}
+    try:
+        scan = functions.check_phi_composition(phi, ns.n_lo, ns.n_hi, ns.grid)
+    except functions.InnerDomainError as exc:
+        raise _range_error(ns, exc) from None
+    return {"phi": phi.label, **scan}
 
 
 def _cmd_bootstrap(ns):
@@ -536,7 +549,7 @@ COMMANDS = {
 }
 
 
-def _add_flag(parser, flag) -> argparse.Action:
+def _add_flag(parser, flag) -> None:
     name, _, metavar = flag.name.partition(" ")
     kwargs = {"help": flag.help}
     if flag.type is bool:
@@ -549,28 +562,42 @@ def _add_flag(parser, flag) -> argparse.Action:
             kwargs["default"] = flag.default
         elif name.startswith("-"):
             kwargs["required"] = True
-    return parser.add_argument(name, **kwargs)
+    parser.add_argument(name, **kwargs)
 
 
-def build_parser() -> _Parser:
+def _chain(argv) -> tuple[str, ...]:
+    # the COMMANDS entries argv runs through when it starts with a runnable
+    # subcommand or verify check, else ()
+    names = tuple(argv[:1])
+    if names == ("verify",):
+        names += (" ".join(argv[:2]),)
+    return names if names and COMMANDS.get(names[-1], (None,))[0] else ()
+
+
+def build_parser(argv=None) -> _Parser:
+    """The parser for argv.  When argv starts with a runnable subcommand,
+    or verify and one of its checks, it holds only that chain and its
+    flags, and parses argv as the whole tree would; every other argv
+    (None included) gets the whole tree, so help and choice errors list
+    every subcommand."""
     parser = _Parser(prog="richwords",
                      description="rich-word enumeration and bound checks")
     parser.add_argument("--version", action="version", version=TOOL_VERSION)
+    chain = _chain(argv or ())
     parsers, subparsers = {"": parser}, {}
-    actions = {}  # as parents= does, subcommands share a row's action
     for name, (_, help_text, flags) in COMMANDS.items():
+        if chain and name not in chain:
+            continue
         group, _, leaf = name.rpartition(" ")
         if group not in subparsers:
             subparsers[group] = parsers[group].add_subparsers(
                 dest="verify_what" if group else "command", required=True)
         parsers[name] = subparsers[group].add_parser(leaf, help=help_text)
         for flag in flags:
-            if flag in actions:
-                parsers[name]._add_action(actions[flag])
-            else:
-                actions[flag] = _add_flag(parsers[name], flag)
-    # the cut is not a flag, but the config echo still records it
-    parsers["count"].set_defaults(shard_depth=enumeration.SHARD_DEPTH)
+            _add_flag(parsers[name], flag)
+    if "count" in parsers:
+        # the cut is not a flag, but the config echo still records it
+        parsers["count"].set_defaults(shard_depth=enumeration.SHARD_DEPTH)
     return parser
 
 
@@ -625,7 +652,7 @@ def _emit(ns, result, stdout) -> None:
 def run(argv, stdout=None, stderr=None) -> int:
     stdout = stdout if stdout is not None else sys.stdout
     stderr = stderr if stderr is not None else sys.stderr
-    parser = build_parser()
+    parser = build_parser(argv)
     started = time.perf_counter()
     try:
         try:

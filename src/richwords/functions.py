@@ -55,6 +55,11 @@ class _NotFinite(InputError):
     """A value that overflows or is nan, unlike one that underflows."""
 
 
+class InnerDomainError(InputError):
+    """A scan's inner argument, such as phi(n)/2, that the spec applied to
+    it does not take; the scanned range is what reaches it."""
+
+
 @dataclass(frozen=True)
 class FunctionSpec:
     """One member of the catalogue family a * x^b * lnx^c * exp(u * lnx^v)."""
@@ -93,6 +98,10 @@ class FunctionSpec:
         if self.domain_min is not None:
             text += f"@{self.domain_min:g}"
         return text
+
+    def admits(self, x: float) -> bool:
+        """Whether value(x) passes the domain check below."""
+        return x >= self.domain_floor and not (self.uses_log and x <= 1.0)
 
     def _check_domain(self, x: float) -> None:
         if x < self.domain_floor:
@@ -219,6 +228,9 @@ class ExponentFunction:
     @property
     def domain_floor(self) -> float:
         return max(1.0, self.phi.domain_floor, self.psi.domain_floor)
+
+    def admits(self, x: float) -> bool:
+        return self.phi.admits(x) and self.psi.admits(x)
 
     @property
     def label(self) -> str:
@@ -351,8 +363,8 @@ def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
     failures = 0
     for idx, x in enumerate(grid):
         inner = phi.value(x) / 2.0
-        if inner < psi.domain_floor:
-            raise InputError(
+        if not psi.admits(inner):
+            raise InnerDomainError(
                 f"psi is not evaluable at phi({x:g})/2 = {inner:g} "
                 f"(domain floor {psi.domain_floor})")
         lhs = 2.0 * psi.value(inner)
@@ -383,8 +395,8 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
     slack = 1e-12
     for idx, x in enumerate(grid):
         inner = phi.value(x)
-        if inner < phi.domain_floor or (phi.uses_log and inner <= 1.0):
-            raise InputError(
+        if not phi.admits(inner):
+            raise InnerDomainError(
                 f"phi is not evaluable at phi({x:g}) = {inner:g} "
                 f"(domain floor {phi.domain_floor})")
         outer = phi.value(inner)

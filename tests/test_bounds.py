@@ -158,30 +158,59 @@ def test_recurrence_tau_one_chain():
         assert abs(float(table[n].log_q) - 1.0) < 1e-9
 
 
-def test_recurrence_matches_exact_oracle():
+@pytest.mark.parametrize("q, n_max, n_seeds", [
+    (2, 12, (1, 2, 3, 6)), (2, 40, (10,)), (2, 60, (10,)),
+    # the pair sums' odd and even boundaries: the first rows past one
+    # seed, and tops of both parities
+    (3, 1, (1,)), (3, 2, (1,)), (3, 3, (1,)), (3, 13, (1,)), (3, 41, (1,))])
+def test_recurrence_matches_exact_oracle(q, n_max, n_seeds):
     # on int seeds the engine is the exact-integer mirror; the log-domain
     # engine must dominate it and stay within the nudge budget of it
     # tau >= n on every row sums the geometric series; any row below n
     # (the boundary tau, n - 1 on one row only) takes the convolution rows
-    for n_max, n_seeds in ((12, (1, 2, 3, 6)), (40, (10,)), (60, (10,))):
-        for n_seed in n_seeds:
-            seeds_counts = _counts(2, n_seed)
-            seeds = seed_table_from_counts(seeds_counts, 2)
-            for tau in (lambda n: n, lambda n: n + 3,
-                        lambda n: n - 1 if n == n_max - 2 else n,
-                        lambda n: 2, lambda n: max(1, n // 2)):
-                exact = oracles.recurrence_table_exact(seeds_counts, tau,
-                                                       n_max)
-                assert recurrence_bound(seeds_counts, tau, n_max) == {
-                    n: exact[n] for n in range(1, n_max + 1)}
-                if n_max > 40:  # the int check reaches further
-                    continue
-                table = recurrence_bound(seeds, tau, n_max)
-                for n in range(1, n_max + 1):
-                    got = float(table[n].log_q)
-                    want = math.log2(exact[n])
-                    assert got >= want - 1e-12, (n_max, n_seed, n)
-                    assert got <= want + 1e-9, (n_max, n_seed, n)
+    for n_seed in n_seeds:
+        seeds_counts = _counts(q, n_seed)
+        seeds = seed_table_from_counts(seeds_counts, q)
+        for tau in (lambda n: n, lambda n: n + 3,
+                    lambda n: n - 1 if n == n_max - 2 else n,
+                    lambda n: n - 1 if n == n_max else n,
+                    lambda n: 1, lambda n: 2, lambda n: 3,
+                    lambda n: n_max, lambda n: max(1, n // 2)):
+            exact = oracles.recurrence_table_exact(seeds_counts, tau, n_max)
+            assert recurrence_bound(seeds_counts, tau, n_max) == {
+                n: exact[n] for n in range(1, n_max + 1)}
+            if n_max > 41:  # the int check reaches further
+                continue
+            table = recurrence_bound(seeds, tau, n_max)
+            for n in range(1, n_max + 1):
+                got = float(table[n].log_q)
+                want = math.log(exact[n], q)
+                assert got >= want - 1e-12, (n_max, n_seed, n)
+                assert got <= want + 1e-9, (n_max, n_seed, n)
+
+
+def test_recurrence_reads_the_convolutions_through_pair_sums(monkeypatch):
+    # the benchmark's two tables, from exact seeds to 10 at q = 2.  Summed
+    # term by term, the series took n_max*(n_max - 1) = 3,540 operations
+    # and the rows 29,084; pair sums halve both
+    from richwords.logvalue import LogValue
+
+    ops = [0]
+
+    def counted(op):
+        def wrapper(self, other):
+            ops[0] += 1
+            return op(self, other)
+        return wrapper
+
+    monkeypatch.setattr(LogValue, "__add__", counted(LogValue.__add__))
+    monkeypatch.setattr(LogValue, "__mul__", counted(LogValue.__mul__))
+    seeds = seed_table_from_counts(_counts(2, 10), 2)
+    for tau, n_max, most in ((lambda n: n, 60, 1859),
+                             (lambda n: 4, 100, 15068)):
+        ops[0] = 0
+        recurrence_bound(seeds, tau, n_max)
+        assert ops[0] <= most, (n_max, ops[0])
 
 
 def test_recurrence_direct_composition_sum_agrees():

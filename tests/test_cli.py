@@ -241,6 +241,19 @@ def test_verify_nonpositive_trials_is_exit_one(argv, trials):
       "--n-lo", "0"), "--n-lo"),
     (("p-monotonicity", "--phi", "identity", "--psi", "identity",
       "--n-lo", "100", "--n-hi", "10"), "--n-hi"),
+    # a floor of 1 under ln x: the low end itself is not evaluable
+    (("delta", "--fn", "ln@1", "--x-lo", "1", "--x-hi", "10"), "--x-lo"),
+    (("jensen", "--fn", "ln@1", "--x-lo", "1", "--x-hi", "10"), "--x-lo"),
+    (("psi-family", "--phi", "sqrt", "--psi", "ln@1", "--x-lo", "1",
+      "--x-hi", "10"), "--x-lo"),
+    # an inner argument phi(n)/2 or phi(n) below the next spec's floor
+    (("d-condition", "--phi", "sqrt", "--psi", "ln@1", "--d", "1.5",
+      "--n-lo", "1", "--n-hi", "100"), "--n-lo"),
+    (("d-condition", "--phi", "sqrt", "--psi", "ln@1", "--d", "1.5",
+      "--n-lo", "2", "--n-hi", "100"), "--n-lo"),
+    (("d-condition", "--phi", "sqrt", "--psi", "ln@1", "--d", "1.5",
+      "--n-lo", "4", "--n-hi", "100"), "--n-lo"),
+    (("phi-composition", "--phi", "ln@1.5", "--n-lo", "2"), "--n-lo"),
 ])
 def test_verify_vacuous_or_clamped_input_is_exit_one(argv, flag):
     code, out, err = _invoke("verify", *argv)
@@ -1286,6 +1299,65 @@ def test_csv_unsupported_for_check():
     assert code == 1
 
 
+# -- the parser for one argv -------------------------------------------------
+#
+# build_parser(argv) holds only the subcommand argv names; build_parser()
+# holds the whole tree.  Both must parse every argv alike: the same
+# namespace, the same usage error, the same help bytes.
+
+
+def _parse(parser, argv, capsys):
+    capsys.readouterr()
+    try:
+        outcome = ("ns", vars(parser.parse_args(argv)))
+    except SystemExit as exc:  # --help / --version
+        outcome = ("exit", exc.code)
+    except cli._UsageError as exc:
+        outcome = ("usage", str(exc))
+    return outcome, capsys.readouterr()
+
+
+_PARSE_ARGVS = [
+    ["--help"], ["--version"], [], ["verify"], ["verify", "--help"],
+    ["frobnicate"], ["verify", "frobnicate"], ["--", "count"],
+    *[name.split() + ["--help"] for name in cli.COMMANDS],
+    *[name.split() for name in cli.COMMANDS],
+    ["count", "--q", "2", "--n", "3"],
+    ["count", "--q", "2", "--n", "3", "--format", "xml"],
+    ["count", "--q", "2", "--n", "3", "--version"],
+    ["count", "--q", "2", "--n", "3", "--sym", "extra"],
+    ["verify", "jensen", "--fn", "sqrt", "--x-lo", "1", "--x-hi", "10",
+     "--format", "csv"],
+    ["verify", "jensen", "delta"],
+]
+
+
+@pytest.mark.parametrize("argv", _PARSE_ARGVS, ids=" ".join)
+def test_parser_for_an_argv_parses_as_the_whole_tree(argv, capsys):
+    assert _parse(cli.build_parser(argv), argv, capsys) == _parse(
+        cli.build_parser(), argv, capsys)
+
+
+def test_parser_for_a_subcommand_builds_only_its_flags(monkeypatch):
+    added = []
+
+    def counting(parser, flag):
+        added.append(flag)
+        add_flag(parser, flag)
+
+    add_flag = cli._add_flag
+    monkeypatch.setattr(cli, "_add_flag", counting)
+    cli.build_parser(["count", "--q", "2", "--n", "3"])
+    assert added == list(cli.COMMANDS["count"][2])
+    added.clear()
+    cli.build_parser(["verify", "jensen", "--help"])
+    assert added == list(cli.COMMANDS["verify jensen"][2])
+    added.clear()
+    cli.build_parser(["--help"])
+    assert added == [flag for _, _, flags in cli.COMMANDS.values()
+                     for flag in flags]
+
+
 # -- fuzzing the argument surface ---------------------------------------------
 #
 # The argv are drawn from cli.COMMANDS, so a new flag is fuzzed as it is
@@ -1467,6 +1539,20 @@ def _check_run(argv, expected):
 @given(_argv())
 def test_cli_fuzz_exit_codes(case):
     _check_run(*case)
+
+
+@settings(max_examples=250, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(_argv())
+def test_cli_fuzz_parser_for_the_argv_parses_as_the_whole_tree(case):
+    argv = case[0]
+    outcomes = []
+    for parser in (cli.build_parser(argv), cli.build_parser()):
+        try:  # repr, since nan != nan
+            outcomes.append(repr(vars(parser.parse_args(argv))))
+        except cli._UsageError as exc:
+            outcomes.append(str(exc))
+    assert outcomes[0] == outcomes[1]
 
 
 @pytest.mark.parametrize("name, option, value", _EDGES,
