@@ -6,8 +6,8 @@ The central object is the recurrence table
     S_p  = p-fold convolution of g over compositions, g(m) = B(ceil(m/2)),
 
 computed with every LogValue operation rounded up, so each entry is an
-upper bound on the recurrence from the seeds.  The convolution only ever
-reads entries at indices at most ceil(n/2), which is what makes seeding a
+upper bound on the recurrence from the seeds.  Row n only ever reads
+entries at indices at most ceil(n/2), which is what makes seeding a
 prefix of exact counts sound.  Row n bounds R(n) itself when every rich
 word of length n splits into at most tau(n) palindromes, and so outright
 when tau(n) >= n (unconditional).
@@ -16,15 +16,25 @@ The table is evaluated in one of two orders.  When tau(n) >= n on every
 recurrence row (tau = n, or a constant at least n_max), every part count
 is summed and the sum over p is the geometric series H = G + G*H, so
 B(n) = H[n] = g[n] + sum_{j<n} g[j]*H[n-j]: O(n_max**2) LogValue
-operations and no table of rows.  Otherwise each convolution row S_p is
-built for p up to p_cap = min(n_max, max tau) and summed up to tau(n):
-O(p_cap * n_max**2) operations.
+operations and no table of rows.  It convolves through pair sums: g
+takes every value twice, g(2i-1) = g(2i) = B(i), so sum_{j<=J} g[j]*c[n-j]
+is sum_i B(i)*(c[n-2i+1] + c[n-2i]), plus B((J+1)/2)*c[n-J] for an odd J,
+and each pair sum c[m] + c[m-1] is built once.
 
-Both orders convolve through pair sums.  g takes every value twice,
-g(2i-1) = g(2i) = B(i), so sum_{j<=J} g[j]*c[n-j] is
-sum_i B(i)*(c[n-2i+1] + c[n-2i]), plus B((J+1)/2)*c[n-J] for an odd J.
-Each pair sum c[m] + c[m-1] is built once, for H and for every row S_p
-read by the next, which halves the multiplications and additions.
+Otherwise each S_p(n) is summed for p up to min(tau(n), n), over half
+the length.  The same halving makes G(x) = (1+x)/x * E(x**2), with
+E(y) = sum_i B(i)*y**i, so
+
+    S_p(n) = [x**(n+p)] (1+x)**p * E(x**2)**p
+           = sum over k of the parity of n+p of C(p, k) * T_p((n+p-k)/2),
+
+where T_p = E**p is the p-fold convolution of B itself, built column by
+column as T_p(m) = sum_i B(i)*T_{p-1}(m-i) up to m = (n_max+p)/2.  With
+p_cap = min(n_max, max tau) well below n_max that is about
+p_cap*n_max**2/4 operations for the T_p and p_cap**2*n_max/2 for the
+binomial sums.  T_p(m) reads B up to m - p + 1, so row n reads B up to
+floor((n+p)/2) - p + 1, again at most ceil(n/2).  On LogValues each
+C(p, k) enters rounded up.
 
 tau is an integer-valued function supplied by the caller; nothing here
 pins a particular choice, because the multiplicative constant inside the
@@ -41,7 +51,7 @@ live in functions.
 from __future__ import annotations
 
 import math
-from functools import reduce
+from functools import cache, reduce
 from operator import add
 from typing import TYPE_CHECKING, Callable
 
@@ -134,22 +144,44 @@ def _pair_terms(values: dict, c: dict, c2: dict, n: int, top: int
     return terms
 
 
+def _weights(sample) -> Callable[[int], object]:
+    """int -> a value of sample's type: the int itself, so int seeds stay
+    exact, or a LogValue rounded up, each made once."""
+    if isinstance(sample, int):
+        return int
+    return cache(lambda c: type(sample).from_int(c, sample.q))
+
+
+def _extend_power(values: dict, power: dict, p: int, top: int) -> None:
+    """Extend power[p], the p-fold convolution T_p of B = values, p >= 2,
+    to index top: T_p(m) = sum_{i=1..m-p+1} B(i)*T_{p-1}(m-i) reads B up
+    to m - p + 1 and T_{p-1} up to m - 1."""
+    prev = power[p - 1]
+    row = power.setdefault(p, {})
+    for m in range(p + len(row), top + 1):
+        row[m] = reduce(add, (values[i] * prev[m - i]
+                              for i in range(1, m - p + 2)))
+
+
 def recurrence_bound(seeds: dict, tau: Callable[[int], int],
                      n_max: int) -> dict:
     """Extend the seeds {n: B(n)}, n = 1..n_seed, to {n: B(n)} for
     n = 1..n_max with the convolution recurrence.
 
-    The values are only added and multiplied.  On LogValue seeds every
-    operation rounds up, so each row is an upper bound on the integer
-    recurrence from the seeds; on int seeds the rows are that recurrence
-    exactly.  Entry n only reads entries at indices <= ceil(n/2).
+    The values are only added and multiplied, by each other and by
+    binomial coefficients of their type.  On LogValue seeds every
+    operation and coefficient rounds up, so each row is an upper bound on
+    the integer recurrence from the seeds; on int seeds the rows are that
+    recurrence exactly.  Entry n only reads entries at indices
+    <= ceil(n/2).
 
     If unconditional(tau, n_seed, n_max), the sum over all part counts is
     taken as the geometric series H = G + G*H, in floor(n_max**2/2) +
-    n_max - 2 operations (n_max >= 2).  Otherwise the convolution rows
-    S_1..S_p_cap are built, p_cap = min(n_max, max tau), which costs
-    about p_cap * n_max**2 / 2 operations and two p_cap x n_max tables,
-    the rows and their pair sums.
+    n_max - 2 operations (n_max >= 2).  Otherwise each S_p(n) is a
+    binomial sum over the convolution powers T_p of B, p up to
+    p_cap = min(n_max, max tau), which costs about
+    p_cap * n_max**2 / 4 + p_cap**2 * n_max / 2 operations and one
+    p_cap x n_max/2 table.
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
@@ -169,11 +201,10 @@ def recurrence_bound(seeds: dict, tau: Callable[[int], int],
                 f"tau({n}) must be a positive integer, got {t!r}")
         taus[n] = t
 
-    # each pair sum c2[m] = c[m] + c[m-1] is built once, when row m + 1
-    # first reads it
     if unconditional(taus.__getitem__, n_seed, n_max):
         # every part count is summed, so B(n) = H[n] for the series
-        # H = G + G*H: H[n] = g[n] + sum_{j<n} g[j]*H[n-j]
+        # H = G + G*H: H[n] = g[n] + sum_{j<n} g[j]*H[n-j]; each pair sum
+        # h2[m] = h[m] + h[m-1] is built once, when row m + 1 first reads it
         h: dict = {}
         h2: dict = {}
         for n in range(1, n_max + 1):
@@ -184,22 +215,24 @@ def recurrence_bound(seeds: dict, tau: Callable[[int], int],
             if n > n_seed:
                 values[n] = h[n]
     else:
-        # conv[p][m] = p-fold convolution of g at m, conv2[p] its pair
-        # sums; the top row's are never read
-        p_cap = min(n_max, max(taus.values()))
-        conv = {p: {} for p in range(1, p_cap + 1)}
-        conv2 = {p: {} for p in range(1, p_cap)}
-        for n in range(1, n_max + 1):
-            conv[1][n] = values[(n + 1) // 2]
-            for p in range(2, min(n, p_cap) + 1):
-                prev, prev2 = conv[p - 1], conv2[p - 1]
-                if n > p:
-                    prev2[n - 1] = prev[n - 1] + prev[n - 2]
-                conv[p][n] = reduce(add, _pair_terms(values, prev, prev2, n,
-                                                     n - p + 1))
-            if n > n_seed:
-                values[n] = reduce(add, (conv[p][n] for p in
-                                         range(1, min(taus[n], n) + 1)))
+        # power[p][m] = T_p(m) = [y^m] E(y)**p for E(y) = sum_i B(i)*y^i,
+        # extended when a row first reads it: power[1] is B itself
+        power = {1: values}
+        weight = _weights(values[1])
+        for n in range(n_seed + 1, n_max + 1):
+            terms = []
+            for p in range(1, min(taus[n], n) + 1):
+                top = (n + p) // 2
+                if p > 1:
+                    _extend_power(values, power, p, top)
+                row = power[p]
+                # S_p(n) = sum_k C(p, k) * power[p][(n + p - k)/2] over k
+                # of the parity of n + p with p <= (n + p - k)/2
+                for k in range((n + p) % 2, min(p, n - p) + 1, 2):
+                    term = row[top - k // 2]
+                    terms.append(term if k in (0, p)
+                                 else weight(math.comb(p, k)) * term)
+            values[n] = reduce(add, terms)
     return {n: values[n] for n in range(1, n_max + 1)}
 
 

@@ -28,10 +28,15 @@ import time
 # the other submodules are imported by the handlers that use them, so a
 # run loads only what its subcommand needs (count never loads mpmath)
 from . import bounds, enumeration
-from .errors import InputError, RichwordsError
+from .errors import BudgetExceededError, InputError, RichwordsError
 from .version import TOOL_VERSION
 
 CACHE_DIR_ENV = "RICHWORDS_CACHE_DIR"
+# bound-recurrence --seeds-cache counts the cache's rows again up to the
+# longest length whose walk fits this many attempts, and prints only those
+# rows as exact-seed: q = 2 to n = 16 (42,263 attempts, about 10-20 ms),
+# q = 3 to 12, q = 4 to 11 and q = 5 to 10
+SEED_CHECK_BUDGET = 50_000
 
 
 class _UsageError(Exception):
@@ -222,6 +227,41 @@ def _parse_tau(ns):
     raise InputError(f"unknown tau form {text!r}")
 
 
+def _walked_prefix(q: int, n_max: int) -> dict[int, int]:
+    """{n: count} from a walk of rows 1..L, L the longest length up to
+    n_max whose walk takes at most SEED_CHECK_BUDGET attempts."""
+    def walk(n):
+        return enumeration.count_rich(q, n, with_max_luf=False,
+                                      node_budget=SEED_CHECK_BUDGET)
+    try:
+        table = walk(n_max)
+    except BudgetExceededError:
+        # each length walks its shorter rows again, so the walks up to
+        # the first that aborts cost a few times the budget in all
+        table = {}
+        for n in range(1, n_max):
+            try:
+                table = walk(n)
+            except BudgetExceededError:
+                break
+    return {n: count for n, (count, _) in table.items()}
+
+
+def _checked_length(ns, counts: dict[int, int]) -> int:
+    """The longest length up to which a walk counts the --seeds-cache
+    counts again; exit 1 on a row it counts otherwise."""
+    # rows above n_max are never printed, and no walk passes the walk limit
+    walked = _walked_prefix(ns.q, min(max(counts, default=1), ns.n_max,
+                                      _WALK_N.most))
+    for n, count in walked.items():
+        if n in counts and counts[n] != count:
+            raise InputError(
+                f"--seeds-cache {ns.seeds_cache}: row n={n} holds "
+                f"{counts[n]}, but there are {count} rich words of "
+                f"length {n} over {ns.q} letters")
+    return len(walked)
+
+
 def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
@@ -239,10 +279,14 @@ def _cmd_bound_recurrence(ns):
                                        node_budget=ns.budget)
     counts = {n: count for n, (count, _) in table.items()}
     seeds = bounds.seed_table_from_counts(counts, ns.q)
+    n_checked = (_checked_length(ns, counts) if ns.seeds_cache
+                 else max(counts))
     table = bounds.recurrence_bound(seeds, tau, ns.n_max)
     rows = [{"n": n,
              "exponent_log_q": bounds.exponent_text(value.log_q),
-             "provenance": "exact-seed" if n in seeds else "recurrence"}
+             "provenance": ("recurrence" if n not in seeds
+                            else "exact-seed" if n <= n_checked
+                            else "cached-seed")}
             for n, value in table.items()]
     certified = ("unconditional"
                  if bounds.unconditional(tau, max(seeds), ns.n_max)
@@ -472,7 +516,8 @@ COMMANDS = {
                  "enumerate exact counts up to this length as seeds",
                  least=1, most=_WALK_N.most),
             Flag("--seeds-cache PATH", str, None,
-                 "load seeds from a count cache instead"),
+                 "load seeds from a count cache instead; rows a short walk "
+                 "counts again are exact-seed, the rest cached-seed"),
             _BUDGET,
             Flag("--tau", str, "n",
                  "per-length part cap: n | const:K | phi (default: n)"),

@@ -162,7 +162,11 @@ def test_recurrence_tau_one_chain():
     (2, 12, (1, 2, 3, 6)), (2, 40, (10,)), (2, 60, (10,)),
     # the pair sums' odd and even boundaries: the first rows past one
     # seed, and tops of both parities
-    (3, 1, (1,)), (3, 2, (1,)), (3, 3, (1,)), (3, 13, (1,)), (3, 41, (1,))])
+    (3, 1, (1,)), (3, 2, (1,)), (3, 3, (1,)), (3, 13, (1,)), (3, 41, (1,)),
+    # the half-length rows: n + p of both parities on every row, seed
+    # lengths of both parities, and tables of odd and even length
+    (2, 21, (1, 2, 5)), (2, 22, (4, 7)), (3, 20, (2, 3)), (4, 15, (1, 4)),
+    (4, 16, (3, 6))])
 def test_recurrence_matches_exact_oracle(q, n_max, n_seeds):
     # on int seeds the engine is the exact-integer mirror; the log-domain
     # engine must dominate it and stay within the nudge budget of it
@@ -175,24 +179,27 @@ def test_recurrence_matches_exact_oracle(q, n_max, n_seeds):
                     lambda n: n - 1 if n == n_max - 2 else n,
                     lambda n: n - 1 if n == n_max else n,
                     lambda n: 1, lambda n: 2, lambda n: 3,
-                    lambda n: n_max, lambda n: max(1, n // 2)):
+                    lambda n: n_max, lambda n: max(1, n // 2),
+                    # p_cap = n_max - 1, and p = n - 1 on every row
+                    lambda n: max(1, n_max - 1), lambda n: max(1, n - 1)):
             exact = oracles.recurrence_table_exact(seeds_counts, tau, n_max)
             assert recurrence_bound(seeds_counts, tau, n_max) == {
                 n: exact[n] for n in range(1, n_max + 1)}
             if n_max > 41:  # the int check reaches further
                 continue
             table = recurrence_bound(seeds, tau, n_max)
-            for n in range(1, n_max + 1):
-                got = float(table[n].log_q)
-                want = math.log(exact[n], q)
-                assert got >= want - 1e-12, (n_max, n_seed, n)
-                assert got <= want + 1e-9, (n_max, n_seed, n)
+            with mpmath.workprec(256):
+                for n in range(1, n_max + 1):
+                    got = table[n].log_q
+                    want = mpmath.log(exact[n]) / mpmath.log(q)
+                    # at or above the exact row, up to the 256-bit log
+                    assert got >= want * (1 - mpmath.mpf(2) ** -240), (
+                        n_max, n_seed, n)
+                    assert got <= want + 1e-9, (n_max, n_seed, n)
 
 
-def test_recurrence_reads_the_convolutions_through_pair_sums(monkeypatch):
-    # the benchmark's two tables, from exact seeds to 10 at q = 2.  Summed
-    # term by term, the series took n_max*(n_max - 1) = 3,540 operations
-    # and the rows 29,084; pair sums halve both
+def _logvalue_ops(monkeypatch):
+    """A one-item list counting LogValue additions and multiplications."""
     from richwords.logvalue import LogValue
 
     ops = [0]
@@ -205,12 +212,69 @@ def test_recurrence_reads_the_convolutions_through_pair_sums(monkeypatch):
 
     monkeypatch.setattr(LogValue, "__add__", counted(LogValue.__add__))
     monkeypatch.setattr(LogValue, "__mul__", counted(LogValue.__mul__))
+    return ops
+
+
+def test_recurrence_convolves_the_rows_over_half_the_length(monkeypatch):
+    # the benchmark's two tables, from exact seeds to 10 at q = 2.  The
+    # series reads its convolutions through pair sums (3,540 operations
+    # summed term by term); the rows sum binomial-weighted convolution
+    # powers of B over half the length, where the full-length rows took
+    # 29,084 operations term by term and 14,969 through pair sums
+    ops = _logvalue_ops(monkeypatch)
     seeds = seed_table_from_counts(_counts(2, 10), 2)
-    for tau, n_max, most in ((lambda n: n, 60, 1859),
-                             (lambda n: 4, 100, 15068)):
+    for tau, n_max, most in ((lambda n: n, 60, 1858),
+                             (lambda n: 4, 100, 8112)):
         ops[0] = 0
         recurrence_bound(seeds, tau, n_max)
         assert ops[0] <= most, (n_max, ops[0])
+
+
+class _Tally(int):
+    """An int whose + and * only count themselves: the engine's operation
+    count without the arithmetic.  As a subclass of int it also takes the
+    int engine's binomial weights, int * _Tally included."""
+
+    ops = 0
+
+    def _op(self, other):
+        _Tally.ops += 1
+        return self
+
+    __add__ = __radd__ = __mul__ = __rmul__ = _op
+
+
+# operations of the full-length rows read through pair sums, from exact
+# seeds to 10 at q = 2: tau const:2, 4, 8, 25, n_max - 1 and ceil(ln n) + 1
+_PAIR_SUM_ROWS_OPS = {
+    100: (5089, 14969, 33567, 96587, 173954, 24405),
+    200: (20189, 59969, 137167, 431387, 1362954, 117968)}
+
+
+def _op_guard_taus(n_max):
+    return [lambda n, k=k: k for k in (2, 4, 8, 25, n_max - 1)] + [
+        lambda n: math.ceil(math.log(n)) + 1]
+
+
+def test_tally_counts_as_logvalue_operations(monkeypatch):
+    ops = _logvalue_ops(monkeypatch)
+    seeds = seed_table_from_counts(_counts(2, 10), 2)
+    for tau in _op_guard_taus(30):
+        ops[0] = _Tally.ops = 0
+        recurrence_bound(seeds, tau, 30)
+        recurrence_bound(dict.fromkeys(range(1, 11), _Tally(1)), tau, 30)
+        assert _Tally.ops == ops[0] > 0
+
+
+@pytest.mark.parametrize("n_max", sorted(_PAIR_SUM_ROWS_OPS))
+def test_half_length_rows_never_take_more_operations(n_max):
+    # no cap, small or up to n_max - 1, costs more than the full-length
+    # rows did
+    seeds = dict.fromkeys(range(1, 11), _Tally(1))
+    for tau, before in zip(_op_guard_taus(n_max), _PAIR_SUM_ROWS_OPS[n_max]):
+        _Tally.ops = 0
+        recurrence_bound(seeds, tau, n_max)
+        assert _Tally.ops <= before, (tau(n_max), _Tally.ops, before)
 
 
 def test_recurrence_direct_composition_sum_agrees():

@@ -615,6 +615,88 @@ def test_bound_recurrence_bad_seed_count_names_the_row(tmp_path):
     assert "Traceback" not in err
 
 
+def _edit_cache_count(cache, n, count):
+    """Set row n of a saved count cache to count, as a hand edit would."""
+    lines = cache.read_text().splitlines()
+    row = json.loads(lines[n])
+    assert row["n"] == n
+    row["count"] = str(count)
+    lines[n] = json.dumps(row, sort_keys=True)
+    cache.write_text("\n".join(lines) + "\n")
+
+
+@pytest.mark.parametrize("count", [1, 931, 933, 1024],
+                         ids=["one", "low", "high", "q-to-the-n"])
+@pytest.mark.parametrize("tau", ["n", "const:4"])
+def test_bound_recurrence_edited_seed_row_is_exit_one(tmp_path, count, tau):
+    # row 10 set to 1 used to print as an exact seed, 0.000...0001926,
+    # under certified: unconditional
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "10", "--save-cache",
+                   str(cache))[0] == 0
+    _edit_cache_count(cache, 10, count)
+    code, out, err = _invoke("bound-recurrence", "--q", "2", "--seeds-cache",
+                             str(cache), "--tau", tau, "--n-max", "30")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --seeds-cache {cache}: row n=10 holds "
+                          f"{count}, but there are 932 rich words of "
+                          f"length 10 over 2 letters\n")
+    assert "Traceback" not in err
+
+
+def test_bound_recurrence_checks_seed_rows_up_to_n_max(tmp_path):
+    # rows above --n-max are never printed, so their edit is not read
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "10", "--save-cache",
+                   str(cache))[0] == 0
+    _edit_cache_count(cache, 10, 1)
+    code, out, _ = _invoke("bound-recurrence", "--q", "2", "--seeds-cache",
+                           str(cache), "--n-max", "9")
+    assert code == 0
+    assert {r["provenance"] for r in _result(out)["rows"]} == {"exact-seed"}
+
+
+def test_bound_recurrence_large_q_cache_is_only_partly_checked(tmp_path):
+    # a q = 4 walk to 11 fits the check's budget and one to 12 does not:
+    # rows 12 and 13 print as cached-seed, and an edit there is not caught
+    assert cli.SEED_CHECK_BUDGET == 50_000
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "4", "--n", "13", "--save-cache",
+                   str(cache))[0] == 0
+    args = ("bound-recurrence", "--q", "4", "--seeds-cache", str(cache),
+            "--n-max", "16", "--format", "csv")
+    code, out, err = _invoke(*args)
+    assert code == 0, err
+    provenance = [line.split(",")[2] for line in out.splitlines()[1:]]
+    assert provenance == (["exact-seed"] * 11 + ["cached-seed"] * 2
+                          + ["recurrence"] * 3)
+    _edit_cache_count(cache, 12, 5)
+    code, edited, err = _invoke(*args)
+    assert code == 0, err
+    assert edited.splitlines()[12].endswith(",cached-seed")
+    _edit_cache_count(cache, 11, 5)
+    code, out, err = _invoke(*args)
+    assert (code, out) == (1, "")
+    assert "row n=11 holds 5" in err
+
+
+def test_bound_recurrence_seed_check_walks_within_its_budget(monkeypatch):
+    # the longest length that fits, whether or not the first walk does
+    walks = []
+    real = enumeration.count_rich
+
+    def spy(q, n, **kwargs):
+        walks.append(n)
+        return real(q, n, **kwargs)
+
+    monkeypatch.setattr(enumeration, "count_rich", spy)
+    assert len(cli._walked_prefix(2, 16)) == 16
+    assert walks == [16]
+    walks.clear()
+    assert len(cli._walked_prefix(2, 30)) == 16
+    assert walks == [30] + list(range(1, 18))
+
+
 @pytest.mark.parametrize("argv", [
     ("count", "--q", "2", "--n", "10", "--load-cache"),
     ("bound-recurrence", "--q", "2", "--n-max", "12", "--seeds-cache"),
