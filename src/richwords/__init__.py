@@ -57,9 +57,9 @@ _HOMES = {
     "recurrence_bound": "bounds",
     "save_cache": "enumeration",
     "seed_table_from_counts": "bounds",
+    "suffix_pass": "eertree",
     "text_from_letters": "words",
     "ups_factorize": "ups",
-    "verify_unioccurrence": "ups",
 }
 
 __all__ = list(_HOMES)

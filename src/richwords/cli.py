@@ -64,6 +64,9 @@ def _letters_from_args(ns) -> tuple[tuple[int, ...], int]:
 
     letters = words.letters_from_text(ns.word)
     q = ns.q if ns.q is not None else max(2, max(letters, default=-1) + 1)
+    outside = [ch for ch, a in zip(ns.word, letters) if a >= q]
+    if outside:
+        raise InputError(f"--q {q} has no letter {outside[0]!r}")
     return letters, q
 
 
@@ -130,14 +133,10 @@ def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
 
 
 def _cmd_check(ns):
-    from .eertree import Eertree
+    from .eertree import suffix_pass
 
-    tree = Eertree.from_word(*_letters_from_args(ns))
-    return {
-        "word": ns.word,
-        "rich": tree.is_rich_prefix(),
-        "palindromes": tree.distinct_palindrome_count(),
-    }
+    _, new = suffix_pass(*_letters_from_args(ns))
+    return {"word": ns.word, "rich": all(new), "palindromes": sum(new) + 1}
 
 
 def _load_count_table(ns) -> dict:
@@ -174,9 +173,11 @@ def _cmd_count(ns):
 
 def _cmd_ups(ns):
     from . import ups, words
+    from .eertree import suffix_pass
 
     letters, q = _letters_from_args(ns)
-    boundaries = ups.ups_factorize(letters, q)
+    lengths, new = suffix_pass(letters, q)
+    boundaries = ups.peel_cuts(lengths)
     parts = [words.text_from_letters(letters[b0:b1])
              for b0, b1 in zip(boundaries, boundaries[1:])]
     return {
@@ -184,7 +185,8 @@ def _cmd_ups(ns):
         "parts": parts,
         "p": len(parts),
         "boundaries": list(boundaries),
-        "unioccurrent": ups.verify_unioccurrence(letters, boundaries),
+        # each part is new where it ends, which makes the parts distinct
+        "unioccurrent": all(new[b - 1] for b in boundaries[1:]),
     }
 
 

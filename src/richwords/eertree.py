@@ -15,8 +15,11 @@ previous `last` pointer is saved.  The journal lets one tree serve a
 depth-first walk: the plain-DFS oracle in the tests and the push/pop
 probes of perfbench/ use it that way.
 
-Occurrence counts are deliberately not maintained; richness only needs
-"was a node created", and rollback stays O(1) without them.
+suffix_pass() reads a whole word with one tree and returns, for every
+prefix, its longest palindromic suffix length and push's bit; `check` and
+`ups` need nothing else.  Occurrence counts are deliberately not
+maintained; richness only needs "was a node created", and rollback stays
+O(1) without them.
 
 Extensions follow suffix links (_extension_parent), not the direct links
 of the enumeration walker in enumeration.py.  That is on purpose: the
@@ -64,26 +67,6 @@ class Eertree:
         """Number of processed letters."""
         return len(self._word)
 
-    # -- queries ---------------------------------------------------------
-
-    def distinct_palindrome_count(self) -> int:
-        """Distinct palindromic factors of the processed word, with the
-        empty factor included."""
-        return len(self._len) - 2 + 1
-
-    def longest_pal_suffix_length(self) -> int:
-        """Length of the longest palindromic suffix of the processed word
-        (0 for the empty word)."""
-        return self._len[self._last]
-
-    def is_rich_prefix(self) -> bool:
-        """True iff every push so far created a node, i.e. the processed
-        word attains |w|+1 distinct palindromic factors."""
-        return len(self._len) - 2 == len(self._word)
-
-    def processed(self) -> tuple[int, ...]:
-        return tuple(self._word)
-
     def snapshot(self):
         """Full observable state, for rollback verification in tests."""
         return (
@@ -93,8 +76,6 @@ class Eertree:
             self._last,
             tuple(self._word),
         )
-
-    # -- updates ---------------------------------------------------------
 
     def push(self, a: int) -> int:
         """Append letter a; return 1 if a new palindromic factor appeared."""
@@ -139,9 +120,19 @@ class Eertree:
             del self._next[parent][a]
         self._last = prev_last
 
-    @classmethod
-    def from_word(cls, letters, q: int) -> "Eertree":
-        tree = cls(q)
-        for a in letters:
-            tree.push(a)
-        return tree
+
+def suffix_pass(letters, q: int) -> tuple[list[int], list[int]]:
+    """One left-to-right pass over the word letters over {0, ..., q-1}.
+
+    For the k-letter prefix, k = 1..|w|, lengths[k-1] is the length of
+    its longest palindromic suffix and new[k-1] is what push returned: 1
+    iff that suffix occurs nowhere earlier in the prefix.  So the word
+    has sum(new) + 1 distinct palindromic factors, the empty one
+    included, and is rich iff every bit is 1 (Droubay, Justin & Pirillo).
+    """
+    tree = Eertree(q)
+    lengths, new = [], []
+    for a in letters:
+        new.append(tree.push(a))
+        lengths.append(tree._len[tree._last])
+    return lengths, new

@@ -3,23 +3,22 @@
 Peeling the longest palindromic suffix off a word, then off the remaining
 prefix, and so on, writes any non-empty word w as w_p ... w_2 w_1 where
 each part is the longest palindromic suffix of the prefix it ends.  The
-number of parts p is the quantity the bound machinery feeds on; for rich
-words the parts are additionally pairwise distinct and each occurs exactly
-once in the prefix it closes, which verify_unioccurrence() can confirm.
+number of parts p is the quantity the bound machinery feeds on.  A part
+is unioccurrent, occurring once in the prefix it closes, exactly when
+that prefix's suffix_pass bit is 1; on rich words every part is.
 
-The factorization is computed from a single left-to-right eertree pass
-that records the longest-palindromic-suffix length of every prefix; the
-peel then only ever looks those lengths up, because each peel step leaves
-a prefix of the original word.  A word is passed as its tuple of letters
-and its alphabet size q, and the factorization is returned as the tuple
-of part boundaries.
+The peel only ever looks up the lengths of one eertree pass
+(eertree.suffix_pass), because each peel step leaves a prefix of the
+original word.  A word is passed as its tuple of letters and its
+alphabet size q, and the factorization is returned as the tuple of part
+boundaries.
 """
 
 from __future__ import annotations
 
 import math
 
-from .eertree import Eertree
+from .eertree import suffix_pass
 from .errors import InputError
 
 
@@ -32,44 +31,20 @@ def ups_factorize(letters, q: int) -> tuple[int, ...]:
     part is the longest palindromic suffix of the whole word.
     """
     # the tree checks q and each letter, before the word's length is
-    tree = Eertree(q)
-    # lengths[k] = longest palindromic suffix length of the k-letter prefix
-    lengths = [0]
-    for a in letters:
-        tree.push(a)
-        lengths.append(tree.longest_pal_suffix_length())
-    n = len(tree)
-    if n == 0:
+    return peel_cuts(suffix_pass(letters, q)[0])
+
+
+def peel_cuts(lengths) -> tuple[int, ...]:
+    """ups_factorize's boundaries, from suffix_pass's lengths."""
+    m = len(lengths)
+    if m == 0:
         raise InputError("the empty word has no suffix factorization")
-    cuts = [n]
-    m = n
+    cuts = [m]
     while m > 0:
-        m -= lengths[m]
+        m -= lengths[m - 1]
         cuts.append(m)
     cuts.reverse()
     return tuple(cuts)
-
-
-def _occurrences(haystack: tuple[int, ...], needle: tuple[int, ...]) -> int:
-    # overlapping occurrences; verification path, not a hot path
-    count = 0
-    k = len(needle)
-    for i in range(len(haystack) - k + 1):
-        if haystack[i : i + k] == needle:
-            count += 1
-    return count
-
-
-def verify_unioccurrence(letters, boundaries) -> bool:
-    """Check the two properties the peel (boundaries, as ups_factorize
-    returns them) has on rich words: the parts are pairwise distinct, and
-    each part occurs exactly once in the prefix of the word that ends
-    with it."""
-    letters = tuple(letters)
-    parts = [letters[b0:b1] for b0, b1 in zip(boundaries, boundaries[1:])]
-    return len(set(parts)) == len(parts) and all(
-        _occurrences(letters[:end], part) == 1
-        for part, end in zip(parts, boundaries[1:]))
 
 
 def compare_luf_bound(table: dict[int, int], phi) -> dict:

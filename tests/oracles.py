@@ -73,6 +73,16 @@ def count_occurrences(haystack, needle):
                if haystack[i:i + len(needle)] == needle)
 
 
+def unioccurrent(letters, boundaries):
+    """The parts between boundaries are pairwise distinct, and each occurs
+    exactly once in the prefix of letters that ends with it."""
+    letters = tuple(letters)
+    parts = [letters[b0:b1] for b0, b1 in zip(boundaries, boundaries[1:])]
+    return len(set(parts)) == len(parts) and all(
+        count_occurrences(letters[:end], part) == 1
+        for part, end in zip(parts, boundaries[1:]))
+
+
 def compositions(n, p):
     """All p-tuples of positive ints summing to n."""
     if p == 1:

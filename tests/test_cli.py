@@ -37,6 +37,18 @@ def test_check_rich_word():
     assert "finished in" in err
 
 
+def test_check_matches_naive_counts():
+    # every word over a-c to length 5, rich or not (abca has 4)
+    for n in range(6):
+        for letters in oracles.all_words(3, n):
+            word = "".join("abc"[a] for a in letters)
+            code, out, err = _invoke("check", word)
+            assert code == 0, err
+            r = _result(out)
+            assert r["palindromes"] == oracles.distinct_pal_count(letters)
+            assert r["rich"] is oracles.is_rich(letters)
+
+
 def test_check_envelope_shape():
     code, out, _ = _invoke("check", "ab", "--q", "3")
     payload = json.loads(out)
@@ -1252,6 +1264,14 @@ def test_alphabet_is_checked_before_the_empty_word():
 ])
 def test_default_alphabet_holds_the_word(argv, code):
     assert _invoke(*argv)[0] == code
+
+
+@pytest.mark.parametrize("command", ["check", "ups"])
+def test_letter_outside_q_names_the_flag(command):
+    code, out, err = _invoke(command, "abca", "--q", "2")
+    assert (code, out) == (1, "")
+    assert err.startswith("error: --q 2 has no letter 'c'\n")
+    assert "Traceback" not in err
 
 
 _CONSTANTS = ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1", "--c3", "0.1")

@@ -5,9 +5,27 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from richwords import Eertree, InputError, StateError
+from richwords import Eertree, InputError, StateError, suffix_pass
 
 from . import oracles
+
+
+def _pushed(letters, q):
+    tree = Eertree(q)
+    for a in letters:
+        tree.push(a)
+    return tree
+
+
+def _assert_pass_matches_oracle(letters, q):
+    # every prefix: its longest palindromic suffix, and the running count
+    # of distinct palindromic factors, the empty one included
+    lengths, new = suffix_pass(letters, q)
+    assert len(lengths) == len(new) == len(letters)
+    assert sum(new) + 1 == oracles.distinct_pal_count(letters)
+    for k in range(1, len(letters) + 1):
+        assert lengths[k - 1] == oracles.longest_pal_suffix(letters[:k])
+        assert sum(new[:k]) + 1 == oracles.distinct_pal_count(letters[:k])
 
 
 def test_push_return_values():
@@ -18,26 +36,26 @@ def test_push_return_values():
     assert t.push(1) == 1
     assert t.push(2) == 1
     assert t.push(0) == 0
-    assert t.distinct_palindrome_count() == 4  # a, b, c, eps
-    assert not t.is_rich_prefix()
+    _, new = suffix_pass((0, 1, 2, 0), 3)
+    assert new == [1, 1, 1, 0]
+    assert sum(new) + 1 == 4  # a, b, c, eps
+    assert not all(new)
 
 
 def test_longest_pal_suffix_tracking():
-    t = Eertree(2)
-    t.push(0)
-    assert t.longest_pal_suffix_length() == 1
-    t.push(0)
-    assert t.longest_pal_suffix_length() == 2
-    t.push(1)
-    assert t.longest_pal_suffix_length() == 1  # aab -> 'b'
+    lengths, _ = suffix_pass((0, 0, 1), 2)
+    assert lengths == [1, 2, 1]  # aab -> 'b'
 
 
-def test_from_word_counts():
-    t = Eertree.from_word((0, 1, 0, 2, 0, 1, 0), 3)  # abacaba
-    assert t.distinct_palindrome_count() == 8
-    assert t.is_rich_prefix()
+def test_pass_counts_abacaba():
+    letters = (0, 1, 0, 2, 0, 1, 0)
+    lengths, new = suffix_pass(letters, 3)
+    assert sum(new) + 1 == 8
+    assert all(new)
+    assert len(lengths) == 7
+    t = _pushed(letters, 3)
     assert len(t) == 7
-    assert t.processed() == (0, 1, 0, 2, 0, 1, 0)
+    assert t.snapshot()[-1] == letters
 
 
 def test_letter_out_of_range():
@@ -46,6 +64,9 @@ def test_letter_out_of_range():
         t.push(2)
     with pytest.raises(InputError):
         t.push(-1)
+    with pytest.raises(InputError,
+                       match="letter 2 outside alphabet of size 2"):
+        suffix_pass((0, 1, 2), 2)
 
 
 def test_pop_on_empty_tree():
@@ -79,40 +100,33 @@ def test_push_pop_stack_discipline(bits):
         if kept and rng.random() < 0.3:
             t.pop()
             kept.pop()
-    fresh = Eertree.from_word(tuple(kept), 2)
-    assert t.snapshot() == fresh.snapshot()
+    assert t.snapshot() == _pushed(kept, 2).snapshot()
 
 
 def test_counts_match_oracle_exhaustive_binary():
     for n in range(0, 11):
         for letters in itertools.product(range(2), repeat=n):
-            t = Eertree.from_word(letters, 2)
-            assert t.distinct_palindrome_count() == \
-                oracles.distinct_pal_count(letters)
+            _assert_pass_matches_oracle(letters, 2)
 
 
 def test_counts_match_oracle_exhaustive_ternary():
-    for n in range(0, 7):
+    for n in range(0, 8):
         for letters in itertools.product(range(3), repeat=n):
-            t = Eertree.from_word(letters, 3)
-            assert t.distinct_palindrome_count() == \
-                oracles.distinct_pal_count(letters)
+            _assert_pass_matches_oracle(letters, 3)
 
 
 @settings(max_examples=200)
-@given(st.lists(st.integers(0, 3), min_size=0, max_size=60))
-def test_lps_matches_oracle(letters):
-    t = Eertree(4)
-    for a in letters:
-        t.push(a)
-        assert t.longest_pal_suffix_length() == \
-            oracles.longest_pal_suffix(t.processed())
+@given(st.integers(2, 4).flatmap(lambda q: st.tuples(
+    st.just(q), st.lists(st.integers(0, q - 1), max_size=60))))
+def test_lps_matches_oracle(word):
+    q, letters = word
+    _assert_pass_matches_oracle(tuple(letters), q)
 
 
 @given(st.lists(st.integers(0, 1), min_size=1, max_size=80))
 def test_rich_iff_every_prefix_extends(bits):
     t = Eertree(2)
-    created_every_time = True
-    for b in bits:
-        created_every_time &= bool(t.push(b))
-    assert t.is_rich_prefix() == created_every_time
+    pushed = [t.push(b) for b in bits]
+    _, new = suffix_pass(bits, 2)
+    assert new == pushed
+    assert all(new) == oracles.is_rich(bits)

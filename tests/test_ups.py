@@ -1,14 +1,23 @@
+import io
 import itertools
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richwords import (InputError, compare_luf_bound, count_rich,
-                       letters_from_text, parse_function_spec,
-                       text_from_letters, ups_factorize, verify_unioccurrence)
+                       letters_from_text, parse_function_spec, suffix_pass,
+                       text_from_letters, ups_factorize)
+from richwords.cli import run
 
 from . import oracles
+
+
+def _ups_result(text):
+    out, err = io.StringIO(), io.StringIO()
+    assert run(["ups", text], stdout=out, stderr=err) == 0, err.getvalue()
+    return json.loads(out.getvalue())["result"]
 
 
 def _max_luf(q, n_max):
@@ -83,16 +92,38 @@ def test_unioccurrence_on_rich_words():
         for letters in itertools.product(range(2), repeat=n):
             if not oracles.is_rich(letters):
                 continue
-            assert verify_unioccurrence(letters, ups_factorize(letters, 2))
+            assert oracles.unioccurrent(letters, ups_factorize(letters, 2))
+
+
+@pytest.mark.parametrize("q, n_max", [(2, 10), (3, 7)])
+def test_unioccurrent_matches_naive_oracle(q, n_max):
+    # every word, rich or not: a part is new where it ends exactly when it
+    # occurs once in the prefix it closes
+    for n in range(1, n_max + 1):
+        for letters in itertools.product(range(q), repeat=n):
+            r = _ups_result(text_from_letters(letters))
+            boundaries = ups_factorize(letters, q)
+            assert r["boundaries"] == list(boundaries)
+            assert r["unioccurrent"] is oracles.unioccurrent(letters,
+                                                             boundaries)
 
 
 def test_unioccurrence_fails_for_repeated_part():
-    # abab peels as a | bab, and 'bab' occurs once -- but ababab peels
-    # as a | bab | ab? no: check a genuinely repeating case instead
-    letters = letters_from_text("abcacba")
-    # not rich, so no guarantee; just exercise the predicate
-    assert verify_unioccurrence(letters, ups_factorize(letters, 3)) in (
-        True, False)
+    # abca peels as a | b | c | a, and the last a occurs twice
+    letters = letters_from_text("abca")
+    boundaries = ups_factorize(letters, 3)
+    assert _parts(letters, boundaries) == [(0,), (1,), (2,), (0,)]
+    assert not oracles.unioccurrent(letters, boundaries)
+    assert suffix_pass(letters, 3)[1][-1] == 0
+    r = _ups_result("abca")
+    assert (r["parts"], r["unioccurrent"]) == (["a", "b", "c", "a"], False)
+    # abacaba is one palindrome, new where it ends
+    letters = letters_from_text("abacaba")
+    boundaries = ups_factorize(letters, 3)
+    assert boundaries == (0, 7)
+    assert oracles.unioccurrent(letters, boundaries)
+    r = _ups_result("abacaba")
+    assert (r["parts"], r["unioccurrent"]) == (["abacaba"], True)
 
 
 def test_max_luf_small_table():
