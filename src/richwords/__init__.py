@@ -22,7 +22,7 @@ _HOMES = {
     "BootstrapState": "bootstrap",
     "BudgetExceededError": "errors",
     "CacheError": "errors",
-    "Eertree": "eertree",
+    "Eertree": "words",
     "ExponentFunction": "functions",
     "FunctionSpec": "functions",
     "HypothesisNotVerifiedError": "errors",
@@ -44,7 +44,7 @@ _HOMES = {
     "check_phi_composition": "functions",
     "check_product_bound": "functions",
     "check_psi_family": "functions",
-    "compare_luf_bound": "ups",
+    "compare_luf_bound": "functions",
     "composition_bound_sweep": "bounds",
     "count_rich": "enumeration",
     "errors": "errors",
@@ -57,9 +57,9 @@ _HOMES = {
     "recurrence_bound": "bounds",
     "save_cache": "enumeration",
     "seed_table_from_counts": "bounds",
-    "suffix_pass": "eertree",
+    "suffix_pass": "words",
     "text_from_letters": "words",
-    "ups_factorize": "ups",
+    "ups_factorize": "words",
 }
 
 __all__ = list(_HOMES)

@@ -103,12 +103,9 @@ def _check_range(ns, *fns, flags=("--x-lo", "--x-hi")) -> None:
     # refused, never narrowed: the verdict must cover the range asked for
     lo, hi = (getattr(ns, flag[2:].replace("-", "_")) for flag in flags)
     for fn in fns:
-        if lo < fn.domain_floor:
-            raise InputError(f"{flags[0]} {lo:g} is below the domain floor "
-                             f"{fn.domain_floor:g} of {fn.label}")
-        if not fn.admits(lo):  # a floor of 1 under ln x
-            raise InputError(f"{flags[0]} {lo:g} is not above 1, and "
-                             f"{fn.label} takes ln x")
+        reason = fn.refusal(lo)
+        if reason:
+            raise InputError(f"{flags[0]} {lo:g}: {reason}")
     if lo > hi:
         raise InputError(f"{flags[0]} {lo:g} is above {flags[1]} {hi:g}")
 
@@ -133,10 +130,23 @@ def _random_composition(rng: random.Random, n: int, p: int) -> list[int]:
 
 
 def _cmd_check(ns):
-    from .eertree import suffix_pass
+    from .words import suffix_pass
 
     _, new = suffix_pass(*_letters_from_args(ns))
     return {"word": ns.word, "rich": all(new), "palindromes": sum(new) + 1}
+
+
+def _load_rows(ns, flag: str, n: int | None = None) -> dict:
+    """Rows 1..n, by default 1 to its last row, of the cache that flag
+    names; exit 1 naming the first of them that it lacks."""
+    path = getattr(ns, flag[2:].replace("-", "_"))
+    table = enumeration.load_cache(_cache_path(path), ns.q)
+    n = n or max(table, default=1)
+    for k in range(1, n + 1):
+        if k not in table:
+            raise InputError(f"{flag} {path} has no row n={k} (rows 1..{n} "
+                             f"needed)")
+    return {k: table[k] for k in range(1, n + 1)}
 
 
 def _load_count_table(ns) -> dict:
@@ -150,12 +160,7 @@ def _load_count_table(ns) -> dict:
     if flags:
         raise InputError("--load-cache cannot be combined with enumeration "
                          f"flags: {', '.join(flags)}")
-    table = enumeration.load_cache(_cache_path(ns.load_cache), ns.q)
-    for n in range(1, ns.n + 1):
-        if n not in table:
-            raise InputError(f"cache {ns.load_cache} has no row n={n} "
-                             f"(rows 1..{ns.n} requested)")
-    return {n: table[n] for n in range(1, ns.n + 1)}
+    return _load_rows(ns, "--load-cache", ns.n)
 
 
 def _cmd_count(ns):
@@ -172,12 +177,11 @@ def _cmd_count(ns):
 
 
 def _cmd_ups(ns):
-    from . import ups, words
-    from .eertree import suffix_pass
+    from . import words
 
     letters, q = _letters_from_args(ns)
-    lengths, new = suffix_pass(letters, q)
-    boundaries = ups.peel_cuts(lengths)
+    lengths, new = words.suffix_pass(letters, q)
+    boundaries = words.peel_cuts(lengths)
     parts = [words.text_from_letters(letters[b0:b1])
              for b0, b1 in zip(boundaries, boundaries[1:])]
     return {
@@ -194,11 +198,11 @@ def _cmd_maxluf(ns):
     table = {n: m for n, (_, m) in enumeration.count_rich(
         ns.q, ns.n, node_budget=ns.budget).items()}
     if ns.phi:
-        from . import functions, ups
+        from . import functions
 
         phi = functions.parse_function_spec(ns.phi)
         return {"q": ns.q, "phi": phi.label,
-                **ups.compare_luf_bound(table, phi)}
+                **functions.compare_luf_bound(table, phi)}
     rows = [{"n": n, "max_luf": m} for n, m in sorted(table.items())]
     return {"q": ns.q, "rows": rows}
 
@@ -214,10 +218,10 @@ def _parse_tau(ns):
         try:
             k = int(text[len("const:"):])
         except ValueError as exc:
-            raise InputError(f"tau constant must be an integer, got "
+            raise InputError(f"--tau constant must be an integer, got "
                              f"{text!r}") from exc
         if k < 1:
-            raise InputError(f"tau constant must be positive, got {k}")
+            raise InputError(f"--tau constant must be positive, got {k}")
         return (lambda n: k), f"const:{k}"
     if text == "phi":
         if not ns.phi:
@@ -226,7 +230,7 @@ def _parse_tau(ns):
 
         phi = functions.parse_function_spec(ns.phi)
         return (lambda n: _part_cap(phi, n)), f"ceil(n/phi), phi={phi.label}"
-    raise InputError(f"unknown tau form {text!r}")
+    raise InputError(f"unknown --tau form {text!r}")
 
 
 def _walked_prefix(q: int, n_max: int) -> dict[int, int]:
@@ -273,7 +277,7 @@ def _cmd_bound_recurrence(ns):
         if ns.budget != enumeration.DEFAULT_NODE_BUDGET:
             raise InputError("--seeds-cache cannot be combined with "
                              "enumeration flags: --budget")
-        table = enumeration.load_cache(_cache_path(ns.seeds_cache), ns.q)
+        table = _load_rows(ns, "--seeds-cache")
     else:
         # rows 1..n_max read no seed above n_max
         table = enumeration.count_rich(ns.q, min(ns.seed_n, ns.n_max),
@@ -329,9 +333,11 @@ def _cmd_verify_product_bound(ns):
     psi = functions.parse_function_spec(ns.psi)
     exponent = functions.ExponentFunction(phi, psi, ns.c1, ns.c2)
     floor = exponent.domain_floor
-    # the least integer both specs take: ln also refuses x = 1; every
-    # part is at least m, so ceil(part/2) >= least
-    least = max(math.ceil(floor), 2 if phi.uses_log or psi.uses_log else 1)
+    # the least integer both specs take; every part is at least m, so
+    # ceil(part/2) >= least
+    least = math.ceil(floor)
+    while exponent.refusal(least):
+        least += 1
     m = 2 * least - 1
     if ns.n_max < m:
         raise InputError(f"--n-max must be >= {m}, got {ns.n_max}: a part "
@@ -364,7 +370,7 @@ def _cmd_verify_p_monotonicity(ns):
     x_lo, n, p = min((n / (2.0 * (cap + 1)) + 1.0, n, cap)
                      for n, cap in zip(lengths, caps))
     exponent = functions.ExponentFunction(phi, psi, ns.c1, ns.c2)
-    if x_lo < exponent.domain_floor:
+    if exponent.refusal(x_lo):
         raise InputError(f"--n-lo {ns.n_lo} with --p-max {ns.p_max} asks for "
                          f"x = n/(2(p+1)) + 1 = {x_lo:g} at (n, p) = ({n}, "
                          f"{p}), below the domain floor "
@@ -447,9 +453,10 @@ def _cmd_compare_exponents(ns):
 # One row per flag: name is "--flag", "--flag METAVAR" or a positional's
 # name; type is int, float, str, bool (a switch) or a tuple of choices; a
 # flag whose default is REQUIRED must be given.  run refuses an int flag
-# outside least and most, and a float flag that is not finite, at once.
-Flag = collections.namedtuple("Flag", "name type default help least most",
-                              defaults=(None, None, None, None))
+# outside least and most, a flag at or below above, and a float flag that
+# is not finite, at once.
+Flag = collections.namedtuple("Flag", "name type default help least most "
+                              "above", defaults=(None,) * 5)
 REQUIRED = object()
 
 _SPEC_HELP = ("catalogue function: identity | sqrt | ln | x-over-lnx | "
@@ -459,11 +466,11 @@ _PHI = Flag("--phi SPEC", str, REQUIRED, _SPEC_HELP)
 _PSI = Flag("--psi SPEC", str, REQUIRED, _SPEC_HELP)
 _FN = Flag("--fn SPEC", str, REQUIRED, _SPEC_HELP)
 _X_RANGE = (Flag("--x-lo", float, REQUIRED), Flag("--x-hi", float, REQUIRED))
-_OMEGA = (Flag("--c1", float, 1.0), Flag("--c2", float, 1.0))
+_OMEGA = tuple(Flag(f"--c{i}", float, 1.0, above=0) for i in (1, 2))
 _Q = Flag("--q", int, REQUIRED, least=2)
-_CONSTANTS = (_Q, Flag("--d", float, REQUIRED),
-              Flag("--c1", float, REQUIRED), Flag("--c2", float, REQUIRED),
-              Flag("--c3", float, REQUIRED))
+_D = Flag("--d", float, REQUIRED, above=1)
+_CONSTANTS = (_Q, _D, *(Flag(f"--c{i}", float, REQUIRED, above=0)
+                        for i in (1, 2, 3)))
 _WORD = Flag("word", str, REQUIRED, "word over a-z")
 _FORMAT_HELP = "report format (default: json)"
 _JSON_TEXT = Flag("--format", ("json", "text"), "json", _FORMAT_HELP)
@@ -572,8 +579,7 @@ COMMANDS = {
     "verify d-condition": (
         _cmd_verify_d_condition,
         "threshold for 2*psi(phi(n)/2) >= d*psi(n)", (
-            _PHI, _PSI,
-            Flag("--d", float, REQUIRED),
+            _PHI, _PSI, _D,
             Flag("--n-lo", float, 1e2),
             Flag("--n-hi", float, 1e8),
             _GRID._replace(default=10000),
@@ -591,7 +597,7 @@ COMMANDS = {
         _JSON_TEXT)),
     "compare-exponents": (
         _cmd_compare_exponents, "exponent before and after one map step", (
-            *_CONSTANTS, _PHI, _PSI, Flag("--n", float, REQUIRED),
+            *_CONSTANTS, _PHI, _PSI, Flag("--n", float, REQUIRED, above=1),
             _JSON_TEXT)),
 }
 
@@ -658,6 +664,8 @@ def _check_limits(ns, flags) -> None:
             continue
         if flag.type is float and not math.isfinite(value):
             raise InputError(f"{option} must be finite, got {value}")
+        if flag.above is not None and not value > flag.above:
+            raise InputError(f"{option} must be > {flag.above}, got {value}")
         if flag.least is not None and value < flag.least:
             raise InputError(f"{option} must be >= {flag.least}, got {value}")
         if flag.most is not None and value > flag.most:

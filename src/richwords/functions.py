@@ -99,17 +99,13 @@ class FunctionSpec:
             text += f"@{self.domain_min:g}"
         return text
 
-    def admits(self, x: float) -> bool:
-        """Whether value(x) passes the domain check below."""
-        return x >= self.domain_floor and not (self.uses_log and x <= 1.0)
-
-    def _check_domain(self, x: float) -> None:
+    def refusal(self, x: float) -> str | None:
+        """Why value refuses x, or None where x is in the domain."""
         if x < self.domain_floor:
-            raise InputError(
-                f"x={x!r} is below the domain floor {self.domain_floor} "
-                f"of {self.label}")
+            return (f"x={x!r} is below the domain floor {self.domain_floor} "
+                    f"of {self.label}")
         if self.uses_log and x <= 1.0:
-            raise InputError(f"{self.label} needs x > 1, got x={x!r}")
+            return f"{self.label} needs x > 1, got x={x!r}"
 
     def _check_finite(self, x: float, *values: float) -> None:
         # an overflow to inf times an underflow to 0 gives nan
@@ -117,7 +113,9 @@ class FunctionSpec:
             raise _NotFinite(f"{self.label} is not finite at x={x!r}")
 
     def value(self, x: float) -> float:
-        self._check_domain(x)
+        reason = self.refusal(x)
+        if reason:
+            raise InputError(reason)
         try:
             out = self.a * x ** self.b
             if self.c or self.u:
@@ -206,6 +204,38 @@ def parse_function_spec(text: str) -> FunctionSpec:
     return spec
 
 
+def compare_luf_bound(table: dict[int, int], phi: FunctionSpec) -> dict:
+    """Compare observed maximum peel lengths against n / phi(n).
+
+    Returns {"rows": [{"n", "max_luf", "bound", "holds"}, ...],
+    "all_hold", "first_failure_n"}.  A row where n / phi(n) is not a
+    finite number, because n is below phi's domain or phi(n) is near 0,
+    has bound and holds None and no part in the verdict.  Raises
+    InputError where phi(n) is not finite, and where no row has a bound
+    (all_hold would be vacuous).  A failing row is a fact about phi at
+    small n, not an error.
+    """
+    rows = []
+    for n, m in sorted(table.items()):
+        try:
+            bound = n / phi.value(float(n))
+        except _NotFinite:
+            raise
+        except InputError:  # n below phi's domain, or phi(n) underflows
+            bound = math.inf
+        bound = bound if math.isfinite(bound) else None
+        rows.append({"n": n, "max_luf": m, "bound": bound,
+                     "holds": None if bound is None else m <= bound})
+    if all(r["bound"] is None for r in rows):
+        raise InputError(
+            f"--phi {phi.label} cannot be evaluated at any n in "
+            f"1..{max(table, default=0)} (its domain floor is "
+            f"{phi.domain_floor:g})")
+    failures = [r["n"] for r in rows if r["holds"] is False]
+    return {"rows": rows, "all_hold": not failures,
+            "first_failure_n": failures[0] if failures else None}
+
+
 @dataclass(frozen=True)
 class ExponentFunction:
     """The combined growth function c1*x/psi(x) + c2*(x/phi(x))*ln(phi(x)).
@@ -229,8 +259,8 @@ class ExponentFunction:
     def domain_floor(self) -> float:
         return max(1.0, self.phi.domain_floor, self.psi.domain_floor)
 
-    def admits(self, x: float) -> bool:
-        return self.phi.admits(x) and self.psi.admits(x)
+    def refusal(self, x: float) -> str | None:
+        return self.phi.refusal(x) or self.psi.refusal(x)
 
     @property
     def label(self) -> str:
@@ -363,7 +393,7 @@ def check_d_condition(phi: FunctionSpec, psi: FunctionSpec, d: float,
     failures = 0
     for idx, x in enumerate(grid):
         inner = phi.value(x) / 2.0
-        if not psi.admits(inner):
+        if psi.refusal(inner):
             raise InnerDomainError(
                 f"psi is not evaluable at phi({x:g})/2 = {inner:g} "
                 f"(domain floor {psi.domain_floor})")
@@ -395,7 +425,7 @@ def check_phi_composition(phi: FunctionSpec, n_lo: float, n_hi: float,
     slack = 1e-12
     for idx, x in enumerate(grid):
         inner = phi.value(x)
-        if not phi.admits(inner):
+        if phi.refusal(inner):
             raise InnerDomainError(
                 f"phi is not evaluable at phi({x:g}) = {inner:g} "
                 f"(domain floor {phi.domain_floor})")

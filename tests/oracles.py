@@ -3,9 +3,7 @@
 Everything here is written the dumb-but-obvious way on purpose: set
 comprehensions over all substrings, O(n^2) scans, exact integer
 arithmetic, or mpmath at high precision. None of it imports the
-algorithms under test beyond plain data containers and error types,
-except that rich_entries_plain_dfs prunes with the public Eertree, which
-the tests check against palindromic_factors.
+algorithms under test beyond plain data containers and error types.
 """
 
 from __future__ import annotations
@@ -131,26 +129,23 @@ def rich_entries_plain_dfs(q, n_max):
     """{n: (R(n), max peel length)} by a plain depth-first walk.
 
     Every one of the q letters is tried at every node, with no symmetry
-    reduction; Eertree push/pop prunes non-rich prefixes, and each rich
-    word's peel length comes from peel().
+    reduction; is_rich prunes non-rich prefixes (every prefix of a rich
+    word is rich), and each rich word's peel length comes from peel().
     """
-    from richwords import Eertree
-
     counts = [0] * (n_max + 1)
     max_luf = [0] * (n_max + 1)
-    tree, word = Eertree(q), []
+    word = []
 
     def walk():
         n = len(word) + 1
         for a in range(q):
-            if tree.push(a):
-                word.append(a)
+            word.append(a)
+            if is_rich(word):
                 counts[n] += 1
                 max_luf[n] = max(max_luf[n], len(peel(word)))
                 if n < n_max:
                     walk()
-                word.pop()
-            tree.pop()
+            word.pop()
 
     walk()
     return {n: (counts[n], max_luf[n]) for n in range(1, n_max + 1)}

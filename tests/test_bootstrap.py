@@ -92,6 +92,19 @@ def test_exponent_compare_requires_n_above_one():
         exponent_compare(_state(), IDENTITY, IDENTITY, 1.0)
 
 
+def test_exponent_compare_requires_phi_above_one():
+    # ln 2 < 1: ln(phi(n)) would be negative
+    with pytest.raises(InputError, match=r"phi above 1"):
+        exponent_compare(_state(), parse_function_spec("ln@2"), IDENTITY,
+                         2.0)
+
+
+def test_iteration_refuses_negative_steps():
+    with pytest.raises(InputError, match="steps must be a non-negative "
+                                         "integer, got -1"):
+        bootstrap_iterate(_state(), -1)
+
+
 def test_exponent_compare_term_fields():
     report = exponent_compare(_state(), IDENTITY, IDENTITY, 100.0)
     # with identity/identity the second term is (n)(ln n)/n... the report

@@ -459,6 +459,31 @@ def test_count_load_cache_prints_rows_up_to_n(tmp_path):
         assert message in err, n
 
 
+@pytest.mark.parametrize("argv, flag", [
+    (("count", "--q", "2", "--n", "6", "--load-cache"), "--load-cache"),
+    (("bound-recurrence", "--q", "2", "--n-max", "12", "--seeds-cache"),
+     "--seeds-cache"),
+], ids=["count", "bound-recurrence"])
+def test_cache_missing_a_row_names_the_flag_before_any_walk(
+        tmp_path, monkeypatch, argv, flag):
+    cache = tmp_path / "gap.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "6", "--save-cache",
+                   str(cache))[0] == 0
+    lines = cache.read_text().splitlines()
+    assert json.loads(lines[3])["n"] == 3
+    cache.write_text("\n".join(lines[:3] + lines[4:]) + "\n")
+
+    def no_walk(*args, **kwargs):
+        raise AssertionError("walked a cache that misses a row")
+
+    monkeypatch.setattr(enumeration, "count_rich", no_walk)
+    code, out, err = _invoke(*argv, str(cache))
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {flag} {cache} has no row n=3 "
+                          f"(rows 1..6 needed)\n")
+    assert "Traceback" not in err
+
+
 @pytest.mark.parametrize("flags", [
     ["--workers", "0"], ["--workers", "2"], ["--symmetric", "--workers", "2"],
     ["--budget", "5"], ["--no-max-luf"], ["--symmetric"],
@@ -742,6 +767,48 @@ def test_bound_recurrence_nonpositive_seed_n_names_the_flag(flag, value):
     assert code == 1
     assert out == ""
     assert f"{flag} must be >= 1, got {value}" in err
+    assert "Traceback" not in err
+
+
+_CONSTANTS = ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1", "--c3", "0.1")
+_BOOTSTRAP = ("bootstrap", *_CONSTANTS)
+_COMPARE = ("compare-exponents", *_CONSTANTS, "--phi", "power:0.8", "--psi",
+            "ln@2", "--n", "1e6")
+_D_CONDITION = ("verify", "d-condition", "--phi", "power:0.8", "--psi",
+                "ln@2", "--d", "1.5", "--grid", "64")
+_PRODUCT = ("verify", "product-bound", "--phi", "x-over-lnx", "--psi", "ln",
+            "--trials", "5")
+_SEEDED = ("bound-recurrence", "--q", "2", "--seed-n", "4", "--n-max", "8")
+
+
+_SCALAR_REFUSALS = [
+    # a scalar flag at its exclusive bound
+    ((*_BOOTSTRAP, "--d", "1"), "--d must be > 1, got 1.0"),
+    ((*_COMPARE, "--d", "1"), "--d must be > 1, got 1.0"),
+    ((*_D_CONDITION, "--d", "1"), "--d must be > 1, got 1.0"),
+    ((*_BOOTSTRAP, "--c1", "0"), "--c1 must be > 0, got 0.0"),
+    ((*_BOOTSTRAP, "--c2", "-1"), "--c2 must be > 0, got -1.0"),
+    ((*_BOOTSTRAP, "--c3", "0"), "--c3 must be > 0, got 0.0"),
+    ((*_PRODUCT, "--c1", "0"), "--c1 must be > 0, got 0.0"),
+    ((*_PRODUCT, "--c2", "0"), "--c2 must be > 0, got 0.0"),
+    ((*_COMPARE, "--n", "1"), "--n must be > 1, got 1.0"),
+    # and the three refusals of a --tau form
+    ((*_SEEDED, "--tau", "const:-1"),
+     "--tau constant must be positive, got -1"),
+    ((*_SEEDED, "--tau", "const:0x10"),
+     "--tau constant must be an integer, got 'const:0x10'"),
+    ((*_SEEDED, "--tau", "foo"), "unknown --tau form 'foo'"),
+]
+
+
+@pytest.mark.parametrize("argv, message", _SCALAR_REFUSALS,
+                         ids=[f"{v[v[0] == 'verify']}{v[-2]}={v[-1]}"
+                              for v, _ in _SCALAR_REFUSALS])
+def test_scalar_refusal_names_the_flag(argv, message):
+    # the last of a flag given twice is the one read
+    code, out, err = _invoke(*argv)
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: {message}\n")
     assert "Traceback" not in err
 
 
@@ -1274,9 +1341,6 @@ def test_letter_outside_q_names_the_flag(command):
     assert "Traceback" not in err
 
 
-_CONSTANTS = ("--q", "2", "--d", "2", "--c1", "1", "--c2", "1", "--c3", "0.1")
-
-
 @pytest.mark.parametrize("argv, code, keys, witness", [
     (("check", "abacaba"), 0, {"word", "rich", "palindromes"}, None),
     (("ups", "aabbab"), 0,
@@ -1526,7 +1590,10 @@ def _values(flag):
     option, *metavar = flag.name.split()
     for key in (option, *metavar, flag.type):
         if key in _VALUES:
-            return _VALUES[key]
+            good, junk = _VALUES[key]
+            if flag.above is not None:  # a plausible value is in range
+                good = good.filter(lambda v: float(v) > flag.above)
+            return good, junk
     if isinstance(flag.type, tuple):
         return st.sampled_from(flag.type), st.just("xml")
     least = 1 if flag.least is None else flag.least
@@ -1537,6 +1604,8 @@ def _values(flag):
 def _outside(flag):
     # the values just past each end of a flag's range
     outside = []
+    if flag.above is not None:
+        outside.append(str(flag.above))
     if flag.least is not None:
         outside.append(str(flag.least - 1))
     if flag.most is not None:
@@ -1545,7 +1614,8 @@ def _outside(flag):
 
 
 def _limited(flag):
-    return flag.least is not None or flag.most is not None
+    return any(bound is not None
+               for bound in (flag.above, flag.least, flag.most))
 
 
 _COMMANDS = sorted(name for name, (_, _, flags) in cli.COMMANDS.items()
@@ -1560,7 +1630,8 @@ def _edges(name):
     for flag in filter(_limited, flags):
         option = _option(flag)
         yield from ((option, value) for value in _outside(flag))
-        yield option, str(flag.least)
+        if flag.least is not None:
+            yield option, str(flag.least)
         if flag.most is not None and _BOUNDED_BY.get(option) in options:
             yield option, str(flag.most)
 
@@ -1611,6 +1682,9 @@ def _argv(draw, name=None, edge=None):
     if edge is None or edge[1] not in _outside(rows[edge[0]]):
         return argv, None
     (option, value), flag = edge, rows[edge[0]]
+    if flag.above is not None:
+        return argv, (f"error: {option} must be > {flag.above}, got "
+                      f"{float(value)}\n")
     relation, bound = ((">=", flag.least) if int(value) < flag.least
                        else ("<=", flag.most))
     return argv, f"error: {option} must be {relation} {bound}, got {value}\n"

@@ -396,6 +396,19 @@ def test_cache_version_rejected(tmp_path):
                   "line 2: not valid JSON: .*digits"),
     lambda text: (text + "[" * 100_000 + "]" * 100_000 + "\n",
                   "line 6: not valid JSON: maximum recursion depth"),
+    # the header's own keys and values
+    lambda text: (text.replace('"schema_version": 1, "tool_version"',
+                               '"schema_version": 1, "xtool_version"'),
+                  "header is missing 'tool_version'$"),
+    lambda text: (text.replace('"q": 2, "schema_version": 1, "tool',
+                               '"q": 1, "schema_version": 1, "tool'),
+                  "header q=1 is not a valid alphabet size$"),
+    lambda text: (text.replace('"q": 2, "schema_version": 1, "tool',
+                               '"q": "2", "schema_version": 1, "tool'),
+                  "header q='2' is not a valid alphabet size$"),
+    lambda text: (text.replace('{"provenance": {',
+                               '{"provenance": [], "was": {'),
+                  "header provenance must be an object$"),
 ])
 def test_cache_malformed_rejected(tmp_path, mangle):
     path = tmp_path / "counts.jsonl"

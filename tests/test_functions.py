@@ -62,6 +62,32 @@ def test_domain_enforced():
     assert f2.value(2.0) > 0
 
 
+@pytest.mark.parametrize("spec, x, reason", [
+    ("ln", 4.0, "x=4.0 is below the domain floor 8.0 of "
+                "1*x^0*lnx^1*exp(0*lnx^1)"),
+    ("ln@1", 1.0, "1*x^0*lnx^1*exp(0*lnx^1)@1 needs x > 1, got x=1.0"),
+    ("sqrt", 0.5, "x=0.5 is below the domain floor 1.0 of "
+                  "1*x^0.5*lnx^0*exp(0*lnx^1)@1"),
+    ("ln@1", 1.5, None), ("sqrt", 1.0, None), ("x-over-lnx", 8.0, None),
+])
+def test_refusal_is_the_error_value_raises(spec, x, reason):
+    f = parse_function_spec(spec)
+    assert f.refusal(x) == reason
+    if reason is None:
+        assert f.value(x) > 0
+    else:
+        with pytest.raises(InputError) as exc:
+            f.value(x)
+        assert str(exc.value) == reason
+
+
+def test_exponent_refusal_is_its_first_spec_refusal():
+    ln_1 = parse_function_spec("ln@1")
+    assert ExponentFunction(SQRT, ln_1).refusal(1.0) == ln_1.refusal(1.0)
+    assert ExponentFunction(LN_2, SQRT).refusal(1.5) == LN_2.refusal(1.5)
+    assert ExponentFunction(LN_2, ln_1).refusal(2.0) is None
+
+
 def test_spec_validation():
     with pytest.raises(InputError):
         FunctionSpec(a=-1.0, b=1.0)

@@ -45,15 +45,32 @@ def _fresh_run(*argv):
     return json.loads(proc.stdout)
 
 
+# what every run loads: the CLI and the modules it imports at the top
+_CLI_MODULES = ["richwords.bounds", "richwords.cli", "richwords.enumeration",
+                "richwords.errors", "richwords.version"]
+
+
 def test_count_loads_no_mpmath_and_only_its_own_modules():
     loaded = _fresh_run("count", "--q", "2", "--n", "6")
     assert loaded["code"] == 0
     assert loaded["mpmath"] is False
-    assert loaded["richwords"] == ["richwords.bounds", "richwords.cli",
-                                   "richwords.enumeration",
-                                   "richwords.errors", "richwords.version"]
+    assert loaded["richwords"] == _CLI_MODULES
     # nor dataclasses, which pulls in inspect: the count path needs neither
     assert not {"dataclasses", "inspect"} & set(loaded["added"])
+
+
+@pytest.mark.parametrize("argv, added", [
+    (["check", "abacaba"], ["richwords.words"]),
+    (["ups", "aabbab"], ["richwords.words"]),
+    (["maxluf", "--q", "2", "--n", "6"], []),
+    (["maxluf", "--q", "2", "--n", "10", "--phi", "ln@2"],
+     ["richwords.functions"]),
+], ids=["check", "ups", "maxluf", "maxluf-phi"])
+def test_word_commands_load_only_what_they_use(argv, added):
+    loaded = _fresh_run(*argv)
+    assert loaded["code"] == 0
+    assert loaded["mpmath"] is False
+    assert loaded["richwords"] == sorted(_CLI_MODULES + added)
 
 
 def test_verify_composition_bound_loads_no_mpmath():
