@@ -31,7 +31,6 @@ _HOMES = {
     "PRECISION_BITS": "logvalue",
     "ROUND_UP": "logvalue",
     "RichwordsError": "errors",
-    "SeedGapError": "errors",
     "StateError": "errors",
     "TOOL_VERSION": "version",
     "VerifiedRange": "functions",

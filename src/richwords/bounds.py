@@ -55,7 +55,7 @@ from functools import cache, reduce
 from operator import add
 from typing import TYPE_CHECKING, Callable
 
-from .errors import InputError, SeedGapError
+from .errors import InputError
 
 # mpmath and logvalue are imported by the functions that use them: cli
 # imports this module, and a count must not pay for mpmath
@@ -175,9 +175,10 @@ def recurrence_bound(seeds: dict, tau: Callable[[int], int],
     recurrence exactly.  Entry n only reads entries at indices
     <= ceil(n/2).
 
-    If unconditional(tau, n_seed, n_max), the sum over all part counts is
-    taken as the geometric series H = G + G*H, in floor(n_max**2/2) +
-    n_max - 2 operations (n_max >= 2).  Otherwise each S_p(n) is a
+    Seeds that reach n_max are returned as they are, in no operation.
+    Otherwise, if unconditional(tau, n_seed, n_max), the sum over all part
+    counts is taken as the geometric series H = G + G*H, in
+    floor(n_max**2/2) + n_max - 2 operations.  Otherwise each S_p(n) is a
     binomial sum over the convolution powers T_p of B, p up to
     p_cap = min(n_max, max tau), which costs about
     p_cap * n_max**2 / 4 + p_cap**2 * n_max / 2 operations and one
@@ -185,12 +186,12 @@ def recurrence_bound(seeds: dict, tau: Callable[[int], int],
     """
     if not isinstance(n_max, int) or n_max < 1:
         raise InputError(f"n_max must be a positive integer, got {n_max!r}")
-    if not seeds:
-        raise SeedGapError(1)
-    n_seed = max(seeds)
+    n_seed = max(seeds, default=1)
     for i in range(1, n_seed + 1):
         if i not in seeds:
-            raise SeedGapError(i)
+            raise InputError(f"seed table has no entry for n={i}")
+    if n_seed >= n_max:  # the seeds give every row
+        return {n: seeds[n] for n in range(1, n_max + 1)}
     values = dict(seeds)
 
     taus: dict[int, int] = {}

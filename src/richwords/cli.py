@@ -37,6 +37,10 @@ CACHE_DIR_ENV = "RICHWORDS_CACHE_DIR"
 # rows as exact-seed: q = 2 to n = 16 (42,263 attempts, about 10-20 ms),
 # q = 3 to 12, q = 4 to 11 and q = 5 to 10
 SEED_CHECK_BUDGET = 50_000
+# the flags of a walk; a run that reads a count cache instead refuses each
+# one its subcommand declares that is set away from its default
+_WALK_FLAGS = ("--symmetric", "--workers", "--budget", "--no-max-luf",
+               "--save-cache")
 
 
 class _UsageError(Exception):
@@ -56,6 +60,12 @@ def _cache_path(path: str) -> str:
     if base and os.sep not in path and "/" not in path:
         return os.path.join(base, path)
     return path
+
+
+def _value(ns, name: str):
+    # the parsed value of a flag table name: "--flag", "--flag METAVAR" or
+    # a positional's name
+    return getattr(ns, name.split()[0].lstrip("-").replace("-", "_"))
 
 
 def _letters_from_args(ns) -> tuple[tuple[int, ...], int]:
@@ -101,7 +111,7 @@ def _part_cap(phi, n: int) -> int:
 
 def _check_range(ns, *fns, flags=("--x-lo", "--x-hi")) -> None:
     # refused, never narrowed: the verdict must cover the range asked for
-    lo, hi = (getattr(ns, flag[2:].replace("-", "_")) for flag in flags)
+    lo, hi = (_value(ns, flag) for flag in flags)
     for fn in fns:
         reason = fn.refusal(lo)
         if reason:
@@ -136,12 +146,21 @@ def _cmd_check(ns):
     return {"word": ns.word, "rich": all(new), "palindromes": sum(new) + 1}
 
 
-def _load_rows(ns, flag: str, n: int | None = None) -> dict:
-    """Rows 1..n, by default 1 to its last row, of the cache that flag
-    names; exit 1 naming the first of them that it lacks."""
-    path = getattr(ns, flag[2:].replace("-", "_"))
+def _load_rows(ns, flag: str, n: int, *, to_last: bool = False) -> dict:
+    """Rows 1..n of the cache that flag names, or up to its last row when
+    to_last and that is below n; exit 1 on a walk flag given with it, or
+    naming the first of those rows that it lacks."""
+    # a flag left at its default cannot be told from one not given
+    walk = [row.name.split()[0] for row in COMMANDS[ns.command][2]
+            if row.name.split()[0] in _WALK_FLAGS
+            and _value(ns, row.name) != row.default]
+    if walk:
+        raise InputError(f"{flag} cannot be combined with enumeration "
+                         f"flags: {', '.join(walk)}")
+    path = _value(ns, flag)
     table = enumeration.load_cache(_cache_path(path), ns.q)
-    n = n or max(table, default=1)
+    if to_last:
+        n = min(n, max(table, default=1))
     for k in range(1, n + 1):
         if k not in table:
             raise InputError(f"{flag} {path} has no row n={k} (rows 1..{n} "
@@ -149,23 +168,9 @@ def _load_rows(ns, flag: str, n: int | None = None) -> dict:
     return {k: table[k] for k in range(1, n + 1)}
 
 
-def _load_count_table(ns) -> dict:
-    # a flag left at its default cannot be told from one not given
-    given = {"--symmetric": ns.symmetric,
-             "--save-cache": ns.save_cache is not None,
-             "--workers": ns.workers != 1,
-             "--budget": ns.budget != enumeration.DEFAULT_NODE_BUDGET,
-             "--no-max-luf": ns.no_max_luf}
-    flags = [flag for flag, on in given.items() if on]
-    if flags:
-        raise InputError("--load-cache cannot be combined with enumeration "
-                         f"flags: {', '.join(flags)}")
-    return _load_rows(ns, "--load-cache", ns.n)
-
-
 def _cmd_count(ns):
     if ns.load_cache:
-        table = _load_count_table(ns)
+        table = _load_rows(ns, "--load-cache", ns.n)
     else:
         table = enumeration.count_rich(ns.q, ns.n, workers=ns.workers,
                                        with_max_luf=not ns.no_max_luf,
@@ -233,34 +238,28 @@ def _parse_tau(ns):
     raise InputError(f"unknown --tau form {text!r}")
 
 
-def _walked_prefix(q: int, n_max: int) -> dict[int, int]:
-    """{n: count} from a walk of rows 1..L, L the longest length up to
-    n_max whose walk takes at most SEED_CHECK_BUDGET attempts."""
+def _checked_length(ns, counts: dict[int, int]) -> int:
+    """The longest length up to which a walk of at most SEED_CHECK_BUDGET
+    attempts counts the --seeds-cache counts again; exit 1 on a row it
+    counts otherwise."""
     def walk(n):
-        return enumeration.count_rich(q, n, with_max_luf=False,
+        return enumeration.count_rich(ns.q, n, with_max_luf=False,
                                       node_budget=SEED_CHECK_BUDGET)
+    # no walk passes the walk limit
+    top = min(max(counts), _WALK_N.most)
     try:
-        table = walk(n_max)
+        walked = walk(top)
     except BudgetExceededError:
         # each length walks its shorter rows again, so the walks up to
         # the first that aborts cost a few times the budget in all
-        table = {}
-        for n in range(1, n_max):
+        walked = {}
+        for n in range(1, top):
             try:
-                table = walk(n)
+                walked = walk(n)
             except BudgetExceededError:
                 break
-    return {n: count for n, (count, _) in table.items()}
-
-
-def _checked_length(ns, counts: dict[int, int]) -> int:
-    """The longest length up to which a walk counts the --seeds-cache
-    counts again; exit 1 on a row it counts otherwise."""
-    # rows above n_max are never printed, and no walk passes the walk limit
-    walked = _walked_prefix(ns.q, min(max(counts, default=1), ns.n_max,
-                                      _WALK_N.most))
-    for n, count in walked.items():
-        if n in counts and counts[n] != count:
+    for n, (count, _) in walked.items():
+        if counts[n] != count:
             raise InputError(
                 f"--seeds-cache {ns.seeds_cache}: row n={n} holds "
                 f"{counts[n]}, but there are {count} rich words of "
@@ -272,14 +271,10 @@ def _cmd_bound_recurrence(ns):
     if (ns.seed_n is None) == (ns.seeds_cache is None):
         raise InputError("provide exactly one of --seed-n or --seeds-cache")
     tau, tau_label = _parse_tau(ns)
+    # rows 1..n_max read no seed above n_max
     if ns.seeds_cache:
-        # a flag left at its default cannot be told from one not given
-        if ns.budget != enumeration.DEFAULT_NODE_BUDGET:
-            raise InputError("--seeds-cache cannot be combined with "
-                             "enumeration flags: --budget")
-        table = _load_rows(ns, "--seeds-cache")
+        table = _load_rows(ns, "--seeds-cache", ns.n_max, to_last=True)
     else:
-        # rows 1..n_max read no seed above n_max
         table = enumeration.count_rich(ns.q, min(ns.seed_n, ns.n_max),
                                        with_max_luf=False,
                                        node_budget=ns.budget)
@@ -525,8 +520,9 @@ COMMANDS = {
                  "enumerate exact counts up to this length as seeds",
                  least=1, most=_WALK_N.most),
             Flag("--seeds-cache PATH", str, None,
-                 "load seeds from a count cache instead; rows a short walk "
-                 "counts again are exact-seed, the rest cached-seed"),
+                 "load seeds from a count cache instead, no row above "
+                 "--n-max; rows a short walk counts again are exact-seed, "
+                 "the rest cached-seed"),
             _BUDGET,
             Flag("--tau", str, "n",
                  "per-length part cap: n | const:K | phi (default: n)"),
@@ -659,7 +655,7 @@ def _check_limits(ns, flags) -> None:
     # minutes or all memory, and a nan or inf fails only after work starts
     for flag in flags:
         option = flag.name.split()[0]
-        value = getattr(ns, option.lstrip("-").replace("-", "_"))
+        value = _value(ns, option)
         if value is None:  # an optional flag left out
             continue
         if flag.type is float and not math.isfinite(value):

@@ -34,14 +34,6 @@ class BudgetExceededError(RichwordsError, RuntimeError):
         return type(self), (self.visited, self.budget)
 
 
-class SeedGapError(RichwordsError, ValueError):
-    """A seed table does not cover a contiguous index range 1..n_seed."""
-
-    def __init__(self, missing_index: int):
-        super().__init__(f"seed table has no entry for n={missing_index}")
-        self.missing_index = missing_index
-
-
 class HypothesisNotVerifiedError(RichwordsError, RuntimeError):
     """A check refused to run because its concavity/monotonicity
     precondition could not be verified on the sampled range.

@@ -7,8 +7,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from richwords import (ExponentFunction, FunctionSpec,
-                       HypothesisNotVerifiedError, InputError, SeedGapError,
-                       VerifiedRange, check_jensen, check_p_monotonicity,
+                       HypothesisNotVerifiedError, InputError, VerifiedRange,
+                       check_jensen, check_p_monotonicity,
                        check_product_bound, composition_bound_sweep,
                        count_rich, parse_function_spec, recurrence_bound,
                        seed_table_from_counts)
@@ -127,14 +127,15 @@ def test_seed_gap_detection():
     counts = _counts(2, 5)
     del counts[3]
     seeds = seed_table_from_counts(counts, 2)
-    with pytest.raises(SeedGapError) as exc:
+    with pytest.raises(InputError,
+                       match=r"^seed table has no entry for n=3$"):
         recurrence_bound(seeds, lambda n: n, 8)
-    assert exc.value.missing_index == 3
 
 
 def test_seed_table_empty_rejected():
     seeds = seed_table_from_counts({}, 2)
-    with pytest.raises(SeedGapError):
+    with pytest.raises(InputError,
+                       match=r"^seed table has no entry for n=1$"):
         recurrence_bound(seeds, lambda n: n, 4)
 
 
@@ -228,6 +229,18 @@ def test_recurrence_convolves_the_rows_over_half_the_length(monkeypatch):
         ops[0] = 0
         recurrence_bound(seeds, tau, n_max)
         assert ops[0] <= most, (n_max, ops[0])
+
+
+def test_seeds_that_reach_n_max_take_no_operation(monkeypatch):
+    # the seeds are every row, so neither order runs: the series used to
+    # take 218 operations at n_max = 20 and drop every result
+    ops = _logvalue_ops(monkeypatch)
+    seeds = seed_table_from_counts(_counts(2, 20), 2)
+    for tau in (lambda n: n, lambda n: 4):
+        for n_max in (1, 12, 20):
+            table = recurrence_bound(seeds, tau, n_max)
+            assert table == {n: seeds[n] for n in range(1, n_max + 1)}
+    assert ops[0] == 0
 
 
 class _Tally(int):

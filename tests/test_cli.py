@@ -1,3 +1,4 @@
+import argparse
 import io
 import json
 import math
@@ -393,18 +394,6 @@ def test_bound_recurrence_budget_leaves_the_rows_alone():
         assert plain == budgeted, fmt
 
 
-def test_bound_recurrence_seeds_cache_with_budget_is_exit_one(tmp_path):
-    # as count --load-cache does, a cache refuses the walk's --budget
-    path = str(tmp_path / "seeds.jsonl")
-    assert _invoke("count", "--q", "2", "--n", "6",
-                   "--save-cache", path)[0] == 0
-    code, out, err = _invoke("bound-recurrence", "--q", "2", "--n-max", "8",
-                             "--seeds-cache", path, "--budget", "5000")
-    assert (code, out) == (1, "")
-    assert err.startswith("error: --seeds-cache cannot be combined with "
-                          "enumeration flags: --budget\n")
-
-
 @pytest.mark.parametrize("symmetric", [False, True])
 def test_count_cache_bytes_are_pinned(tmp_path, symmetric):
     # the whole layout: sorted keys, the nested provenance and counts as
@@ -484,21 +473,32 @@ def test_cache_missing_a_row_names_the_flag_before_any_walk(
     assert "Traceback" not in err
 
 
-@pytest.mark.parametrize("flags", [
-    ["--workers", "0"], ["--workers", "2"], ["--symmetric", "--workers", "2"],
-    ["--budget", "5"], ["--no-max-luf"], ["--symmetric"],
-    ["--save-cache", "other.jsonl"]])
-def test_count_load_cache_with_enumeration_flag_is_exit_one(tmp_path, flags):
+_LOAD_CACHE = ("count", "--q", "2", "--n", "4", "--load-cache")
+_SEEDS_CACHE = ("bound-recurrence", "--q", "2", "--n-max", "8",
+                "--seeds-cache")
+
+
+@pytest.mark.parametrize("argv, flags", [
+    (_LOAD_CACHE, ["--workers", "0"]), (_LOAD_CACHE, ["--workers", "2"]),
+    (_LOAD_CACHE, ["--symmetric", "--workers", "2"]),
+    (_LOAD_CACHE, ["--budget", "5"]), (_LOAD_CACHE, ["--no-max-luf"]),
+    (_LOAD_CACHE, ["--symmetric"]),
+    (_LOAD_CACHE, ["--save-cache", "other.jsonl"]),
+    (_SEEDS_CACHE, ["--budget", "5000"])],
+    ids=lambda v: v[0] if isinstance(v, tuple) else "".join(v))
+def test_cache_with_enumeration_flag_is_exit_one(tmp_path, argv, flags):
+    # both cache readers refuse each walk flag their subcommand declares
     path = str(tmp_path / "c4.jsonl")
     assert _invoke("count", "--q", "2", "--n", "4",
                    "--save-cache", path)[0] == 0
-    code, out, err = _invoke("count", "--q", "2", "--n", "4",
-                             "--load-cache", path, *flags)
+    code, out, err = _invoke(*argv, path, *flags)
     assert (code, out) == (1, "")
     if flags == ["--workers", "0"]:  # below its limit: refused before
         assert "error: --workers must be >= 1, got 0\n" in err
     else:
-        assert f"enumeration flags: {flags[0]}" in err
+        names = ", ".join(f for f in flags if f.startswith("--"))
+        assert err.startswith(f"error: {argv[-1]} cannot be combined with "
+                              f"enumeration flags: {names}\n")
 
 
 def test_cache_dir_env_var(tmp_path, monkeypatch):
@@ -693,6 +693,32 @@ def test_bound_recurrence_checks_seed_rows_up_to_n_max(tmp_path):
     assert {r["provenance"] for r in _result(out)["rows"]} == {"exact-seed"}
 
 
+def test_bound_recurrence_reads_no_cache_row_above_n_max(tmp_path):
+    # a gap above --n-max lies in rows that are never read, as it does for
+    # count --load-cache --n; at --n-max 8 the gap is read and refused
+    cache = tmp_path / "seeds.jsonl"
+    assert _invoke("count", "--q", "2", "--n", "8", "--save-cache",
+                   str(cache))[0] == 0
+    args = ("bound-recurrence", "--q", "2", "--seeds-cache", str(cache),
+            "--n-max", "5")
+    full = [_invoke(*args, "--format", fmt) for fmt in ("json", "text", "csv")]
+    lines = cache.read_text().splitlines()
+    assert json.loads(lines[7])["n"] == 7
+    cache.write_text("\n".join(lines[:7] + lines[8:]) + "\n")
+    for fmt, (code, out, err) in zip(("json", "text", "csv"), full):
+        assert code == 0, err
+        assert _invoke(*args, "--format", fmt)[:2] == (0, out), fmt
+    code, out, _ = _invoke("count", "--q", "2", "--n", "5", "--load-cache",
+                           str(cache), "--format", "csv")
+    assert (code, out) == (0, "n,count,max_luf\n1,2,1\n2,4,2\n3,8,2\n"
+                                "4,16,3\n5,32,3\n")
+    code, out, err = _invoke(*args[:-1], "8")
+    assert (code, out) == (1, "")
+    assert err.startswith(f"error: --seeds-cache {cache} has no row n=7 "
+                          f"(rows 1..8 needed)\n")
+    assert "Traceback" not in err
+
+
 def test_bound_recurrence_large_q_cache_is_only_partly_checked(tmp_path):
     # a q = 4 walk to 11 fits the check's budget and one to 12 does not:
     # rows 12 and 13 print as cached-seed, and an edit there is not caught
@@ -726,11 +752,15 @@ def test_bound_recurrence_seed_check_walks_within_its_budget(monkeypatch):
         walks.append(n)
         return real(q, n, **kwargs)
 
+    # rows 17..30 are never counted again, so their values are not read
+    counts = {n: count for n, (count, _) in real(2, 16).items()}
+    counts.update(dict.fromkeys(range(17, 31), 1))
+    ns = argparse.Namespace(q=2, seeds_cache="seeds.jsonl")
     monkeypatch.setattr(enumeration, "count_rich", spy)
-    assert len(cli._walked_prefix(2, 16)) == 16
+    assert cli._checked_length(ns, {n: counts[n] for n in range(1, 17)}) == 16
     assert walks == [16]
     walks.clear()
-    assert len(cli._walked_prefix(2, 30)) == 16
+    assert cli._checked_length(ns, counts) == 16
     assert walks == [30] + list(range(1, 18))
 
 
